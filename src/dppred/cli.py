@@ -7,7 +7,6 @@ files.
 
 import argparse
 import csv
-import os
 import sys
 
 import numpy as np
@@ -33,8 +32,6 @@ class UsageError(Exception):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("DPPRED_THREADS", "1")))
 
 
 def _add_tree_flags(p):
@@ -152,12 +149,12 @@ def _hyperparams(args, task, k=None):
     return HyperParams(tree=tree, k=k, method=args.method, task=task)
 
 
-def _train_metric(m, ds, task):
-    preds = model_mod.predict(m, ds)
+def _print_train_metric(preds, ds, task):
     if task == TASK_CLASSIFICATION:
-        return "train accuracy", model_mod.evaluate(preds, ds.y, task)["accuracy"]
-    truth = ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
-    return "train RMSE", model_mod.evaluate(preds, truth, task)["rmse"]
+        print(f"train accuracy: {model_mod.evaluate(preds, ds.y, task)['accuracy']:.6f}")
+    else:
+        truth = ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
+        print(f"train RMSE: {model_mod.evaluate(preds, truth, task)['rmse']:.6f}")
 
 
 def cmd_train(args) -> int:
@@ -168,37 +165,33 @@ def cmd_train(args) -> int:
     if args.trace and m.selection is not None:
         m.selection.write_trace_csv(args.trace)
     print(model_mod.render_model(m))
-    name, value = _train_metric(m, ds, task)
-    print(f"{name}: {value:.6f}")
+    _print_train_metric(model_mod.predict(m, ds), ds, task)
     print(f"model written to {args.out}")
     return 0
 
 
-def _write_predictions(path, preds, names=None, probs=None):
+def _write_predictions(path, m, preds, probs=None):
+    """``row_index,prediction[,probability]``: class names, or reals in repr form."""
+    if m.task == TASK_CLASSIFICATION:
+        cells = [m.label_names[p] if m.label_names else str(p) for p in preds]
+    else:
+        cells = [repr(float(p)) for p in preds]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if probs is not None:
-            writer.writerow(["row_index", "prediction", "probability"])
-            for i, (p, pr) in enumerate(zip(preds, probs)):
-                label = names[p] if names else str(p)
-                writer.writerow([i, label, repr(float(pr))])
-        else:
-            writer.writerow(["row_index", "prediction"])
-            for i, p in enumerate(preds):
-                writer.writerow([i, repr(float(p))])
+        writer.writerow(["row_index", "prediction"] + ([] if probs is None else ["probability"]))
+        for i, cell in enumerate(cells):
+            writer.writerow([i, cell] + ([] if probs is None else [repr(float(probs[i]))]))
+    print(f"wrote {len(preds)} predictions to {path}")
 
 
 def cmd_predict(args) -> int:
     m = model_mod.load(args.model)
     ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
     preds = model_mod.predict(m, ds)
+    top = None
     if m.task == TASK_CLASSIFICATION:
-        proba = model_mod.predict_probabilities(m, ds)
-        top = proba[np.arange(len(preds)), preds]
-        _write_predictions(args.out, preds, names=m.label_names, probs=top)
-    else:
-        _write_predictions(args.out, preds)
-    print(f"wrote {len(preds)} predictions to {args.out}")
+        top = model_mod.predict_probabilities(m, ds)[np.arange(len(preds)), preds]
+    _write_predictions(args.out, m, preds, top)
     return 0
 
 
@@ -253,12 +246,7 @@ def cmd_stratify_train(args) -> int:
     for c, rules in enumerate(m.cluster_patterns):
         size = int((m.cluster_assignments == c).sum())
         print(f"cluster {c}: {size} instances, {len(rules)} local rules")
-    preds = strat_mod.predict_stratified(m, ds)
-    truth = ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
-    if task == TASK_CLASSIFICATION:
-        print(f"train accuracy: {model_mod.evaluate(preds, ds.y, task)['accuracy']:.6f}")
-    else:
-        print(f"train RMSE: {model_mod.evaluate(preds, truth, task)['rmse']:.6f}")
+    _print_train_metric(strat_mod.predict_stratified(m, ds), ds, task)
     print(f"model written to {args.out}")
     return 0
 
@@ -266,16 +254,7 @@ def cmd_stratify_train(args) -> int:
 def cmd_stratify_predict(args) -> int:
     m = strat_mod.load_stratified(args.model)
     ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
-    preds = strat_mod.predict_stratified(m, ds)
-    if m.task == TASK_CLASSIFICATION:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_index", "prediction"])
-            for i, p in enumerate(preds):
-                writer.writerow([i, m.label_names[p] if m.label_names else str(p)])
-    else:
-        _write_predictions(args.out, preds)
-    print(f"wrote {len(preds)} predictions to {args.out}")
+    _write_predictions(args.out, m, strat_mod.predict_stratified(m, ds))
     return 0
 
 
@@ -312,13 +291,9 @@ def cmd_sweep(args) -> int:
                                              min_bag=args.min_bag, seed=args.seed),
                              k=hp.k, method=args.method, task=task)
         m = model_mod.train(train_ds, hp)
-        if task == TASK_CLASSIFICATION:
-            train_metric = model_mod.evaluate(model_mod.predict(m, train_ds), train_ds.y, task)["accuracy"]
-            test_metric = model_mod.evaluate(model_mod.predict(m, test_ds), test_ds.y, task)["accuracy"]
-        else:
-            train_metric = model_mod.evaluate(model_mod.predict(m, train_ds), train_ds.y, task)["rmse"]
-            test_metric = model_mod.evaluate(model_mod.predict(m, test_ds), test_ds.y, task)["rmse"]
-        rows.append((v, train_metric, test_metric))
+        key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
+        rows.append((v, *(model_mod.evaluate(model_mod.predict(m, d), d.y, task)[key]
+                          for d in (train_ds, test_ds))))
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -349,9 +324,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     if args.seed < 0:
         print("error: --seed must be non-negative", file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
         return _COMMANDS[args.command](args)

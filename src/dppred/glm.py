@@ -6,6 +6,7 @@ thresholding (squared error) or a monotone accelerated proximal gradient
 (cross entropy). Internally columns are centered and the intercept is kept
 at its conditional optimum, which makes the all-zero weight vector an
 exact fixed point whenever the penalty is at least ``lambda_max``.
+Prediction scores one rule vector or a whole rule matrix, each row alike.
 """
 
 import math
@@ -49,13 +50,10 @@ class GlmModel:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -501,27 +499,37 @@ def support(model: GlmModel) -> np.ndarray:
     return np.flatnonzero(np.any(w != 0.0, axis=0))
 
 
+def _scores(model: GlmModel, xp: np.ndarray) -> np.ndarray:
+    """(n, outputs) scores of an (n, k) rule matrix, as a stack of one-row products.
+
+    Each row runs the BLAS call a lone row runs, so scores do not depend on
+    ``n``; a plain ``xp @ w`` switches from dot to gemv beyond one row.
+    """
+    xp = np.ascontiguousarray(np.atleast_2d(xp))
+    w = np.atleast_2d(model.weights)
+    if xp.shape[1] != w.shape[1]:
+        raise ValueError(f"expected {w.shape[1]} rule dimensions, got {xp.shape[1]}")
+    return np.matmul(xp[:, None, :], w.T)[:, 0] + np.asarray(model.intercept)
+
+
 def predict_proba(model: GlmModel, xp: np.ndarray) -> np.ndarray:
-    """Per-class probabilities (one-vs-rest sigmoids beyond two classes)."""
+    """Per-class probabilities (one-vs-rest sigmoids beyond two classes) of a
+    (k,) rule vector or, row by row, of an (n, k) rule matrix."""
     if model.task != TASK_LOGISTIC:
         raise ValueError("probabilities are defined for logistic models only")
     xp = np.asarray(xp, dtype=np.float64)
-    w = np.atleast_2d(model.weights)
-    if xp.shape[0] != w.shape[1]:
-        raise ValueError(f"expected {w.shape[1]} rule dimensions, got {xp.shape[0]}")
+    p = sigmoid(_scores(model, xp))
     if model.classes == 2:
-        p1 = float(sigmoid(np.array([model.weights @ xp + model.intercept]))[0])
-        return np.array([1.0 - p1, p1])
-    z = w @ xp + np.asarray(model.intercept)
-    return sigmoid(z)
+        p = np.concatenate([1.0 - p, p], axis=1)
+    return p[0] if xp.ndim == 1 else p
 
 
 def predict_glm(model: GlmModel, xp: np.ndarray):
-    """Real prediction (linear) or class index (logistic; ties to lowest class)."""
+    """Real prediction (linear) or class index (logistic; ties to lowest class):
+    a Python float or int for a (k,) rule vector, an array for an (n, k) matrix."""
     xp = np.asarray(xp, dtype=np.float64)
     if model.task == TASK_LINEAR:
-        if xp.shape[0] != model.weights.shape[0]:
-            raise ValueError(f"expected {model.weights.shape[0]} rule dimensions, got {xp.shape[0]}")
-        return float(model.weights @ xp + model.intercept)
-    scores = predict_proba(model, xp)
-    return int(np.argmax(scores))
+        out = _scores(model, xp)[:, 0]
+    else:
+        out = np.argmax(predict_proba(model, np.atleast_2d(xp)), axis=1)
+    return out[0].item() if xp.ndim == 1 else out

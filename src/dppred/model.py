@@ -2,9 +2,15 @@
 
 A trained model is the selected rule list plus the GLM fitted over it,
 bundled with the fitted column schema so new CSV files encode identically.
+Serving has one path: the rule list is compiled once per model, a batch is
+evaluated against it in a few array operations and scored by the GLM
+kernel; a single row is the batch of one, so both give the same bits.
+
 The on-disk format is versioned, human-readable text: rendered rules next
 to machine-exact hex thresholds and weights, so the model file doubles as
-the report and round-trips predictions bit for bit.
+the report and round-trips predictions bit for bit. The section codecs
+here (provenance, schema and label, rule blocks, GLM) also write and read
+the stratified model files.
 """
 
 import json
@@ -12,16 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, encoded_feature_names
-from .glm import TASK_LINEAR, TASK_LOGISTIC, FitConfig, GlmModel, fit_glm, predict_proba
+from .data import LABEL_CLASS, LABEL_REAL, ColumnSchema, Dataset, denormalize_labels, encoded_feature_names
+from .glm import TASK_LINEAR, TASK_LOGISTIC, FitConfig, GlmModel, fit_glm, predict_glm, predict_proba
 from .patterns import (
+    CompiledRules,
     Condition,
-    ConditionCounter,
     Pattern,
+    compile_rules,
     construct_pattern_space,
     extract_patterns,
-    matches,
     render_pattern,
+    rule_matrix,
 )
 from .selection import SelectionResult, forward_select, lasso_select
 from .tree import TreeConfig, fit_forest
@@ -78,6 +85,10 @@ class DppredModel:
     label_bounds: tuple[float, float] | None = None
     provenance: dict = field(default_factory=dict)
     selection: SelectionResult | None = field(default=None, repr=False)
+    compiled: CompiledRules = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.compiled = compile_rules(self.patterns)
 
     @property
     def task(self) -> str:
@@ -96,6 +107,14 @@ def _check_labels(ds: Dataset, task: str) -> None:
     want = "class" if task == TASK_CLASSIFICATION else "real"
     if ds.label_kind != want:
         raise ValueError(f"{task} training needs {want!r} labels, dataset has {ds.label_kind!r}")
+
+
+def _data_fields(ds: Dataset) -> dict:
+    """The schema and label fields a model copies from its training data."""
+    return {"schema": ds.schema, "feature_names": list(ds.feature_names),
+            "feature_sources": list(ds.feature_sources), "label_kind": ds.label_kind,
+            "label_names": list(ds.label_names) if ds.label_names else None,
+            "label_bounds": ds.label_bounds}
 
 
 def train(ds: Dataset, hp: HyperParams, fit_cfg: FitConfig | None = None) -> DppredModel:
@@ -118,12 +137,7 @@ def train(ds: Dataset, hp: HyperParams, fit_cfg: FitConfig | None = None) -> Dpp
     return DppredModel(
         patterns=[pool.patterns[j] for j in result.chosen],
         glm=result.model,
-        schema=ds.schema,
-        feature_names=list(ds.feature_names),
-        feature_sources=list(ds.feature_sources),
-        label_kind=ds.label_kind,
-        label_names=list(ds.label_names) if ds.label_names else None,
-        label_bounds=ds.label_bounds,
+        **_data_fields(ds),
         provenance={
             "seed": hp.tree.seed,
             "n_trees": hp.tree.n_trees,
@@ -149,53 +163,42 @@ def refit_on_patterns(ds: Dataset, rules: list[Pattern], task: str,
     return DppredModel(
         patterns=list(rules),
         glm=glm,
-        schema=ds.schema,
-        feature_names=list(ds.feature_names),
-        feature_sources=list(ds.feature_sources),
-        label_kind=ds.label_kind,
-        label_names=list(ds.label_names) if ds.label_names else None,
-        label_bounds=ds.label_bounds,
+        **_data_fields(ds),
         provenance=provenance or {"task": task, "method": "refit", "k": len(rules)},
     )
 
 
-def _check_compatible(m: DppredModel, ds: Dataset) -> None:
+def _check_compatible(m, ds: Dataset) -> None:
     if list(ds.feature_names) != list(m.feature_names):
         raise ValueError("schema mismatch: dataset features do not match the model's schema")
 
 
-def predict_one(m: DppredModel, x: np.ndarray, counter: ConditionCounter | None = None):
-    """Prediction for a single feature vector (streaming path)."""
-    bits = np.empty(len(m.patterns), dtype=np.float64)
-    for j, p in enumerate(m.patterns):
-        bits[j] = 1.0 if matches(p, x, counter) else 0.0
-    if m.glm.task == TASK_LINEAR:
-        raw = float(m.glm.weights @ bits + m.glm.intercept)
-        if m.label_bounds is not None:
-            lo, hi = m.label_bounds
-            raw = raw * (hi - lo) + lo
-        return raw
-    scores = predict_proba(m.glm, bits)
-    return int(np.argmax(scores))
+def glm_predictions(glm: GlmModel, bits: np.ndarray, label_bounds) -> np.ndarray:
+    """Class indices, or real predictions on the original label scale, for an (n, k) rule matrix."""
+    preds = predict_glm(glm, bits)
+    if glm.task == TASK_LINEAR and label_bounds is not None:
+        preds = denormalize_labels(preds, label_bounds)
+    return preds
+
+
+def _serve(m: DppredModel, x: np.ndarray) -> np.ndarray:
+    return glm_predictions(m.glm, rule_matrix(m.compiled, x), m.label_bounds)
+
+
+def predict_one(m: DppredModel, x: np.ndarray):
+    """Prediction for a single feature vector: the batch of one row, as a Python int or float."""
+    return _serve(m, np.asarray(x)[None, :])[0].item()
 
 
 def predict(m: DppredModel, ds: Dataset) -> np.ndarray:
-    """Order-preserving predictions; bitwise identical to the streaming path."""
+    """Order-preserving predictions; bitwise identical to ``predict_one`` row by row."""
     _check_compatible(m, ds)
-    if m.task == TASK_CLASSIFICATION:
-        return np.array([predict_one(m, ds.x[i]) for i in range(ds.n)], dtype=np.int64)
-    return np.array([predict_one(m, ds.x[i]) for i in range(ds.n)], dtype=np.float64)
+    return _serve(m, ds.x)
 
 
 def predict_probabilities(m: DppredModel, ds: Dataset) -> np.ndarray:
     _check_compatible(m, ds)
-    if m.task != TASK_CLASSIFICATION:
-        raise ValueError("probabilities are defined for classification models only")
-    out = []
-    for i in range(ds.n):
-        bits = np.array([1.0 if matches(p, ds.x[i]) else 0.0 for p in m.patterns])
-        out.append(predict_proba(m.glm, bits))
-    return np.vstack(out)
+    return predict_proba(m.glm, rule_matrix(m.compiled, ds.x))
 
 
 def evaluate(preds: np.ndarray, truth: np.ndarray, task: str) -> dict:
@@ -236,98 +239,38 @@ def render_model(m: DppredModel) -> str:
 
 
 # --- persistence ----------------------------------------------------------
+#
+# A model file is a header line with the format version, named sections and
+# an [end] marker. Plain and stratified files share the section codecs
+# below; readers run through _read, so each failure names its section.
 
 
-def _hex(v: float) -> str:
-    return float(v).hex()
+def _hex_row(values) -> str:
+    return " ".join(float(v).hex() for v in values)
 
 
-def _schema_line(col: ColumnSchema) -> str:
-    payload = {
-        "name": col.name,
-        "kind": col.kind,
-        "categories": col.categories,
-        "median": _hex(col.median) if col.median is not None else None,
-    }
-    return json.dumps(payload, sort_keys=True)
+def _unhex_row(text: str) -> list[float]:
+    return [float.fromhex(tok) for tok in text.split()]
 
 
-def _parse_schema_line(line: str) -> ColumnSchema:
-    payload = json.loads(line)
-    return ColumnSchema(
-        name=payload["name"],
-        kind=payload["kind"],
-        categories=payload["categories"],
-        median=float.fromhex(payload["median"]) if payload["median"] else None,
-    )
-
-
-def _pattern_machine_line(p: Pattern) -> str:
-    return " ".join(f"{c.dim}:{c.op}:{_hex(c.threshold)}" for c in p.conditions)
-
-
-def _parse_pattern_line(line: str) -> Pattern:
-    conds = []
-    for tok in line.split():
-        dim, op, thr = tok.split(":")
-        conds.append(Condition(int(dim), op, float.fromhex(thr)))
-    return Pattern(tuple(conds))
-
-
-def save(m: DppredModel, path) -> None:
-    """Write the versioned text model file."""
-    if m.schema is None:
-        raise ValueError("model carries no schema; cannot serialize")
-    lines = [f"{_HEADER} {FORMAT_VERSION}"]
-
-    lines.append("[provenance]")
-    for key in sorted(m.provenance):
-        lines.append(f"{key}={m.provenance[key]}")
-
-    lines.append("[schema]")
-    lines.append(f"label_task={m.label_kind}")
-    for col in m.schema:
-        lines.append(_schema_line(col))
-
-    lines.append("[label]")
-    if m.label_names is not None:
-        lines.append("names=" + json.dumps(m.label_names))
-    if m.label_bounds is not None:
-        lines.append(f"bounds={_hex(m.label_bounds[0])} {_hex(m.label_bounds[1])}")
-
-    lines.append("[patterns]")
-    lines.append(f"count={len(m.patterns)}")
-    for p in m.patterns:
-        lines.append("# " + render_pattern(p, m.feature_names))
-        lines.append(_pattern_machine_line(p))
-
-    lines.append("[glm]")
-    lines.append(f"task={m.glm.task}")
-    lines.append(f"classes={m.glm.classes}")
-    w = np.atleast_2d(m.glm.weights)
-    b = np.atleast_1d(m.glm.intercept)
-    lines.append("intercept " + " ".join(_hex(v) for v in b))
-    for row in w:
-        lines.append("weights " + " ".join(_hex(v) for v in row))
-
-    lines.append("[end]")
+def _write_model_file(path, header: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([f"{header} {FORMAT_VERSION}", *lines, "[end]"]) + "\n")
 
 
-def _split_sections(text: str, expect_header: str):
-    lines = [ln.rstrip("\n") for ln in text.splitlines()]
-    if not lines or not lines[0].startswith(expect_header):
-        raise ValueError("not a recognized model file")
-    version_txt = lines[0][len(expect_header):].strip()
+def _read_sections(path, header: str) -> dict[str, list[str]]:
+    """The non-empty lines of each [section], after checking header, version and [end]."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or not lines[0].startswith(header):
+        raise ValueError("not a recognized model file: bad header line")
     try:
-        version = int(version_txt)
+        version = int(lines[0][len(header):])
     except ValueError:
-        raise ValueError("not a recognized model file: malformed version") from None
+        raise ValueError("not a recognized model file: malformed version in header") from None
     if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {version} (this build reads version {FORMAT_VERSION})")
-
+        raise ValueError(f"unsupported model format version {version} in header "
+                         f"(this build reads version {FORMAT_VERSION})")
     sections: dict[str, list[str]] = {}
     current = None
     for ln in lines[1:]:
@@ -337,84 +280,151 @@ def _split_sections(text: str, expect_header: str):
         elif current is not None and ln:
             sections[current].append(ln)
     if "end" not in sections:
-        last = current if current else "header"
-        raise ValueError(f"truncated model file: no [end] marker after section '{last}'")
+        raise ValueError(f"truncated model file: no [end] marker after section '{current or 'header'}'")
     return sections
 
 
-def _require(sections: dict, name: str) -> list[str]:
+def _read(sections: dict, name: str, parse, *args):
+    """``parse(lines, *args)`` on one section; any failure is a ValueError naming it."""
     if name not in sections:
         raise ValueError(f"truncated model file: missing section '{name}'")
-    return sections[name]
+    try:
+        return parse(sections[name], *args)
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, OverflowError) as err:
+        raise ValueError(f"malformed model file: section '{name}': {err}") from err
+
+
+def _parse_fields(lines: list[str]) -> dict[str, str]:
+    fields = {}
+    for ln in lines:
+        key, sep, value = ln.partition("=")
+        if not sep:
+            raise ValueError(f"expected key=value, got {ln!r}")
+        fields[key] = value
+    return fields
+
+
+def _provenance_lines(provenance: dict) -> list[str]:
+    return ["[provenance]"] + [f"{key}={provenance[key]}" for key in sorted(provenance)]
+
+
+def _data_lines(m) -> list[str]:
+    """[schema] and [label]: fitted column encodings, then label names or bounds."""
+    if m.schema is None:
+        raise ValueError("model carries no schema; cannot serialize")
+    lines = ["[schema]", f"label_task={m.label_kind}"]
+    lines += [json.dumps({"name": c.name, "kind": c.kind, "categories": c.categories,
+                          "median": None if c.median is None else float(c.median).hex()}, sort_keys=True)
+              for c in m.schema]
+    lines.append("[label]")
+    if m.label_names is not None:
+        lines.append("names=" + json.dumps(m.label_names))
+    if m.label_bounds is not None:
+        lines.append("bounds=" + _hex_row(m.label_bounds))
+    return lines
+
+
+def _parse_column(line: str) -> ColumnSchema:
+    col = json.loads(line)
+    return ColumnSchema(name=col["name"], kind=col["kind"], categories=col["categories"],
+                        median=float.fromhex(col["median"]) if col["median"] else None)
+
+
+def _parse_schema(lines: list[str]) -> dict:
+    label_kind = _parse_fields(lines[:1]).get("label_task")
+    if label_kind not in (LABEL_CLASS, LABEL_REAL):
+        raise ValueError("missing or unknown label_task")
+    schema = [_parse_column(ln) for ln in lines[1:]]
+    names, sources, _ = encoded_feature_names(schema)
+    return {"schema": schema, "feature_names": names, "feature_sources": sources,
+            "label_kind": label_kind}
+
+
+def _parse_label(lines: list[str]) -> dict:
+    fields = _parse_fields(lines)
+    names = json.loads(fields.pop("names", "null"))
+    bounds = fields.pop("bounds", None)
+    if fields or not (names is None or isinstance(names, list)
+                      and all(isinstance(v, str) for v in names)):
+        raise ValueError("expects only names= (a list of strings) and bounds=")
+    if bounds is not None:
+        lo, hi = _unhex_row(bounds)
+        bounds = (lo, hi)
+    return {"label_names": names, "label_bounds": bounds}
+
+
+def _read_data_fields(sections: dict) -> dict:
+    """Schema, feature and label fields, as keyword arguments of either model class."""
+    return {**_read(sections, "schema", _parse_schema), **_read(sections, "label", _parse_label)}
+
+
+def _rule_block(rules: list[Pattern], feature_names: list[str], prefix: str = "") -> list[str]:
+    """A count line, then each rule rendered as a comment and as machine-exact conditions."""
+    lines = [f"{prefix}count={len(rules)}"]
+    for p in rules:
+        lines.append("# " + render_pattern(p, feature_names))
+        lines.append(" ".join(f"{c.dim}:{c.op}:{float(c.threshold).hex()}" for c in p.conditions))
+    return lines
+
+
+def _parse_condition(token: str, n_features: int) -> Condition:
+    dim, op, thr = token.split(":")
+    cond = Condition(int(dim), op, float.fromhex(thr))
+    if cond.dim >= n_features:
+        raise ValueError(f"condition dimension {cond.dim} outside the {n_features} features")
+    return cond
+
+
+def _parse_rule_block(lines: list[str], n_features: int, limit: int | None = None,
+                      prefix: str = "") -> list[Pattern]:
+    head = prefix + "count="
+    if not lines or not lines[0].startswith(head):
+        raise ValueError(f"missing its {head} line")
+    machine = [ln for ln in lines[1:] if not ln.startswith("#")]
+    if len(machine) != int(lines[0][len(head):]):
+        raise ValueError(f"{lines[0]!r} but {len(machine)} rules listed")
+    if limit is not None and len(machine) > limit:
+        raise ValueError(f"{len(machine)} rules, more than the configured {limit}")
+    return [Pattern(tuple(_parse_condition(tok, n_features) for tok in ln.split()))
+            for ln in machine]
+
+
+def _glm_lines(glm: GlmModel) -> list[str]:
+    return (["[glm]", f"task={glm.task}", f"classes={glm.classes}",
+             "intercept " + _hex_row(np.atleast_1d(glm.intercept))]
+            + ["weights " + _hex_row(row) for row in np.atleast_2d(glm.weights)])
+
+
+def _parse_glm(lines: list[str], n_dims: int) -> GlmModel:
+    vectors = [ln.split(" ", 1) for ln in lines if ln.startswith(("intercept ", "weights "))]
+    fields = _parse_fields([ln for ln in lines if not ln.startswith(("intercept ", "weights "))])
+    intercepts = [_unhex_row(v) for key, v in vectors if key == "intercept"]
+    weights = [_unhex_row(v) for key, v in vectors if key == "weights"]
+    if "task" not in fields or "classes" not in fields:
+        raise ValueError("needs task= and classes= lines")
+    task, classes = fields["task"], int(fields["classes"])
+    if not (task == TASK_LINEAR and classes == 0 or task == TASK_LOGISTIC and classes >= 2):
+        raise ValueError(f"task {task!r} with {classes} classes")
+    outputs = classes if classes > 2 else 1
+    if (len(intercepts) != 1 or len(intercepts[0]) != outputs or len(weights) != outputs
+            or any(len(row) != n_dims for row in weights)):
+        raise ValueError(f"expects one intercept line of {outputs} and {outputs} weight "
+                         f"line(s) of {n_dims}, one weight per rule")
+    one = outputs == 1
+    return GlmModel(weights=np.array(weights[0] if one else weights), task=task, classes=classes,
+                    intercept=intercepts[0][0] if one else np.array(intercepts[0]))
+
+
+def save(m: DppredModel, path) -> None:
+    """Write the versioned text model file."""
+    _write_model_file(path, _HEADER, _provenance_lines(m.provenance) + _data_lines(m)
+                      + ["[patterns]"] + _rule_block(m.patterns, m.feature_names) + _glm_lines(m.glm))
 
 
 def load(path) -> DppredModel:
     """Read a model file written by :func:`save`; errors name the bad section."""
-    with open(path, encoding="utf-8") as fh:
-        sections = _split_sections(fh.read(), _HEADER)
-
-    prov = {}
-    for ln in _require(sections, "provenance"):
-        key, _, value = ln.partition("=")
-        prov[key] = value
-
-    schema_lines = _require(sections, "schema")
-    if not schema_lines or not schema_lines[0].startswith("label_task="):
-        raise ValueError("truncated model file: section 'schema' is missing label_task")
-    label_kind = schema_lines[0].split("=", 1)[1]
-    schema = [_parse_schema_line(ln) for ln in schema_lines[1:]]
-    feature_names, feature_sources, _ = encoded_feature_names(schema)
-
-    label_names = None
-    label_bounds = None
-    for ln in _require(sections, "label"):
-        if ln.startswith("names="):
-            label_names = json.loads(ln.split("=", 1)[1])
-        elif ln.startswith("bounds="):
-            lo, hi = ln.split("=", 1)[1].split()
-            label_bounds = (float.fromhex(lo), float.fromhex(hi))
-
-    pat_lines = _require(sections, "patterns")
-    if not pat_lines or not pat_lines[0].startswith("count="):
-        raise ValueError("truncated model file: section 'patterns' is missing its count")
-    count = int(pat_lines[0].split("=", 1)[1])
-    machine = [ln for ln in pat_lines[1:] if not ln.startswith("#")]
-    if len(machine) != count:
-        raise ValueError(
-            f"truncated model file: section 'patterns' lists {len(machine)} rules, expected {count}")
-    rules = [_parse_pattern_line(ln) for ln in machine]
-
-    glm_lines = _require(sections, "glm")
-    glm_kv = {}
-    weights_rows = []
-    intercepts = None
-    for ln in glm_lines:
-        if ln.startswith("intercept "):
-            intercepts = [float.fromhex(tok) for tok in ln.split()[1:]]
-        elif ln.startswith("weights "):
-            weights_rows.append([float.fromhex(tok) for tok in ln.split()[1:]])
-        else:
-            key, _, value = ln.partition("=")
-            glm_kv[key] = value
-    if intercepts is None or not weights_rows:
-        raise ValueError("truncated model file: section 'glm' is missing weights")
-    task = glm_kv.get("task", TASK_LINEAR)
-    classes = int(glm_kv.get("classes", 0))
-    if len(weights_rows) == 1 and classes <= 2:
-        glm = GlmModel(weights=np.array(weights_rows[0]), intercept=intercepts[0],
-                       task=task, classes=classes)
-    else:
-        glm = GlmModel(weights=np.array(weights_rows), intercept=np.array(intercepts),
-                       task=task, classes=classes)
-
-    return DppredModel(
-        patterns=rules,
-        glm=glm,
-        schema=schema,
-        feature_names=feature_names,
-        feature_sources=feature_sources,
-        label_kind=label_kind,
-        label_names=label_names,
-        label_bounds=label_bounds,
-        provenance=prov,
-    )
+    sections = _read_sections(path, _HEADER)
+    data = _read_data_fields(sections)
+    rules = _read(sections, "patterns", _parse_rule_block, len(data["feature_names"]))
+    return DppredModel(patterns=rules, glm=_read(sections, "glm", _parse_glm, len(rules)),
+                       provenance=_read(sections, "provenance", _parse_fields), **data)

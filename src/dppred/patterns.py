@@ -5,9 +5,14 @@ edge conditions on the path from the root down to that split, closed with
 the split's own >= condition. A rule therefore holds for an instance
 exactly when routing the instance reaches the split and takes its >= side,
 which is what the routing-consistency tests assert.
+
+Serving compiles a selected rule list once (``compile_rules``) and then
+evaluates exactly ``sum(p.m)`` conditions per row (``rule_matrix``);
+``pattern_matrix`` evaluates training pools, ``matches`` is the reference.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +31,8 @@ class Condition:
     def __post_init__(self):
         if self.op not in (OP_LT, OP_GE):
             raise ValueError(f"unknown condition operator {self.op!r}")
+        if self.dim < 0:
+            raise ValueError(f"negative condition dimension {self.dim}")
 
     def holds(self, value: float) -> bool:
         if self.op == OP_LT:
@@ -48,13 +55,6 @@ class Pattern:
         return len(self.conditions)
 
 
-class ConditionCounter:
-    """Counts condition evaluations; used to audit prediction cost."""
-
-    def __init__(self):
-        self.count = 0
-
-
 def canonicalize(pattern: Pattern) -> Pattern:
     """Keep the tightest bound per (dim, op) and order conditions deterministically."""
     tight: dict[tuple[int, str], float] = {}
@@ -73,14 +73,12 @@ def canonicalize(pattern: Pattern) -> Pattern:
     return Pattern(ordered)
 
 
-def matches(pattern: Pattern, x: np.ndarray, counter: ConditionCounter | None = None) -> bool:
+def matches(pattern: Pattern, x: np.ndarray) -> bool:
     """True iff every condition of ``pattern`` holds for the feature vector."""
     d = len(x)
     for c in pattern.conditions:
         if not 0 <= c.dim < d:
             raise IndexError(f"condition dimension {c.dim} outside feature vector of length {d}")
-        if counter is not None:
-            counter.count += 1
         if not c.holds(x[c.dim]):
             return False
     return True
@@ -144,6 +142,35 @@ def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:
             mask &= (col < c.threshold) if c.op == OP_LT else (col >= c.threshold)
         out[:, j] = mask
     return out
+
+
+class CompiledRules(NamedTuple):
+    """A rule list flattened to one entry per condition, rule after rule."""
+
+    dims: np.ndarray         # feature dimension tested
+    thresholds: np.ndarray
+    ge: np.ndarray           # True for >=, False for <
+    starts: np.ndarray       # offset of each rule's first condition
+
+
+def compile_rules(patterns: list[Pattern]) -> CompiledRules:
+    conds = [c for p in patterns for c in p.conditions]
+    lengths = np.array([p.m for p in patterns], dtype=np.intp)
+    return CompiledRules(np.array([c.dim for c in conds], dtype=np.intp),
+                         np.array([c.threshold for c in conds], dtype=np.float64),
+                         np.array([c.op == OP_GE for c in conds], dtype=bool),
+                         np.cumsum(lengths) - lengths)
+
+
+def rule_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
+    """Boolean (n, k) matrix of ``x`` against compiled rules.
+
+    A row tests every compiled condition, ``sum(p.m)`` of them, with no
+    early exit; one grouped AND then closes each rule.
+    """
+    vals = x[:, rules.dims]
+    hit = np.where(rules.ge, vals >= rules.thresholds, vals < rules.thresholds)
+    return np.logical_and.reduceat(hit, rules.starts, axis=1)
 
 
 def construct_pattern_space(ds, patterns: list[Pattern]) -> np.ndarray:

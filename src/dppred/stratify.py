@@ -4,33 +4,44 @@ Instances are first described by which globally mined rules they satisfy.
 Treating each satisfied rule as a token, latent Dirichlet allocation over
 these bags partitions the instances into disjoint clusters; each cluster
 then gets its own locally mined rules, and one unified GLM is fitted over
-the global block plus the (cluster-dependent) local block. Also houses the
-longitudinal summary-statistics conversion for repeated measurements.
+the global block plus the (cluster-dependent) local block. Prediction
+scores that block with the same GLM kernel as plain models, and model files
+reuse the plain model's section codecs. Also houses the longitudinal
+summary-statistics conversion for repeated measurements.
 """
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, encoded_feature_names, subset
-from .glm import TASK_LINEAR, FitConfig, GlmModel, fit_glm, predict_proba
+from .data import ColumnSchema, Dataset, subset
+from .glm import TASK_LINEAR, FitConfig, GlmModel, fit_glm
 from .model import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
-    DppredModel,
     HyperParams,
+    _check_compatible,
+    _data_fields,
+    _data_lines,
+    _glm_lines,
     _glm_task,
-    _parse_pattern_line,
-    _parse_schema_line,
-    _pattern_machine_line,
-    _schema_line,
-    _split_sections,
-    _require,
+    _hex_row,
+    _parse_fields,
+    _parse_glm,
+    _parse_rule_block,
+    _provenance_lines,
+    _read,
+    _read_data_fields,
+    _read_sections,
+    _rule_block,
+    _unhex_row,
+    _write_model_file,
+    glm_predictions,
     train,
 )
-from .patterns import Pattern, construct_pattern_space, pattern_matrix, render_pattern
+from .patterns import Pattern, construct_pattern_space, pattern_matrix
 from .rng import (
     STREAM_EMPTY_BAG,
     STREAM_FOLD_IN,
@@ -315,48 +326,32 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig,
         glm=glm,
         cluster_assignments=assignments,
         config=cfg,
-        schema=ds.schema,
-        feature_names=list(ds.feature_names),
-        feature_sources=list(ds.feature_sources),
-        label_kind=ds.label_kind,
-        label_names=list(ds.label_names) if ds.label_names else None,
-        label_bounds=ds.label_bounds,
+        **_data_fields(ds),
         provenance={**global_model.provenance,
                     "n_global": cfg.n_global, "n_local": cfg.n_local,
                     "n_clusters": cfg.n_clusters, "lda_seed": cfg.seed},
     )
 
 
-def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
-    """Fold new instances into the trained clusters."""
-    global_bits = pattern_matrix(ds.x, m.global_patterns)
+def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
     return _fold_in(
         global_bits, m.topics, m.config.alpha, m.config.fold_in_iterations,
         sub_rng(m.config.seed, STREAM_FOLD_IN),
         sub_rng(m.config.seed, STREAM_EMPTY_BAG, 1))
 
 
+def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
+    """Fold new instances into the trained clusters."""
+    return _assign(m, pattern_matrix(ds.x, m.global_patterns))
+
+
 def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     """Cluster each instance, evaluate its cluster's local rules, apply the GLM."""
-    if list(ds.feature_names) != list(m.feature_names):
-        raise ValueError("schema mismatch: dataset features do not match the model's schema")
+    _check_compatible(m, ds)
     global_bits = pattern_matrix(ds.x, m.global_patterns)
-    assignments = _fold_in(
-        global_bits, m.topics, m.config.alpha, m.config.fold_in_iterations,
-        sub_rng(m.config.seed, STREAM_FOLD_IN),
-        sub_rng(m.config.seed, STREAM_EMPTY_BAG, 1))
-    unified = _unified_matrix(global_bits, assignments, m.cluster_patterns,
+    unified = _unified_matrix(global_bits, _assign(m, global_bits), m.cluster_patterns,
                               ds.x, m.config.n_global, m.config.n_local)
-
-    if m.glm.task == TASK_LINEAR:
-        out = np.array([float(m.glm.weights @ unified[i] + m.glm.intercept)
-                        for i in range(ds.n)])
-        if m.label_bounds is not None:
-            lo, hi = m.label_bounds
-            out = np.array([v * (hi - lo) + lo for v in out])
-        return out
-    return np.array([int(np.argmax(predict_proba(m.glm, unified[i])))
-                     for i in range(ds.n)], dtype=np.int64)
+    return glm_predictions(m.glm, unified, m.label_bounds)
 
 
 def importance_rows(m: StratifiedModel) -> list[tuple[str, str, int]]:
@@ -388,145 +383,48 @@ def write_importance_csv(m: StratifiedModel, path) -> None:
 # --- persistence ----------------------------------------------------------
 
 
+def _parse_config(lines: list[str]) -> StratifyConfig:
+    raw = json.loads(lines[0])
+    return StratifyConfig(**{f.name: raw[f.name] for f in fields(StratifyConfig)})
+
+
+def _parse_topics(lines: list[str], shape: tuple[int, int]) -> np.ndarray:
+    topics = np.array([_unhex_row(ln) for ln in lines])
+    if topics.shape != shape:
+        raise ValueError(f"expected a {shape[0]} x {shape[1]} topic matrix, got shape {topics.shape}")
+    return topics
+
+
+def _parse_cluster_rules(lines: list[str], cfg: StratifyConfig, n_features: int) -> list[list[Pattern]]:
+    heads = [i for i, ln in enumerate(lines) if ln.startswith("cluster=")]
+    if len(heads) != cfg.n_clusters or heads[0] != 0:
+        raise ValueError(f"expected {cfg.n_clusters} cluster blocks")
+    return [_parse_rule_block(lines[a:b], n_features, cfg.n_local, f"cluster={c} ")
+            for c, (a, b) in enumerate(zip(heads, heads[1:] + [len(lines)]))]
+
+
 def save_stratified(m: StratifiedModel, path) -> None:
-    if m.schema is None:
-        raise ValueError("model carries no schema; cannot serialize")
-    cfg = m.config
-    lines = [f"{_STRAT_HEADER} 1"]
-    lines.append("[provenance]")
-    for key in sorted(m.provenance):
-        lines.append(f"{key}={m.provenance[key]}")
-    lines.append("[config]")
-    lines.append(json.dumps({
-        "n_global": cfg.n_global, "n_local": cfg.n_local, "n_clusters": cfg.n_clusters,
-        "lda_alpha": cfg.lda_alpha, "lda_beta": cfg.lda_beta,
-        "gibbs_iterations": cfg.gibbs_iterations,
-        "fold_in_iterations": cfg.fold_in_iterations, "seed": cfg.seed,
-    }, sort_keys=True))
-    lines.append("[schema]")
-    lines.append(f"label_task={m.label_kind}")
-    for col in m.schema:
-        lines.append(_schema_line(col))
-    lines.append("[label]")
-    if m.label_names is not None:
-        lines.append("names=" + json.dumps(m.label_names))
-    if m.label_bounds is not None:
-        lines.append(f"bounds={float(m.label_bounds[0]).hex()} {float(m.label_bounds[1]).hex()}")
-    lines.append("[global_patterns]")
-    lines.append(f"count={len(m.global_patterns)}")
-    for p in m.global_patterns:
-        lines.append("# " + render_pattern(p, m.feature_names))
-        lines.append(_pattern_machine_line(p))
-    lines.append("[topics]")
-    for row in m.topics:
-        lines.append(" ".join(float(v).hex() for v in row))
-    lines.append("[cluster_patterns]")
+    lines = _provenance_lines(m.provenance) + ["[config]", json.dumps(asdict(m.config), sort_keys=True)]
+    lines += _data_lines(m) + ["[global_patterns]"] + _rule_block(m.global_patterns, m.feature_names)
+    lines += ["[topics]"] + [_hex_row(row) for row in m.topics] + ["[cluster_patterns]"]
     for c, rules in enumerate(m.cluster_patterns):
-        lines.append(f"cluster={c} count={len(rules)}")
-        for p in rules:
-            lines.append("# " + render_pattern(p, m.feature_names))
-            lines.append(_pattern_machine_line(p))
-    lines.append("[glm]")
-    lines.append(f"task={m.glm.task}")
-    lines.append(f"classes={m.glm.classes}")
-    w = np.atleast_2d(m.glm.weights)
-    b = np.atleast_1d(m.glm.intercept)
-    lines.append("intercept " + " ".join(float(v).hex() for v in b))
-    for row in w:
-        lines.append("weights " + " ".join(float(v).hex() for v in row))
-    lines.append("[end]")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        lines += _rule_block(rules, m.feature_names, prefix=f"cluster={c} ")
+    _write_model_file(path, _STRAT_HEADER, lines + _glm_lines(m.glm))
 
 
 def load_stratified(path) -> StratifiedModel:
-    with open(path, encoding="utf-8") as fh:
-        sections = _split_sections(fh.read(), _STRAT_HEADER)
-
-    prov = {}
-    for ln in _require(sections, "provenance"):
-        key, _, value = ln.partition("=")
-        prov[key] = value
-    raw_cfg = json.loads(_require(sections, "config")[0])
-    cfg = StratifyConfig(
-        n_global=raw_cfg["n_global"], n_local=raw_cfg["n_local"],
-        n_clusters=raw_cfg["n_clusters"], lda_alpha=raw_cfg["lda_alpha"],
-        lda_beta=raw_cfg["lda_beta"], gibbs_iterations=raw_cfg["gibbs_iterations"],
-        fold_in_iterations=raw_cfg["fold_in_iterations"], seed=raw_cfg["seed"])
-
-    schema_lines = _require(sections, "schema")
-    label_kind = schema_lines[0].split("=", 1)[1]
-    schema = [_parse_schema_line(ln) for ln in schema_lines[1:]]
-    feature_names, feature_sources, _ = encoded_feature_names(schema)
-
-    label_names = None
-    label_bounds = None
-    for ln in _require(sections, "label"):
-        if ln.startswith("names="):
-            label_names = json.loads(ln.split("=", 1)[1])
-        elif ln.startswith("bounds="):
-            lo, hi = ln.split("=", 1)[1].split()
-            label_bounds = (float.fromhex(lo), float.fromhex(hi))
-
-    gp_lines = _require(sections, "global_patterns")
-    count = int(gp_lines[0].split("=", 1)[1])
-    machine = [ln for ln in gp_lines[1:] if not ln.startswith("#")]
-    if len(machine) != count:
-        raise ValueError("truncated model file: section 'global_patterns' is incomplete")
-    global_patterns = [_parse_pattern_line(ln) for ln in machine]
-
-    topics = np.array([[float.fromhex(tok) for tok in ln.split()]
-                       for ln in _require(sections, "topics")])
-
-    cluster_patterns: list[list[Pattern]] = []
-    pending = 0
-    for ln in _require(sections, "cluster_patterns"):
-        if ln.startswith("cluster="):
-            if pending:
-                raise ValueError("truncated model file: section 'cluster_patterns' is incomplete")
-            pending = int(ln.split("count=", 1)[1])
-            cluster_patterns.append([])
-        elif ln.startswith("#"):
-            continue
-        else:
-            cluster_patterns[-1].append(_parse_pattern_line(ln))
-            pending -= 1
-    if pending:
-        raise ValueError("truncated model file: section 'cluster_patterns' is incomplete")
-
-    glm_kv = {}
-    weights_rows = []
-    intercepts = None
-    for ln in _require(sections, "glm"):
-        if ln.startswith("intercept "):
-            intercepts = [float.fromhex(tok) for tok in ln.split()[1:]]
-        elif ln.startswith("weights "):
-            weights_rows.append([float.fromhex(tok) for tok in ln.split()[1:]])
-        else:
-            key, _, value = ln.partition("=")
-            glm_kv[key] = value
-    if intercepts is None or not weights_rows:
-        raise ValueError("truncated model file: section 'glm' is missing weights")
-    classes = int(glm_kv.get("classes", 0))
-    if len(weights_rows) == 1 and classes <= 2:
-        glm = GlmModel(weights=np.array(weights_rows[0]), intercept=intercepts[0],
-                       task=glm_kv["task"], classes=classes)
-    else:
-        glm = GlmModel(weights=np.array(weights_rows), intercept=np.array(intercepts),
-                       task=glm_kv["task"], classes=classes)
-
+    sections = _read_sections(path, _STRAT_HEADER)
+    cfg = _read(sections, "config", _parse_config)
+    data = _read_data_fields(sections)
+    n_features = len(data["feature_names"])
+    global_patterns = _read(sections, "global_patterns", _parse_rule_block, n_features, cfg.n_global)
     return StratifiedModel(
         global_patterns=global_patterns,
-        topics=topics,
-        cluster_patterns=cluster_patterns,
-        glm=glm,
+        topics=_read(sections, "topics", _parse_topics, (cfg.n_clusters, len(global_patterns))),
+        cluster_patterns=_read(sections, "cluster_patterns", _parse_cluster_rules, cfg, n_features),
+        glm=_read(sections, "glm", _parse_glm, cfg.n_global + cfg.n_local),
         cluster_assignments=np.zeros(0, dtype=np.int64),
         config=cfg,
-        schema=schema,
-        feature_names=feature_names,
-        feature_sources=feature_sources,
-        label_kind=label_kind,
-        label_names=label_names,
-        label_bounds=label_bounds,
-        provenance=prov,
+        provenance=_read(sections, "provenance", _parse_fields),
+        **data,
     )

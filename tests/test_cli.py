@@ -218,14 +218,8 @@ class TestStratifyCommands:
                      "--out", str(tmp_path / "m"), "--seed", "-1"]) == 2
 
 
-class TestThreadsFlag:
-    def test_threads_env_default_and_flag(self, medical_files, tmp_path, monkeypatch):
-        monkeypatch.setenv("DPPRED_THREADS", "2")
-        out = tmp_path / "m.model"
-        assert main(["train", "--data", str(medical_files["train"]),
-                     "--schema", str(medical_files["schema"]),
-                     "--out", str(out), "--trees", "20", "--seed", "1"]) == 0
-        assert main(["train", "--data", str(medical_files["train"]),
-                     "--schema", str(medical_files["schema"]),
-                     "--out", str(out), "--trees", "20", "--seed", "1",
-                     "--threads", "0"]) == 2
+def test_threads_flag_is_gone(medical_files, tmp_path):
+    # the flag never changed the computation and was removed; argparse rejects it
+    assert main(["train", "--data", str(medical_files["train"]),
+                 "--schema", str(medical_files["schema"]),
+                 "--out", str(tmp_path / "m.model"), "--threads", "2"]) == 2

@@ -14,7 +14,7 @@ from dppred.model import (
     save,
     train,
 )
-from dppred.patterns import Condition, ConditionCounter, Pattern
+from dppred.patterns import Condition, Pattern
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import TreeConfig
 
@@ -105,12 +105,14 @@ class TestPredict:
             predict(m, other)
 
     def test_condition_budget_per_instance(self):
+        # serving evaluates every compiled condition once per row: sum(p.m) <= k * D
         tr, _, _ = small_medical(n_train=800, n_test=10)
         hp = small_hp()
         m = train(tr, hp)
-        counter = ConditionCounter()
-        predict_one(m, tr.x[0], counter)
-        assert counter.count <= hp.k * hp.tree.max_depth
+        per_row = sum(p.m for p in m.patterns)
+        assert len(m.compiled.dims) == len(m.compiled.thresholds) == len(m.compiled.ge) == per_row
+        assert len(m.compiled.starts) == m.k
+        assert per_row <= hp.k * hp.tree.max_depth
 
 
 class TestEvaluate:

@@ -1,0 +1,154 @@
+"""Model files: both kinds share one section codec, and a damaged file fails
+at load time with a ValueError that names the damaged section."""
+
+import re
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dppred.data import minmax_normalize_labels
+from dppred.model import HyperParams, load, predict, refit_on_patterns, save, train
+from dppred.stratify import (
+    StratifyConfig,
+    load_stratified,
+    predict_stratified,
+    save_stratified,
+    train_stratified,
+)
+from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
+from dppred.tree import TreeConfig
+
+NAMES_A_SECTION = re.compile(r"section '\w+'|header")
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """(loader, predictor, file text, test data) per model kind, plus a temporary directory."""
+    out = tmp_path_factory.mktemp("model_files")
+    med_tr, med_te, _ = generate_medical(SynthConfig(n_train=300, n_test=30, noise_rate=0.001, seed=2))
+    binary = train(med_tr, HyperParams(tree=TreeConfig(n_trees=10, seed=1), k=5))
+    three = replace(med_tr, y=np.arange(med_tr.n) % 3, label_names=["a", "b", "c"])
+    multiclass = refit_on_patterns(three, binary.patterns[:3], "classification")
+    sub_tr, sub_te = generate_subtyped_regression(SynthConfig(n_train=400, n_test=30, seed=6), 2)
+    strat = train_stratified(
+        minmax_normalize_labels(sub_tr),
+        HyperParams(tree=TreeConfig(n_trees=15, seed=3), k=6, task="regression"),
+        StratifyConfig(n_global=6, n_local=3, n_clusters=2, gibbs_iterations=40,
+                       fold_in_iterations=10, seed=4))
+    kinds = {}
+    for name, m, writer, loader, predictor, te in [
+            ("binary", binary, save, load, predict, med_te),
+            ("multiclass", multiclass, save, load, predict, med_te),
+            ("stratified", strat, save_stratified, load_stratified, predict_stratified, sub_te)]:
+        path = out / f"{name}.model"
+        writer(m, path)
+        kinds[name] = (loader, predictor, path.read_text(encoding="utf-8"), te)
+    return kinds, out
+
+
+def mutate(text, action, where, replacement):
+    lines = text.split("\n")
+    i = where % len(lines)
+    if action == "drop":
+        del lines[i]
+    elif action == "truncate":
+        lines = lines[:i]
+    elif action == "cut":
+        lines[i] = lines[i][: len(lines[i]) // 2]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i] = replacement
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["binary", "multiclass", "stratified"]),
+       action=st.sampled_from(["drop", "truncate", "cut", "duplicate", "replace"]),
+       where=st.integers(0, 10_000),
+       replacement=st.text(max_size=30))
+def test_damaged_file_loads_or_names_its_section(model_files, kind, action, where, replacement):
+    kinds, out = model_files
+    loader, predictor, text, te = kinds[kind]
+    path = out / "damaged.model"
+    path.write_text(mutate(text, action, where, replacement), encoding="utf-8")
+    try:
+        m = loader(path)
+    except ValueError as err:
+        assert NAMES_A_SECTION.search(str(err)), str(err)
+        return
+    # a file that still loads must still serve, or refuse the data by name
+    try:
+        preds = predictor(m, te)
+    except ValueError as err:
+        assert "schema mismatch" in str(err)
+    else:
+        assert len(preds) == te.n
+
+
+def test_round_trip_is_byte_identical(model_files, tmp_path):
+    kinds, _ = model_files
+    for name, (loader, _, text, _) in kinds.items():
+        path = tmp_path / f"{name}.model"
+        path.write_text(text, encoding="utf-8")
+        again = tmp_path / f"{name}.again"
+        (save_stratified if name == "stratified" else save)(loader(path), again)
+        assert again.read_text(encoding="utf-8") == text
+
+
+def edit(model_files, tmp_path, kind, old, new):
+    kinds, _ = model_files
+    text = kinds[kind][2]
+    assert old in text
+    path = tmp_path / "edited.model"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return kinds[kind][0], path
+
+
+def test_glm_task_is_required(model_files, tmp_path):
+    # a missing task= once turned a logistic model into a linear one silently
+    loader, path = edit(model_files, tmp_path, "binary", "task=logistic\n", "")
+    with pytest.raises(ValueError, match="section 'glm'.*task="):
+        loader(path)
+
+
+def test_glm_classes_are_required(model_files, tmp_path):
+    loader, path = edit(model_files, tmp_path, "multiclass", "classes=3\n", "")
+    with pytest.raises(ValueError, match="section 'glm'"):
+        loader(path)
+
+
+@pytest.mark.parametrize("kind, section", [("binary", "patterns"), ("stratified", "global_patterns")])
+@pytest.mark.parametrize("bad_dim", ["-1", "9999"])
+def test_condition_dims_outside_features_rejected(model_files, tmp_path, kind, section, bad_dim):
+    kinds, _ = model_files
+    loader, _, text, _ = kinds[kind]
+    lines = text.split("\n")
+    start = lines.index(f"[{section}]")
+    i = next(j for j in range(start + 2, len(lines)) if not lines[j].startswith("#"))
+    lines[i] = bad_dim + lines[i][lines[i].index(":"):]
+    path = tmp_path / "dims.model"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"section '{section}'"):
+        loader(path)
+
+
+def test_empty_rule_list_loads(model_files, tmp_path):
+    kinds, _ = model_files
+    m = load_from_text(kinds["binary"][2], tmp_path)
+    empty = replace(m, patterns=[], glm=replace(m.glm, weights=np.zeros(0)))
+    path = tmp_path / "empty.model"
+    save(empty, path)
+    assert "count=0" in path.read_text(encoding="utf-8")
+    te = kinds["binary"][3]
+    assert np.array_equal(predict(load(path), te), predict(empty, te))
+
+
+def load_from_text(text, tmp_path):
+    path = tmp_path / "from_text.model"
+    path.write_text(text, encoding="utf-8")
+    return load(path)
+

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 from dppred.data import Dataset
 from dppred.patterns import (
     Condition,
-    ConditionCounter,
     Pattern,
     canonicalize,
+    compile_rules,
     construct_pattern_space,
     extract_patterns,
     matches,
     pattern_matrix,
     render_pattern,
+    rule_matrix,
     tree_patterns,
 )
 from dppred.synth import SynthConfig, generate_medical
@@ -53,10 +54,16 @@ class TestConditionAndPattern:
             matches(p, np.zeros(3))
 
     def test_counter_counts_evaluations(self):
+        # the compiled form evaluates each condition of a rule exactly once per row
         p = Pattern((Condition(0, "ge", 0.5), Condition(1, "ge", 0.5)))
-        counter = ConditionCounter()
-        matches(p, np.array([1.0, 1.0]), counter)
-        assert counter.count == 2
+        rules = compile_rules([p])
+        assert len(rules.dims) == p.m == 2
+        assert list(rules.starts) == [0]
+        assert rule_matrix(rules, np.array([[1.0, 1.0]])).tolist() == [[True]]
+
+    def test_negative_dim_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            Condition(-1, "ge", 0.0)
 
 
 class TestCanonicalize:
@@ -171,6 +178,7 @@ class TestPatternSpace:
         for i in range(40):
             for j, p in enumerate(pats):
                 assert bool(space[i, j]) == matches(p, x[i])
+        assert np.array_equal(rule_matrix(compile_rules(pats), x), space.astype(bool))
 
     def test_dim_out_of_range(self):
         ds = self.make_ds(np.zeros((2, 2)))
