@@ -278,9 +278,13 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
 
 def _parse_number(value: str, row: int, column: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ValueError(f"row {row}, column {column!r}: cannot parse {value!r} as a number") from None
+    # float() takes 'nan' and 'inf'; a NaN cell would poison the stored median
+    if not math.isfinite(number):
+        raise ValueError(f"row {row}, column {column!r}: non-finite value {value!r}")
+    return number
 
 
 def minmax_normalize_labels(ds: Dataset) -> Dataset:

@@ -1,12 +1,15 @@
 """Generalized linear models over the binary rule space.
 
 Plain fits run gradient descent (backtracking or fixed step) on the mean
-loss; L1-penalized fits use cyclic coordinate descent with soft
-thresholding (squared error) or a monotone accelerated proximal gradient
-(cross entropy). Internally columns are centered and the intercept is kept
-at its conditional optimum, which makes the all-zero weight vector an
-exact fixed point whenever the penalty is at least ``lambda_max``.
-Prediction scores one rule vector or a whole rule matrix, each row alike.
+loss. L1-penalized fits, for squared error and cross entropy alike, run a
+working-set proximal Newton method: the full gradient picks the working
+set (non-zeros plus the strongest KKT violators), the loss's quadratic
+model there is minimized exactly with its L1 term by feature-sign search,
+and the step is backtracked on the true objective. Internally columns are
+centered and the intercept is an unpenalized coordinate, which makes the
+all-zero weight vector an exact fixed point whenever the penalty is at
+least ``lambda_max``. Prediction scores one rule vector or a whole rule
+matrix, each row alike.
 """
 
 import math
@@ -19,6 +22,9 @@ TASK_LINEAR = "linear"
 
 _ARMIJO = 1e-4
 _MIN_STEP = 1e-18
+_LASSO_RTOL = 1e-10   # relative objective change that ends the lasso's outer loop
+_KKT_TOL = 1e-9       # gradient slack, times max(1, lam), before a zero weight violates KKT
+_MAX_ENTRANTS = 10    # strongest violators added to the lasso working set per outer step
 
 
 @dataclass
@@ -56,18 +62,17 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _rmatvec(X: np.ndarray, r: np.ndarray) -> np.ndarray:
     # float32 matrices get a float32 operand: a mixed-dtype matmul would
     # silently recast the whole matrix on every call
     if X.dtype == np.float32:
-        return np.asarray(X @ v.astype(np.float32, copy=False), dtype=np.float64)
-    return np.asarray(X @ np.asarray(v, dtype=np.float64), dtype=np.float64)
-
-
-def _rmatvec(X: np.ndarray, r: np.ndarray) -> np.ndarray:
-    if X.dtype == np.float32:
         return np.asarray(X.T @ r.astype(np.float32, copy=False), dtype=np.float64)
     return np.asarray(X.T @ np.asarray(r, dtype=np.float64), dtype=np.float64)
+
+
+def _centered_rmatvec(X: np.ndarray, mu: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """X_cᵀ r / n for the column-centered X, without materializing it."""
+    return (_rmatvec(X, r) - mu * r.sum()) / len(r)
 
 
 def linear_loss(X, y, w, b):
@@ -247,13 +252,9 @@ def lambda_max(Xp, y, task: str) -> float:
     n = len(y)
     mu = Xp.mean(axis=0, dtype=np.float64)
 
-    def centered_grad(resid):
-        # X_cᵀ resid without materializing centered columns
-        return (_rmatvec(Xp, resid) - mu * resid.sum()) / n
-
     if task == TASK_LINEAR:
         yf = y.astype(np.float64)
-        g = 2.0 * centered_grad(yf.mean() - yf)
+        g = 2.0 * _centered_rmatvec(Xp, mu, yf.mean() - yf)
         return float(np.abs(g).max())
     if task != TASK_LOGISTIC:
         raise ValueError(f"unknown task {task!r}")
@@ -263,190 +264,142 @@ def lambda_max(Xp, y, task: str) -> float:
     best = 0.0
     for c in targets:
         t = (y.astype(np.int64) == c).astype(np.float64)
-        g = centered_grad(np.full(n, t.mean()) - t)
+        g = _centered_rmatvec(Xp, mu, np.full(n, t.mean()) - t)
         best = max(best, float(np.abs(g).max()))
     return best
 
 
-def _cd_lasso_linear(X, y, lam, cfg: FitConfig):
-    """Cyclic coordinate descent on mean squared error + lam * l1."""
-    n, d = X.shape
-    Xf = np.asfortranarray(X, dtype=np.float64)
-    mu = Xf.mean(axis=0)
-    y = y.astype(np.float64)
-    y_mean = float(y.mean())
-    w = np.zeros(d)
-    r = y - y_mean  # residual of y against the current centered fit
-    col_norm2 = (Xf * Xf).sum(axis=0) - n * mu * mu
-    col_norm2 = np.maximum(col_norm2, 0.0)
-    thresh = n * lam / 2.0
+def _solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """H⁻¹r. A singular H (duplicate, complement or nested rule columns) gets
+    a tiny ridge; its huge null-space component is then cut back by the
+    caller's line search at the first zero crossing."""
+    try:
+        x = np.linalg.solve(H, r)
+        if np.all(np.isfinite(x)):
+            return x
+    except np.linalg.LinAlgError:
+        pass
+    return np.linalg.solve(H + 1e-12 * np.eye(len(r)), r)
 
-    def objective():
-        return float(r @ r) / n + lam * float(np.abs(w).sum())
 
-    f = objective()
+def _feature_sign(H, g, x0, lam, tol):
+    """Minimize gᵀ(x - x0) + ½(x - x0)ᵀH(x - x0) + lam·|x[1:]|₁ exactly.
+
+    Feature-sign search (Lee et al. 2007): fix the signs of the active
+    coordinates, solve that equality-constrained QP, then line-search the
+    segment towards its solution over the points where a coefficient
+    crosses zero. While the active set is optimal the strongest violator
+    enters. Coordinate 0 is the unpenalized intercept, always active.
+    """
+    x = x0.copy()
+
+    def q(v):
+        d = v - x0
+        return float(g @ d + 0.5 * d @ H @ d) + lam * float(np.abs(v[1:]).sum())
+
+    # each step lowers the objective, so sign patterns never repeat; the cap
+    # only guards against rounding
+    for _ in range(20 * len(x0) + 100):
+        s = g + H @ (x - x0)
+        theta = np.sign(x)
+        theta[0] = 0.0
+        active = x != 0.0
+        active[0] = True
+        if np.all(np.abs(s[active] + lam * theta[active]) <= tol):
+            excess = np.where(active, -np.inf, np.abs(s) - lam)
+            j = int(np.argmax(excess))
+            if excess[j] <= tol:
+                break
+            active[j] = True
+            theta[j] = -np.sign(s[j])
+        a = np.flatnonzero(active)
+        step = np.zeros_like(x)
+        step[a] = -_solve(H[np.ix_(a, a)], s[a] + lam * theta[a])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where((x != 0.0) & (step != 0.0), -x / step, np.inf)
+        cross[0] = np.inf
+        best, f_best = x, q(x)
+        for t in np.append(np.unique(cross[(cross > 0.0) & (cross < 1.0)]), 1.0):
+            v = x + t * step
+            v[cross == t] = 0.0
+            f_v = q(v)
+            if f_v < f_best:
+                best, f_best = v, f_v
+        if best is x:
+            break
+        x = best
+    return x
+
+
+def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
+    """Working-set proximal Newton on the mean loss + lam * l1 for one target.
+
+    Each outer step screens the full centered gradient, takes the non-zeros
+    plus the strongest KKT violators as the working set, solves the L1 QP
+    of the loss's quadratic model there exactly, and backtracks on the
+    true objective. The squared-error model is exact, so one step solves
+    the working-set problem.
+    """
+    n = X.shape[0]
+    rtol = min(cfg.tolerance, _LASSO_RTOL)
+    tol = _KKT_TOL * max(1.0, lam)
+
+    def evaluate(wv, bv):
+        nz = np.flatnonzero(wv)
+        z = np.asarray(X[:, nz], dtype=np.float64) @ wv[nz] - float(mu[nz] @ wv[nz]) + bv
+        if task == TASK_LINEAR:
+            loss = float((z - t) @ (z - t)) / n
+        else:
+            loss = float(np.logaddexp(0.0, z).sum() - t @ z) / n
+        return loss + lam * float(np.abs(wv).sum()), z
+
+    f, z = evaluate(w, b)
     trace = [f]
     for _ in range(cfg.max_iterations):
-        for j in range(d):
-            nj = col_norm2[j]
-            if nj <= 0.0:
-                w[j] = 0.0
-                continue
-            cj = Xf[:, j]
-            rs = float(r.sum())
-            a = float(cj @ r) - mu[j] * rs + nj * w[j]
-            w_new = math.copysign(max(abs(a) - thresh, 0.0), a) / nj
-            if w_new != w[j]:
-                delta = w[j] - w_new
-                r += delta * cj
-                r -= delta * mu[j]
-                w[j] = w_new
-        f_new = objective()
-        trace.append(f_new)
-        if abs(f - f_new) <= cfg.tolerance * max(1.0, abs(f)):
-            f = f_new
-            break
-        f = f_new
-
-    intercept = y_mean - float(mu @ w)
-    return w, intercept, np.array(trace)
-
-
-def _power_step_bound(X, mu):
-    """Upper bound on the largest eigenvalue of the centered Gram matrix."""
-    d = X.shape[1]
-    v = np.ones(d) / math.sqrt(d)
-    lam = 1.0
-    for _ in range(30):
-        u = _matvec(X, v) - float(mu @ v)
-        g = _rmatvec(X, u) - mu * float(u.sum())
-        lam = float(np.linalg.norm(g))
-        if lam <= 0.0:
-            return 1.0
-        v = g / lam
-    return 1.2 * lam  # safety margin over the power-iteration estimate
-
-
-def _fista_monotone(X, mu, t, lam, w, b, eta, max_iters, tol, trace):
-    """Monotone FISTA sweep over the given matrix; returns (w, b, f)."""
-    n = X.shape[0]
-
-    def linear_part(wv):
-        return _matvec(X, wv) - float(mu @ wv)
-
-    def objective(z, wv):
-        return float(np.logaddexp(0.0, np.asarray(z, dtype=np.float64)).sum() - t @ z) / n \
-            + lam * float(np.abs(wv).sum())
-
-    def grad(z):
-        r = sigmoid(z) - t
-        return (_rmatvec(X, r) - mu * r.sum()) / n
-
-    s = linear_part(w)
-    b = _refit_intercept_logistic(s, t, b)
-    f = objective(s + b, w)
-    trace.append(f)
-
-    v = w.copy()
-    tk = 1.0
-    for _ in range(max_iters):
-        sv = linear_part(v)
-        bv = _refit_intercept_logistic(sv, t, b)
-        g = grad(sv + bv)
-        w_prop = v - eta * g
-        w_prop = np.sign(w_prop) * np.maximum(np.abs(w_prop) - eta * lam, 0.0)
-        s_prop = linear_part(w_prop)
-        b_prop = _refit_intercept_logistic(s_prop, t, bv)
-        f_prop = objective(s_prop + b_prop, w_prop)
-
-        if f_prop > f:
-            # momentum overshoot: plain proximal step from the last iterate
-            s = linear_part(w)
-            b = _refit_intercept_logistic(s, t, b)
-            g = grad(s + b)
-            w_new = w - eta * g
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - eta * lam, 0.0)
-            s_new = linear_part(w_new)
-            b_new = _refit_intercept_logistic(s_new, t, b)
-            f_new = objective(s_new + b_new, w_new)
-            tk = 1.0
-            v = w_new.copy()
+        if task == TASK_LINEAR:
+            r, curv = 2.0 * (z - t), np.full(n, 2.0 / n)
         else:
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            v = w_prop + ((tk - 1.0) / t_next) * (w_prop - w)
-            tk = t_next
-            w_new, b_new, f_new = w_prop, b_prop, f_prop
+            p = sigmoid(z)
+            r, curv = p - t, p * (1.0 - p) / n
+        g = _centered_rmatvec(X, mu, r)
+        excess = np.where(w == 0.0, np.abs(g) - lam, -np.inf)
+        strongest = np.argsort(-excess, kind="stable")[:_MAX_ENTRANTS]
+        entrants = strongest[excess[strongest] > tol]
+        work = np.union1d(np.flatnonzero(w), entrants)
+        A = np.column_stack([np.ones(n), np.asarray(X[:, work], dtype=np.float64) - mu[work]])
+        x0 = np.append(b, w[work])
+        step = _feature_sign(A.T @ (curv[:, None] * A), A.T @ r / n, x0, lam, tol) - x0
 
-        if not np.isfinite(f_new):
-            raise ValueError("objective became non-finite during proximal descent")
-        trace.append(min(f_new, f))
-        done = abs(f - f_new) <= tol * max(1.0, abs(f))
-        if f_new <= f:
-            w, b, f = w_new, b_new, f_new
+        alpha = 1.0
+        while True:
+            w_try = w.copy()
+            w_try[work] = x0[1:] + alpha * step[1:]
+            f_try, z_try = evaluate(w_try, b + alpha * step[0])
+            if f_try <= f or alpha < 1e-10:
+                break
+            alpha *= 0.5
+        if f_try > f:
+            break
+        if not np.isfinite(f_try):
+            raise ValueError("objective became non-finite during the lasso fit")
+        settled = entrants.size == 0 or np.array_equal(w_try != 0.0, w != 0.0)
+        done = settled and f - f_try <= rtol * max(1.0, abs(f))
+        w, b, f, z = w_try, b + alpha * step[0], f_try, z_try
+        trace.append(f)
         if done:
             break
-    return w, b, f
-
-
-def _prox_lasso_logistic(X, t, lam, cfg: FitConfig, w0=None, b0=None, gram_bound=None):
-    """Proximal gradient on mean cross entropy + lam * l1, with working sets.
-
-    A capped full-matrix pass locates the likely support; restricted
-    high-precision passes then run on the working set, growing it with any
-    coordinate whose gradient violates the KKT bound until none remain.
-    """
-    n, d = X.shape
-    mu = X.mean(axis=0, dtype=np.float64)
-    t = t.astype(np.float64)
-
-    w = np.zeros(d) if w0 is None else w0.astype(np.float64).copy()
-    b = _logit(float(t.mean())) if b0 is None else float(b0)
-
-    if gram_bound is None:
-        gram_bound = _power_step_bound(X, mu)
-    eta = 1.0 / max(gram_bound / (4.0 * n), 1e-12)
-
-    trace: list[float] = []
-    scout_iters = min(cfg.max_iterations, 200)
-    w, b, f = _fista_monotone(X, mu, t, lam, w, b, eta, scout_iters, cfg.tolerance, trace)
-
-    polished = False
-    for _ in range(20):
-        z = _matvec(X, w) - float(mu @ w) + b
-        r = sigmoid(z) - t
-        g_full = (_rmatvec(X, r) - mu * r.sum()) / n
-        active = w != 0.0
-        violations = (~active) & (np.abs(g_full) > lam * (1.0 + 1e-9))
-        if polished and not violations.any():
-            break
-        work = np.flatnonzero(active | violations)
-        if len(work) == 0:
-            break
-        sub = X[:, work] if X.dtype == np.float64 \
-            else np.ascontiguousarray(np.asarray(X)[:, work], dtype=np.float64)
-        mu_sub = mu[work]
-        gram_sub = float(np.linalg.eigvalsh((sub - mu_sub).T @ (sub - mu_sub))[-1]) \
-            if len(work) <= 400 else _power_step_bound(sub, mu_sub)
-        eta_sub = 1.0 / max(gram_sub * 1.0001 / (4.0 * n), 1e-12)
-        # the restricted problem is small: solve it hard so the support is
-        # identified, not just the objective value
-        w_sub, b, f = _fista_monotone(sub, mu_sub, t, lam, w[work].copy(), b,
-                                      eta_sub, max(cfg.max_iterations, 20000),
-                                      min(cfg.tolerance, 1e-12), trace)
-        w = np.zeros(d)
-        w[work] = w_sub
-        polished = True
-
-    intercept = float(b - mu @ w)
-    return w, intercept, np.array(trace)
+    return w, float(b - mu @ w), trace
 
 
 def fit_lasso(Xp, y, lam: float, task: str, cfg: FitConfig | None = None,
-              warm_start: GlmModel | None = None, gram_bound: float | None = None) -> GlmModel:
+              warm_start: GlmModel | None = None) -> GlmModel:
     """Fit with an L1 penalty of ``lam``; coordinates hit exact zeros.
 
-    ``gram_bound`` optionally caches the centered-Gram spectral bound when
-    many penalties are fitted on the same matrix.
+    Both losses, and each one-vs-rest class, run the working-set proximal
+    Newton solver; ``cfg.max_iterations`` caps its outer steps, which stop
+    once no KKT violator is left and the objective changes by at most
+    ``min(cfg.tolerance, 1e-10)`` relative. ``warm_start`` seeds the
+    weights and intercept (in the returned, uncentered form).
     """
     if lam < 0:
         raise ValueError("the L1 penalty must be non-negative")
@@ -455,42 +408,38 @@ def fit_lasso(Xp, y, lam: float, task: str, cfg: FitConfig | None = None,
     y = np.asarray(y)
     if Xp.shape[0] != len(y):
         raise ValueError("row count of the feature matrix must match the label count")
-
     if task == TASK_LINEAR:
-        w, b, trace = _cd_lasso_linear(Xp, y, lam, cfg)
-        return GlmModel(weights=w, intercept=b, task=task, classes=0, objective_trace=trace)
-    if task != TASK_LOGISTIC:
+        targets = [y.astype(np.float64)]
+        n_classes = 0
+    elif task == TASK_LOGISTIC:
+        n_classes = _class_count(y)
+        labels = [1] if n_classes == 2 else range(n_classes)
+        targets = [(y.astype(np.int64) == c).astype(np.float64) for c in labels]
+    else:
         raise ValueError(f"unknown task {task!r}")
 
-    n_classes = _class_count(y)
-    if n_classes == 2:
-        t = (y.astype(np.int64) == 1).astype(np.float64)
-        w0 = warm_start.weights if warm_start is not None else None
-        b0 = warm_start.intercept if warm_start is not None else None
-        if b0 is not None and w0 is not None:
-            # warm intercept arrives in uncentered form; recenter
-            b0 = float(b0 + Xp.mean(axis=0, dtype=np.float64) @ w0)
-        w, b, trace = _prox_lasso_logistic(Xp, t, lam, cfg, w0=w0, b0=b0, gram_bound=gram_bound)
-        return GlmModel(weights=w, intercept=b, task=task, classes=2, objective_trace=trace)
-
-    weights, intercepts, traces = [], [], []
-    for c in range(n_classes):
-        t = (y.astype(np.int64) == c).astype(np.float64)
-        w0 = warm_start.weights[c] if warm_start is not None else None
-        b0 = warm_start.intercept[c] if warm_start is not None else None
-        if b0 is not None and w0 is not None:
-            b0 = float(b0 + Xp.mean(axis=0, dtype=np.float64) @ w0)
-        w, b, trace = _prox_lasso_logistic(Xp, t, lam, cfg, w0=w0, b0=b0, gram_bound=gram_bound)
+    mu = Xp.mean(axis=0, dtype=np.float64)
+    warm_w = None if warm_start is None else np.atleast_2d(warm_start.weights)
+    warm_b = None if warm_start is None else np.atleast_1d(warm_start.intercept)
+    weights, intercepts, trace = [], [], []
+    for i, t in enumerate(targets):
+        if warm_start is None:
+            w = np.zeros(Xp.shape[1])
+            b = float(t.mean()) if task == TASK_LINEAR else _logit(float(t.mean()))
+        else:
+            # the warm intercept arrives in uncentered form; recenter
+            w = warm_w[i].astype(np.float64)
+            b = float(warm_b[i] + mu @ w)
+        w, b, tr = _lasso_one(Xp, mu, t, lam, task, w, b, cfg)
         weights.append(w)
         intercepts.append(b)
-        traces.append(trace)
-    return GlmModel(
-        weights=np.vstack(weights),
-        intercept=np.array(intercepts),
-        task=task,
-        classes=n_classes,
-        objective_trace=np.concatenate(traces),
-    )
+        trace.extend(tr)
+    if len(targets) == 1:
+        weights, intercepts = weights[0], intercepts[0]
+    else:
+        weights, intercepts = np.vstack(weights), np.array(intercepts)
+    return GlmModel(weights=weights, intercept=intercepts, task=task, classes=n_classes,
+                    objective_trace=np.array(trace))
 
 
 def support(model: GlmModel) -> np.ndarray:

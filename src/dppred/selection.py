@@ -10,7 +10,10 @@ incumbent warm start with the Hessian frozen at that start. Warm starts
 make the per-round training metric non-decreasing by construction.
 
 LASSO selection binary-searches the penalty for the largest support of at
-most k rules, then refits without the penalty.
+most k rules, warm-starting each fit from the previous one, then refits
+without the penalty. Each penalized fit is the working-set proximal Newton
+solver of ``glm.fit_lasso``: one full gradient per outer step, an exact
+feature-sign solve on the non-zeros plus the strongest KKT violators.
 """
 
 import csv
@@ -342,19 +345,15 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None,
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
 
-    lasso_cfg = lasso_cfg or FitConfig(max_iterations=2000, tolerance=1e-6)
+    lasso_cfg = lasso_cfg or FitConfig(max_iterations=2000)
     lo, hi = 0.0, 1.05 * lam_top
     recorded: np.ndarray | None = None
     visited: list[tuple[float, np.ndarray]] = []
     warm = None
-    gram_bound = None
-    if task == TASK_LOGISTIC:
-        from .glm import _power_step_bound
-        gram_bound = _power_step_bound(Xw, Xw.mean(axis=0, dtype=np.float64))
 
     while lo + epsilon < hi:
         lam = (lo + hi) / 2.0
-        fitted = fit_lasso(Xw, y, lam, task, cfg=lasso_cfg, warm_start=warm, gram_bound=gram_bound)
+        fitted = fit_lasso(Xw, y, lam, task, cfg=lasso_cfg, warm_start=warm)
         warm = fitted
         sup = support(fitted)
         visited.append((lam, sup))

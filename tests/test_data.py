@@ -45,6 +45,34 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=r"row 2.*'a'"):
             load_csv(path, schema, label_task="class")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    def test_non_finite_feature_cell_rejected_on_training_load(self, tmp_path, cell):
+        path = write(tmp_path, "d.csv", f"a,target\n1.0,0\n{cell},1\n")
+        schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]
+        with pytest.raises(ValueError, match=r"row 2, column 'a': non-finite"):
+            load_csv(path, schema, label_task="class")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_cell_rejected_on_prediction_load(self, tmp_path, cell):
+        train = write(tmp_path, "tr.csv", "a,target\n1,0\n3,1\n")
+        schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]
+        ds = load_csv(train, schema, label_task="class")
+        test = write(tmp_path, "te.csv", f"a,target\n2,0\n{cell},\n")
+        with pytest.raises(ValueError, match=r"row 2, column 'a': non-finite"):
+            load_csv(test, ds.schema, label_task="class", allow_missing_labels=True)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_real_label_rejected(self, tmp_path, cell):
+        schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]
+        train = write(tmp_path, "tr.csv", f"a,target\n1,0.5\n2,{cell}\n")
+        with pytest.raises(ValueError, match=r"row 2, column 'target': non-finite"):
+            load_csv(train, schema, label_task="real")
+        ds = load_csv(write(tmp_path, "ok.csv", "a,target\n1,0.5\n2,0.7\n"), schema,
+                      label_task="real")
+        test = write(tmp_path, "te.csv", f"a,target\n1,{cell}\n")
+        with pytest.raises(ValueError, match=r"row 1, column 'target': non-finite"):
+            load_csv(test, ds.schema, label_task="real", allow_missing_labels=True)
+
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, "d.csv", "wrong,target\n1,0\n")
         schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]

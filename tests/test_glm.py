@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dppred.glm import (
     FitConfig,
@@ -241,6 +243,49 @@ class TestFitLasso:
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             fit_lasso(np.ones((4, 1)), np.zeros(4), -0.1, "linear")
+
+
+def _planted_columns(gen, n, d):
+    # random 0/1 rules plus an exact duplicate and an exact complement
+    X = gen.integers(0, 2, size=(n, d)).astype(np.float64)
+    X[:, 1] = X[:, 0]
+    X[:, d - 1] = 1.0 - X[:, 2]
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multiclass", "linear"]),
+       n=st.integers(20, 90), d=st.integers(4, 16))
+def test_fit_lasso_satisfies_kkt(seed, kind, n, d):
+    # KKT certifies the optimum of this convex problem: at each penalty the
+    # returned point must be stationary up to 1e-6 * max(1, lam)
+    gen = rng(seed)
+    X = _planted_columns(gen, n, d)
+    score = X @ gen.normal(size=d) + gen.normal(size=n)
+    if kind == "linear":
+        task, y = "linear", score
+    else:
+        cuts = [0.5] if kind == "binary" else [1 / 3, 2 / 3]
+        task, y = "logistic", np.digitize(score, np.quantile(score, cuts))
+        assume(len(np.unique(y)) == len(cuts) + 1)
+    lm = lambda_max(X, y, task)
+    assume(lm > 0)
+    assert np.all(fit_lasso(X, y, 1.01 * lm, task).weights == 0.0)
+    for frac in (0.7, 0.3, 0.1, 0.03):
+        lam = frac * lm
+        m = fit_lasso(X, y, lam, task)
+        tol = 1e-6 * max(1.0, lam)
+        if task == "linear":
+            targets = [y]
+        else:
+            targets = [(y == c).astype(float) for c in ([1] if kind == "binary" else range(3))]
+        for w, b, t in zip(np.atleast_2d(m.weights), np.atleast_1d(m.intercept), targets):
+            loss = linear_loss if task == "linear" else logistic_loss
+            _, gw, gb = loss(X, t, w, b)
+            assert abs(gb) <= tol
+            zero = w == 0.0
+            assert np.all(np.abs(gw[zero]) <= lam + tol)
+            assert np.all(np.abs(gw[~zero] + lam * np.sign(w[~zero])) <= tol)
 
 
 class TestSupportMonotonicityProperty:
