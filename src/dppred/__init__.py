@@ -15,7 +15,7 @@ from .data import (
     split_train_test,
     write_schema_file,
 )
-from .glm import FitConfig, GlmModel, fit_glm, fit_lasso, lambda_max, predict_glm
+from .glm import GlmModel, fit_glm, fit_lasso, lambda_max, predict_glm
 from .model import (
     DppredModel,
     HyperParams,
@@ -42,7 +42,7 @@ from .tree import DecisionTree, TreeConfig, fit_forest, fit_tree, impurity
 __all__ = [
     "ColumnSchema", "Dataset", "load_csv", "minmax_normalize_labels",
     "read_schema_file", "split_train_test", "write_schema_file",
-    "FitConfig", "GlmModel", "fit_glm", "fit_lasso", "lambda_max", "predict_glm",
+    "GlmModel", "fit_glm", "fit_lasso", "lambda_max", "predict_glm",
     "DppredModel", "HyperParams", "evaluate", "load", "predict", "predict_one",
     "save", "train",
     "Condition", "Pattern", "PatternPool", "construct_pattern_space",

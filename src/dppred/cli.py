@@ -16,6 +16,7 @@ from . import stratify as strat_mod
 from .data import (
     LABEL_CLASS,
     LABEL_REAL,
+    _parse_number,
     denormalize_labels,
     load_csv,
     minmax_normalize_labels,
@@ -195,24 +196,41 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _read_predictions(path, real: bool) -> list:
+    """Prediction cells of a ``row_index,prediction[,probability]`` file, as
+    numbers when ``real``; a malformed row raises a ValueError naming it."""
+    cells = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, [])[:2] != ["row_index", "prediction"]:
+            raise ValueError(f"{path}, row 1: expected the header row_index,prediction")
+        for row in reader:
+            where = f"{path}, row {reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected row_index and prediction cells")
+            if row[0] != str(len(cells)):
+                raise ValueError(f"{where}: row_index {row[0]!r}, expected {len(cells)}")
+            try:
+                cells.append(_parse_number(row[1], reader.line_num, "prediction") if real else row[1])
+            except ValueError as err:
+                raise ValueError(f"{path}, {err}") from None
+    return cells
+
+
 def cmd_evaluate(args) -> int:
     label_task, schema = read_schema_file(args.schema)
     ds = load_csv(args.data, schema, label_task)
-    with open(args.predictions, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "row_index":
-        raise ValueError(f"{args.predictions}: not a prediction file")
-    pred_cells = [row[1] for row in rows[1:]]
+    pred_cells = _read_predictions(args.predictions, real=label_task != LABEL_CLASS)
     if len(pred_cells) != ds.n:
-        raise ValueError(f"prediction count {len(pred_cells)} does not match data rows {ds.n}")
+        raise ValueError(f"{args.predictions}: prediction count {len(pred_cells)} "
+                         f"does not match data rows {ds.n}")
 
     if label_task == LABEL_CLASS:
         truth = [ds.label_names[int(v)] for v in ds.y]
         hits = sum(p == t for p, t in zip(pred_cells, truth))
         print(f"accuracy: {hits / ds.n:.6f}")
     else:
-        preds = np.array([float(v) for v in pred_cells])
-        res = model_mod.evaluate(preds, ds.y, TASK_REGRESSION)
+        res = model_mod.evaluate(np.array(pred_cells), ds.y, TASK_REGRESSION)
         print(f"rmse: {res['rmse']:.6f}")
     return 0
 
@@ -231,10 +249,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stratify_train(args) -> int:
+    for flag in ("global_patterns", "local_patterns", "groups"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     ds, task = _load_training_data(args)
     hp = _hyperparams(args, task, k=args.global_patterns)
-    if args.global_patterns < 1 or args.local_patterns < 1 or args.groups < 1:
-        raise UsageError("pattern counts and group count must be >= 1")
     cfg = strat_mod.StratifyConfig(
         n_global=args.global_patterns, n_local=args.local_patterns,
         n_clusters=args.groups, lda_alpha=args.lda_alpha, lda_beta=args.lda_beta,

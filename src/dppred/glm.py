@@ -1,15 +1,16 @@
 """Generalized linear models over the binary rule space.
 
-Plain fits run gradient descent (backtracking or fixed step) on the mean
-loss. L1-penalized fits, for squared error and cross entropy alike, run a
-working-set proximal Newton method: the full gradient picks the working
-set (non-zeros plus the strongest KKT violators), the loss's quadratic
-model there is minimized exactly with its L1 term by feature-sign search,
-and the step is backtracked on the true objective. Internally columns are
-centered and the intercept is an unpenalized coordinate, which makes the
-all-zero weight vector an exact fixed point whenever the penalty is at
-least ``lambda_max``. Prediction scores one rule vector or a whole rule
-matrix, each row alike.
+Every fit, for squared error and cross entropy alike, runs one
+working-set proximal Newton method on the mean loss plus an L1 penalty:
+the full gradient picks the working set (non-zeros plus the strongest KKT
+violators), the loss's quadratic model there is minimized exactly with
+its L1 term by feature-sign search, and the step is backtracked on the
+true objective. The unpenalized refit is the same solver at a penalty of
+zero, where each step is a plain Newton step on the working set.
+Internally columns are centered and the intercept is an unpenalized
+coordinate, which makes the all-zero weight vector an exact fixed point
+whenever the penalty is at least ``lambda_max``. Prediction scores one
+rule vector or a whole rule matrix, each row alike.
 """
 
 import math
@@ -20,25 +21,10 @@ import numpy as np
 TASK_LOGISTIC = "logistic"
 TASK_LINEAR = "linear"
 
-_ARMIJO = 1e-4
-_MIN_STEP = 1e-18
-_LASSO_RTOL = 1e-10   # relative objective change that ends the lasso's outer loop
+_RTOL = 1e-10         # relative objective change that ends the outer loop
+_MAX_OUTER = 1000     # outer-step cap; a guard only, fits stop after tens of steps
 _KKT_TOL = 1e-9       # gradient slack, times max(1, lam), before a zero weight violates KKT
 _MAX_ENTRANTS = 10    # strongest violators added to the lasso working set per outer step
-
-
-@dataclass
-class FitConfig:
-    max_iterations: int = 5000
-    tolerance: float = 1e-7
-    step_policy: str = "backtracking"  # or "fixed"
-    step_size: float = 1.0
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.step_policy not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step policy {self.step_policy!r}")
 
 
 @dataclass
@@ -95,103 +81,9 @@ def logistic_loss(X, t, w, b):
     return f, (X.T @ r) / n, float(r.mean())
 
 
-def _refit_intercept_logistic(s: np.ndarray, t: np.ndarray, b: float) -> float:
-    # 1-d Newton on b for fixed linear part s
-    for _ in range(40):
-        p = sigmoid(s + b)
-        g = float(p.mean() - t.mean())
-        h = float((p * (1.0 - p)).mean())
-        if h < 1e-14:
-            break
-        step = g / h
-        b -= step
-        if abs(step) < 1e-13:
-            break
-    return b
-
-
 def _logit(p: float) -> float:
     p = min(max(p, 1e-12), 1.0 - 1e-12)
     return math.log(p / (1.0 - p))
-
-
-def _fit_gd_binary(X, y, task, cfg: FitConfig):
-    """Gradient descent on centered columns; returns (w, intercept, trace)."""
-    X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
-    mu = X.mean(axis=0)
-    Xc = X - mu
-    w = np.zeros(d)
-
-    if task == TASK_LINEAR:
-        b = float(y.mean())
-
-        def objective(wv):
-            r = Xc @ wv + b - y
-            return float(r @ r) / n, r
-    else:
-        b = _logit(float(y.mean()))
-
-    def eval_logistic(wv, bv):
-        z = Xc @ wv + bv
-        return float(np.logaddexp(0.0, z).sum() - y @ z) / n
-
-    if task == TASK_LINEAR:
-        f, r = objective(w)
-    else:
-        f = eval_logistic(w, b)
-    trace = [f]
-    step = cfg.step_size
-
-    for _ in range(cfg.max_iterations):
-        if task == TASK_LINEAR:
-            grad = (2.0 / n) * (Xc.T @ r)
-        else:
-            p = sigmoid(Xc @ w + b)
-            grad = (Xc.T @ (p - y)) / n
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            break
-
-        if cfg.step_policy == "fixed":
-            w = w - cfg.step_size * grad
-            if task == TASK_LINEAR:
-                f_new, r = objective(w)
-            else:
-                b = _refit_intercept_logistic(Xc @ w, y, b)
-                f_new = eval_logistic(w, b)
-            if not np.isfinite(f_new):
-                raise ValueError("objective became non-finite; fixed step size too large")
-        else:
-            while True:
-                w_try = w - step * grad
-                if task == TASK_LINEAR:
-                    f_new, r_try = objective(w_try)
-                else:
-                    b_try = _refit_intercept_logistic(Xc @ w_try, y, b)
-                    f_new = eval_logistic(w_try, b_try)
-                if np.isfinite(f_new) and f_new <= f - _ARMIJO * step * gnorm2:
-                    break
-                step *= 0.5
-                if step < _MIN_STEP:
-                    break
-            if step < _MIN_STEP:
-                break
-            w = w_try
-            if task == TASK_LINEAR:
-                r = r_try
-            else:
-                b = b_try
-            step = min(step * 2.0, 1e6)  # optimistic restart for the next step
-
-        trace.append(f_new)
-        if abs(f - f_new) <= cfg.tolerance * max(1.0, abs(f)):
-            f = f_new
-            break
-        f = f_new
-
-    intercept = float(b - mu @ w)
-    return w, intercept, np.array(trace)
 
 
 def _class_count(y: np.ndarray) -> int:
@@ -200,42 +92,6 @@ def _class_count(y: np.ndarray) -> int:
     if uniq.size < 2:
         raise ValueError("logistic fitting needs at least 2 distinct labels")
     return int(uniq.max()) + 1
-
-
-def fit_glm(Xp, y, task: str, cfg: FitConfig | None = None) -> GlmModel:
-    """Fit an unpenalized GLM on the binary rule matrix."""
-    cfg = cfg or FitConfig()
-    Xp = np.asarray(Xp)
-    y = np.asarray(y)
-    if Xp.shape[0] != len(y):
-        raise ValueError("row count of the feature matrix must match the label count")
-
-    if task == TASK_LINEAR:
-        w, b, trace = _fit_gd_binary(Xp, y.astype(np.float64), task, cfg)
-        return GlmModel(weights=w, intercept=b, task=task, classes=0, objective_trace=trace)
-    if task != TASK_LOGISTIC:
-        raise ValueError(f"unknown task {task!r}")
-
-    n_classes = _class_count(y)
-    if n_classes == 2:
-        t = (y.astype(np.int64) == 1).astype(np.float64)
-        w, b, trace = _fit_gd_binary(Xp, t, task, cfg)
-        return GlmModel(weights=w, intercept=b, task=task, classes=2, objective_trace=trace)
-
-    weights, intercepts, traces = [], [], []
-    for c in range(n_classes):
-        t = (y.astype(np.int64) == c).astype(np.float64)
-        w, b, trace = _fit_gd_binary(Xp, t, task, cfg)
-        weights.append(w)
-        intercepts.append(b)
-        traces.append(trace)
-    return GlmModel(
-        weights=np.vstack(weights),
-        intercept=np.array(intercepts),
-        task=task,
-        classes=n_classes,
-        objective_trace=np.concatenate(traces),
-    )
 
 
 def lambda_max(Xp, y, task: str) -> float:
@@ -331,7 +187,7 @@ def _feature_sign(H, g, x0, lam, tol):
     return x
 
 
-def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
+def _lasso_one(X, mu, t, lam, task, w, b):
     """Working-set proximal Newton on the mean loss + lam * l1 for one target.
 
     Each outer step screens the full centered gradient, takes the non-zeros
@@ -341,7 +197,6 @@ def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
     the working-set problem.
     """
     n = X.shape[0]
-    rtol = min(cfg.tolerance, _LASSO_RTOL)
     tol = _KKT_TOL * max(1.0, lam)
 
     def evaluate(wv, bv):
@@ -355,7 +210,7 @@ def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
 
     f, z = evaluate(w, b)
     trace = [f]
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_OUTER):
         if task == TASK_LINEAR:
             r, curv = 2.0 * (z - t), np.full(n, 2.0 / n)
         else:
@@ -383,7 +238,7 @@ def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
         if not np.isfinite(f_try):
             raise ValueError("objective became non-finite during the lasso fit")
         settled = entrants.size == 0 or np.array_equal(w_try != 0.0, w != 0.0)
-        done = settled and f - f_try <= rtol * max(1.0, abs(f))
+        done = settled and f - f_try <= _RTOL * max(1.0, abs(f))
         w, b, f, z = w_try, b + alpha * step[0], f_try, z_try
         trace.append(f)
         if done:
@@ -391,19 +246,16 @@ def _lasso_one(X, mu, t, lam, task, w, b, cfg: FitConfig):
     return w, float(b - mu @ w), trace
 
 
-def fit_lasso(Xp, y, lam: float, task: str, cfg: FitConfig | None = None,
-              warm_start: GlmModel | None = None) -> GlmModel:
+def fit_lasso(Xp, y, lam: float, task: str, warm_start: GlmModel | None = None) -> GlmModel:
     """Fit with an L1 penalty of ``lam``; coordinates hit exact zeros.
 
     Both losses, and each one-vs-rest class, run the working-set proximal
-    Newton solver; ``cfg.max_iterations`` caps its outer steps, which stop
-    once no KKT violator is left and the objective changes by at most
-    ``min(cfg.tolerance, 1e-10)`` relative. ``warm_start`` seeds the
-    weights and intercept (in the returned, uncentered form).
+    Newton solver, whose outer steps stop once no KKT violator is left and
+    the objective changes by at most 1e-10 relative. ``warm_start`` seeds
+    the weights and intercept (in the returned, uncentered form).
     """
     if lam < 0:
         raise ValueError("the L1 penalty must be non-negative")
-    cfg = cfg or FitConfig()
     Xp = np.asarray(Xp)
     y = np.asarray(y)
     if Xp.shape[0] != len(y):
@@ -430,7 +282,7 @@ def fit_lasso(Xp, y, lam: float, task: str, cfg: FitConfig | None = None,
             # the warm intercept arrives in uncentered form; recenter
             w = warm_w[i].astype(np.float64)
             b = float(warm_b[i] + mu @ w)
-        w, b, tr = _lasso_one(Xp, mu, t, lam, task, w, b, cfg)
+        w, b, tr = _lasso_one(Xp, mu, t, lam, task, w, b)
         weights.append(w)
         intercepts.append(b)
         trace.extend(tr)
@@ -440,6 +292,11 @@ def fit_lasso(Xp, y, lam: float, task: str, cfg: FitConfig | None = None,
         weights, intercepts = np.vstack(weights), np.array(intercepts)
     return GlmModel(weights=weights, intercept=intercepts, task=task, classes=n_classes,
                     objective_trace=np.array(trace))
+
+
+def fit_glm(Xp, y, task: str) -> GlmModel:
+    """Fit an unpenalized GLM on the binary rule matrix: the lasso at lam = 0."""
+    return fit_lasso(Xp, y, 0.0, task)
 
 
 def support(model: GlmModel) -> np.ndarray:

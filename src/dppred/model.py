@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import LABEL_CLASS, LABEL_REAL, ColumnSchema, Dataset, denormalize_labels, encoded_feature_names
-from .glm import TASK_LINEAR, TASK_LOGISTIC, FitConfig, GlmModel, fit_glm, predict_glm, predict_proba
+from .glm import TASK_LINEAR, TASK_LOGISTIC, GlmModel, fit_glm, predict_glm, predict_proba
 from .patterns import (
     CompiledRules,
     Condition,
@@ -117,7 +117,7 @@ def _data_fields(ds: Dataset) -> dict:
             "label_bounds": ds.label_bounds}
 
 
-def train(ds: Dataset, hp: HyperParams, fit_cfg: FitConfig | None = None) -> DppredModel:
+def train(ds: Dataset, hp: HyperParams) -> DppredModel:
     """Grow the forest, pool its rules, select top-k, and refit the GLM."""
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -130,9 +130,9 @@ def train(ds: Dataset, hp: HyperParams, fit_cfg: FitConfig | None = None) -> Dpp
 
     space = construct_pattern_space(ds, pool.patterns)
     if hp.method == METHOD_FORWARD:
-        result = forward_select(space, ds.y, hp.k, _glm_task(hp.task), fit_cfg=fit_cfg)
+        result = forward_select(space, ds.y, hp.k, _glm_task(hp.task))
     else:
-        result = lasso_select(space, ds.y, hp.k, _glm_task(hp.task), fit_cfg=fit_cfg)
+        result = lasso_select(space, ds.y, hp.k, _glm_task(hp.task))
 
     return DppredModel(
         patterns=[pool.patterns[j] for j in result.chosen],
@@ -154,12 +154,11 @@ def train(ds: Dataset, hp: HyperParams, fit_cfg: FitConfig | None = None) -> Dpp
 
 
 def refit_on_patterns(ds: Dataset, rules: list[Pattern], task: str,
-                      fit_cfg: FitConfig | None = None,
                       provenance: dict | None = None) -> DppredModel:
     """Build a model from an explicit rule list (no mining, just the GLM fit)."""
     _check_labels(ds, task)
     space = construct_pattern_space(ds, rules)
-    glm = fit_glm(space.astype(np.float64), ds.y, _glm_task(task), cfg=fit_cfg)
+    glm = fit_glm(space.astype(np.float64), ds.y, _glm_task(task))
     return DppredModel(
         patterns=list(rules),
         glm=glm,

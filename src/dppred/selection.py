@@ -10,10 +10,12 @@ incumbent warm start with the Hessian frozen at that start. Warm starts
 make the per-round training metric non-decreasing by construction.
 
 LASSO selection binary-searches the penalty for the largest support of at
-most k rules, warm-starting each fit from the previous one, then refits
-without the penalty. Each penalized fit is the working-set proximal Newton
-solver of ``glm.fit_lasso``: one full gradient per outer step, an exact
-feature-sign solve on the non-zeros plus the strongest KKT violators.
+most k rules, warm-starting each fit from the previous one. Each penalized
+fit is the working-set proximal Newton solver of ``glm.fit_lasso``: one
+full gradient per outer step, an exact feature-sign solve on the
+non-zeros plus the strongest KKT violators. Both selectors end with
+``glm.fit_glm`` on the chosen columns, the same solver at a penalty of
+zero.
 """
 
 import csv
@@ -25,7 +27,6 @@ import numpy as np
 from .glm import (
     TASK_LINEAR,
     TASK_LOGISTIC,
-    FitConfig,
     GlmModel,
     fit_glm,
     fit_lasso,
@@ -74,7 +75,7 @@ def _mark_duplicates(Xp, excluded: np.ndarray, winner: int) -> None:
     excluded |= np.all(Xp == col[:, None], axis=0)
 
 
-def forward_select(Xp, y, k: int, task: str, fit_cfg: FitConfig | None = None) -> SelectionResult:
+def forward_select(Xp, y, k: int, task: str) -> SelectionResult:
     """Greedy one-rule-at-a-time selection maximizing training performance."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -94,7 +95,7 @@ def forward_select(Xp, y, k: int, task: str, fit_cfg: FitConfig | None = None) -
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task, cfg=fit_cfg or FitConfig())
+    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
     return SelectionResult(chosen=chosen, model=model, trace=trace)
 
 
@@ -325,9 +326,7 @@ def _score_candidates_one_class(Xg, t_g, n_g, m1, m0, w_start, b_start, max_iter
     return nll, W, V, B
 
 
-def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None,
-                 fit_cfg: FitConfig | None = None,
-                 lasso_cfg: FitConfig | None = None) -> SelectionResult:
+def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> SelectionResult:
     """Binary search on the L1 penalty for the largest support of size <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -345,7 +344,6 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None,
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
 
-    lasso_cfg = lasso_cfg or FitConfig(max_iterations=2000)
     lo, hi = 0.0, 1.05 * lam_top
     recorded: np.ndarray | None = None
     visited: list[tuple[float, np.ndarray]] = []
@@ -353,7 +351,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None,
 
     while lo + epsilon < hi:
         lam = (lo + hi) / 2.0
-        fitted = fit_lasso(Xw, y, lam, task, cfg=lasso_cfg, warm_start=warm)
+        fitted = fit_lasso(Xw, y, lam, task, warm_start=warm)
         warm = fitted
         sup = support(fitted)
         visited.append((lam, sup))
@@ -370,7 +368,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None,
         recorded = min(nonempty, key=lambda item: item[0])[1]
 
     chosen = [int(j) for j in recorded]
-    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task, cfg=fit_cfg or FitConfig())
+    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
     trace = [(lam, len(sup)) for lam, sup in visited]
     return SelectionResult(chosen=chosen, model=model, trace=trace)
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import ColumnSchema, Dataset, subset
-from .glm import TASK_LINEAR, FitConfig, GlmModel, fit_glm
+from .glm import TASK_LINEAR, GlmModel, fit_glm
 from .model import (
     TASK_CLASSIFICATION,
     TASK_REGRESSION,
@@ -285,11 +285,10 @@ def _unified_matrix(global_bits, assignments, cluster_patterns, x, n_global, n_l
     return out
 
 
-def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig,
-                     fit_cfg: FitConfig | None = None) -> StratifiedModel:
+def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> StratifiedModel:
     """Global rules, clusters, per-cluster local rules, one unified GLM."""
     hp_global = replace(hp, k=cfg.n_global)
-    global_model = train(ds, hp_global, fit_cfg=fit_cfg)
+    global_model = train(ds, hp_global)
     global_patterns = global_model.patterns
     global_bits = construct_pattern_space(ds, global_patterns)
 
@@ -306,7 +305,7 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig,
         local_tree = replace(hp.tree, seed=derive_seed(hp.tree.seed, STREAM_LOCAL_TREES, c))
         hp_local = replace(hp, k=cfg.n_local, tree=local_tree)
         try:
-            local_model = train(subset(ds, rows), hp_local, fit_cfg=fit_cfg)
+            local_model = train(subset(ds, rows), hp_local)
             cluster_patterns.append(local_model.patterns[:cfg.n_local])
         except ValueError as err:
             if "no patterns" in str(err) or "no support" in str(err):
@@ -317,7 +316,7 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig,
 
     unified = _unified_matrix(global_bits, assignments, cluster_patterns,
                               ds.x, cfg.n_global, cfg.n_local)
-    glm = fit_glm(unified, ds.y, _glm_task(hp.task), cfg=fit_cfg)
+    glm = fit_glm(unified, ds.y, _glm_task(hp.task))
 
     return StratifiedModel(
         global_patterns=global_patterns,

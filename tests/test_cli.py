@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 
@@ -133,6 +134,52 @@ class TestPredictEvaluate:
         float(rows[1][1])  # parses as a number
 
 
+def _prediction_lines(cell, n_rows=600):
+    return ["row_index,prediction"] + [f"{i},{cell}" for i in range(n_rows)]
+
+
+def _blank_first_line(lines):
+    return [""] + lines, 1
+
+
+def _missing_cell(lines):
+    lines[5] = "4"
+    return lines, 6
+
+
+def _bad_row_index(lines):
+    lines[1] = "zero," + lines[1].split(",")[1]
+    return lines, 2
+
+
+def _unparsable(lines):
+    lines[10] = "9,1.5x"
+    return lines, 11
+
+
+class TestEvaluateMalformedPredictions:
+    # each case returns the faulty lines and the file row (1-based) at fault
+    @pytest.mark.parametrize("data,cell,fault", [
+        ("medical", "yes", _blank_first_line),
+        ("medical", "yes", _missing_cell),
+        ("medical", "yes", _bad_row_index),
+        ("subtyped", "nan", lambda lines: (lines, 2)),
+        ("subtyped", "0.5", _unparsable),
+    ])
+    def test_error_names_file_and_row(self, data, cell, fault, medical_files, subtyped_files,
+                                      tmp_path, capsys):
+        files = medical_files if data == "medical" else subtyped_files
+        lines, row = fault(_prediction_lines(cell))
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(files["test"]),
+                     "--schema", str(files["schema"])]) == 1
+        out, err = capsys.readouterr()
+        assert re.match(rf"error: {re.escape(str(preds))}, row {row}\b", err)
+        assert out == ""
+
+
 class TestSynthCommand:
     def test_files_exist_and_parse(self, medical_files):
         rows = read_csv(medical_files["train"])
@@ -211,6 +258,13 @@ class TestStratifyCommands:
         rows = read_csv(imp)
         assert rows[0] == ["variable", "cluster", "frequency"]
         assert any(r[1] == "global" for r in rows[1:])
+
+    @pytest.mark.parametrize("flag", ["--global-patterns", "--local-patterns", "--groups"])
+    def test_zero_count_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):
+        assert main(["stratify-train", "--data", str(subtyped_files["train"]),
+                     "--schema", str(subtyped_files["schema"]),
+                     "--out", str(tmp_path / "m"), flag, "0"]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
 
     def test_negative_seed_rejected(self, subtyped_files, tmp_path):
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
