@@ -7,6 +7,7 @@ files.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -93,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lda-alpha", type=float, default=None)
     p.add_argument("--lda-beta", type=float, default=0.1)
     p.add_argument("--gibbs-iterations", type=int, default=500)
-    p.add_argument("--fold-in-iterations", type=int, default=50)
+    p.add_argument("--fold-in-iterations", type=int, default=50,
+                   help="steps of the deterministic EM fold-in that assigns each predicted row "
+                        "to a cluster: a row gets the same cluster alone or in any batch, and "
+                        "a row satisfying no global rule goes to cluster 0")
     _add_tree_flags(p)
     _add_common(p)
 
@@ -252,6 +256,10 @@ def cmd_stratify_train(args) -> int:
     for flag in ("global_patterns", "local_patterns", "groups"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    for flag in ("lda_alpha", "lda_beta"):
+        value = getattr(args, flag)
+        if value is not None and not 0 < value < math.inf:
+            raise UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
     ds, task = _load_training_data(args)
     hp = _hyperparams(args, task, k=args.global_patterns)
     cfg = strat_mod.StratifyConfig(

@@ -12,8 +12,7 @@ STREAM_TREE = 1
 STREAM_SPLIT_DATA = 2
 STREAM_LABEL_NOISE = 3
 STREAM_LDA = 4
-STREAM_FOLD_IN = 5
-STREAM_EMPTY_BAG = 6
+STREAM_EMPTY_BAG = 6          # 5 is retired; a tag is never reused
 STREAM_SYNTH = 7
 STREAM_LOCAL_TREES = 8
 

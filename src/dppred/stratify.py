@@ -4,13 +4,20 @@ Instances are first described by which globally mined rules they satisfy.
 Treating each satisfied rule as a token, latent Dirichlet allocation over
 these bags partitions the instances into disjoint clusters; each cluster
 then gets its own locally mined rules, and one unified GLM is fitted over
-the global block plus the (cluster-dependent) local block. Prediction
-scores that block with the same GLM kernel as plain models, and model files
-reuse the plain model's section codecs. Also houses the longitudinal
-summary-statistics conversion for repeated measurements.
+the global block plus the (cluster-dependent) local block.
+
+Prediction folds each row into the frozen topics with a deterministic
+per-row EM (no random draws), so a row gets the same cluster, and the same
+prediction bits, alone or inside any batch; a row satisfying no global rule
+keeps the uniform topic mix and goes to cluster 0. The global and local
+rules are served by the compiled kernel of plain models, the unified block
+is scored by the same GLM kernel, and model files reuse the plain model's
+section codecs. Also houses the longitudinal summary-statistics conversion
+for repeated measurements.
 """
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -41,17 +48,17 @@ from .model import (
     glm_predictions,
     train,
 )
-from .patterns import Pattern, construct_pattern_space, pattern_matrix
-from .rng import (
-    STREAM_EMPTY_BAG,
-    STREAM_FOLD_IN,
-    STREAM_LDA,
-    STREAM_LOCAL_TREES,
-    sub_rng,
-    derive_seed,
+from .patterns import (
+    CompiledRules,
+    Pattern,
+    compile_rules,
+    construct_pattern_space,
+    rule_matrix,
 )
+from .rng import STREAM_EMPTY_BAG, STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
 
 _STRAT_HEADER = "dppred stratified model format"
+_FOLD_IN_CELLS = 1 << 18   # 2 MiB per float64 temporary of the fold-in
 
 
 @dataclass
@@ -62,7 +69,7 @@ class StratifyConfig:
     lda_alpha: float | None = None  # default 50 / n_clusters
     lda_beta: float = 0.1
     gibbs_iterations: int = 500
-    fold_in_iterations: int = 50
+    fold_in_iterations: int = 50   # EM steps folding a new row into the topics
     seed: int = 0
 
     def __post_init__(self):
@@ -70,6 +77,11 @@ class StratifyConfig:
             raise ValueError("n_global, n_local and n_clusters must all be >= 1")
         if self.gibbs_iterations < 1 or self.fold_in_iterations < 1:
             raise ValueError("iteration counts must be >= 1")
+        # both priors divide counts in the sampler and the fold-in
+        for name in ("lda_alpha", "lda_beta"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def alpha(self) -> float:
@@ -93,6 +105,12 @@ class StratifiedModel:
     label_names: list[str] | None = None
     label_bounds: tuple[float, float] | None = None
     provenance: dict = field(default_factory=dict)
+    # (global rules, one entry per cluster's local rules), compiled for serving
+    compiled: tuple[CompiledRules, list[CompiledRules]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.compiled = (compile_rules(self.global_patterns),
+                         [compile_rules(rules) for rules in self.cluster_patterns])
 
     @property
     def task(self) -> str:
@@ -126,12 +144,11 @@ def longitudinal_features(xs, ts) -> np.ndarray:
     return np.array(stats(xs) + rate_block)
 
 
-def _bits_to_tokens(bits: np.ndarray, rng=None):
-    """Ragged satisfied-rule ids per instance, padded to a rectangle.
+def _bits_to_tokens(bits: np.ndarray, rng):
+    """Satisfied-rule ids per instance in shuffled order, padded to a rectangle.
 
-    Token order within an instance is shuffled when a generator is given;
-    otherwise tokens of one rule always share a slot and the slot-blocked
-    sampler would update them in lockstep.
+    The shuffle keeps tokens of one rule out of a shared slot, where the
+    slot-blocked sampler would update them in lockstep.
     """
     bits = np.asarray(bits)
     n = bits.shape[0]
@@ -141,7 +158,7 @@ def _bits_to_tokens(bits: np.ndarray, rng=None):
     mask = np.zeros((n, max(width, 1)), dtype=bool)
     for i in range(n):
         ids = np.flatnonzero(bits[i])
-        if rng is not None and len(ids) > 1:
+        if len(ids) > 1:
             ids = ids[rng.permutation(len(ids))]
         tokens[i, :len(ids)] = ids
         mask[i, :len(ids)] = True
@@ -228,60 +245,19 @@ def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
     return assignments, topics
 
 
-def _fold_in(bits: np.ndarray, topics: np.ndarray, alpha: float,
-             iterations: int, rng, empty_rng) -> np.ndarray:
-    """Assign clusters to new instances with the topic distributions frozen."""
-    bits = np.asarray(bits)
-    n = bits.shape[0]
-    n_topics = topics.shape[0]
-    tokens, mask, counts = _bits_to_tokens(bits, rng)
-    width = tokens.shape[1]
+def _unified_matrix(global_bits, assignments, x, local_rules, n_global, n_local):
+    """Feature block of width n_global + n_local for every instance.
 
-    z = rng.integers(0, n_topics, size=(n, width))
-    cd = np.zeros((n, n_topics))
-    docs_all, _ = np.nonzero(mask)
-    np.add.at(cd, (docs_all, z[mask]), 1.0)
-
-    burn_in = iterations // 2
-    cd_acc = np.zeros_like(cd)
-    samples = 0
-    for sweep in range(iterations):
-        for j in rng.permutation(width):
-            act = mask[:, j]
-            if not act.any():
-                continue
-            docs = np.flatnonzero(act)
-            words = tokens[docs, j]
-            old = z[docs, j]
-            cd[docs, old] -= 1.0
-            probs = topics[:, words].T * (cd[docs] + alpha)
-            cum = np.cumsum(probs, axis=1)
-            draws = rng.random(len(docs)) * cum[:, -1]
-            new = (cum < draws[:, None]).sum(axis=1)
-            z[docs, j] = new
-            cd[docs, new] += 1.0
-        if sweep >= burn_in:
-            cd_acc += cd
-            samples += 1
-
-    assignments = np.argmax(cd_acc / samples + alpha, axis=1).astype(np.int64)
-    empty = np.flatnonzero(counts == 0)
-    if len(empty):
-        assignments[empty] = empty_rng.integers(0, n_topics, size=len(empty))
-    return assignments
-
-
-def _unified_matrix(global_bits, assignments, cluster_patterns, x, n_global, n_local):
-    """Feature block of width n_global + n_local for every instance."""
-    n = global_bits.shape[0]
-    out = np.zeros((n, n_global + n_local), dtype=np.float64)
+    ``local_rules`` holds each cluster's compiled local rules; a cluster
+    without local rules contributes no columns.
+    """
+    out = np.zeros((global_bits.shape[0], n_global + n_local), dtype=np.float64)
     out[:, :global_bits.shape[1]] = global_bits
-    for c, rules in enumerate(cluster_patterns):
+    for c, rules in enumerate(local_rules):
         rows = np.flatnonzero(assignments == c)
-        if len(rows) == 0 or not rules:
-            continue
-        local = pattern_matrix(x[rows], rules)
-        out[rows, n_global:n_global + len(rules)] = local
+        if len(rows):
+            local = rule_matrix(rules, x[rows])
+            out[rows, n_global:n_global + local.shape[1]] = local
     return out
 
 
@@ -314,8 +290,9 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
             else:
                 raise
 
-    unified = _unified_matrix(global_bits, assignments, cluster_patterns,
-                              ds.x, cfg.n_global, cfg.n_local)
+    unified = _unified_matrix(global_bits, assignments, ds.x,
+                              [compile_rules(rules) for rules in cluster_patterns],
+                              cfg.n_global, cfg.n_local)
     glm = fit_glm(unified, ds.y, _glm_task(hp.task))
 
     return StratifiedModel(
@@ -333,23 +310,47 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
 
 
 def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
-    return _fold_in(
-        global_bits, m.topics, m.config.alpha, m.config.fold_in_iterations,
-        sub_rng(m.config.seed, STREAM_FOLD_IN),
-        sub_rng(m.config.seed, STREAM_EMPTY_BAG, 1))
+    """Fold rows into the frozen topics by a deterministic per-row EM.
+
+    With ``A = topics.T`` and ``theta`` starting uniform, each of
+    ``fold_in_iterations`` steps sets ``theta <- (alpha + theta * sum_w
+    bits_w A[w] / (theta . A[w])) / (count + K alpha)``; the cluster is
+    ``argmax theta``. Every operation is element-wise or a reduction inside
+    one row, so a row's cluster does not depend on the rest of the batch,
+    and rows are folded in blocks that keep each rows x rules x topics
+    temporary near ``_FOLD_IN_CELLS`` cells. An empty bag keeps the uniform
+    ``theta`` and goes to cluster 0.
+    """
+    a = m.topics.T
+    n_topics = a.shape[1]
+    alpha = m.config.alpha
+    bits = np.asarray(global_bits, dtype=np.float64)
+    block = max(1, _FOLD_IN_CELLS // a.size)
+    out = np.empty(bits.shape[0], dtype=np.int64)
+    for start in range(0, bits.shape[0], block):
+        rows = bits[start:start + block]
+        weighted = rows[:, :, None] * a
+        norm = rows.sum(axis=1, keepdims=True) + n_topics * alpha
+        theta = np.full((rows.shape[0], n_topics), 1.0 / n_topics)
+        for _ in range(m.config.fold_in_iterations):
+            mix = (theta[:, None, :] * a).sum(axis=2, keepdims=True)
+            theta = (alpha + theta * (weighted / mix).sum(axis=1)) / norm
+        out[start:start + block] = np.argmax(theta, axis=1)
+    return out
 
 
 def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     """Fold new instances into the trained clusters."""
-    return _assign(m, pattern_matrix(ds.x, m.global_patterns))
+    return _assign(m, rule_matrix(m.compiled[0], ds.x))
 
 
 def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     """Cluster each instance, evaluate its cluster's local rules, apply the GLM."""
     _check_compatible(m, ds)
-    global_bits = pattern_matrix(ds.x, m.global_patterns)
-    unified = _unified_matrix(global_bits, _assign(m, global_bits), m.cluster_patterns,
-                              ds.x, m.config.n_global, m.config.n_local)
+    global_rules, local_rules = m.compiled
+    global_bits = rule_matrix(global_rules, ds.x)
+    unified = _unified_matrix(global_bits, _assign(m, global_bits), ds.x, local_rules,
+                              m.config.n_global, m.config.n_local)
     return glm_predictions(m.glm, unified, m.label_bounds)
 
 
@@ -391,6 +392,9 @@ def _parse_topics(lines: list[str], shape: tuple[int, int]) -> np.ndarray:
     topics = np.array([_unhex_row(ln) for ln in lines])
     if topics.shape != shape:
         raise ValueError(f"expected a {shape[0]} x {shape[1]} topic matrix, got shape {topics.shape}")
+    # the fold-in divides by each rule's topic mix, which must stay positive
+    if not np.all(np.isfinite(topics) & (topics > 0)):
+        raise ValueError("topic weights must be positive and finite")
     return topics
 
 

@@ -266,6 +266,14 @@ class TestStratifyCommands:
                      "--out", str(tmp_path / "m"), flag, "0"]) == 2
         assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
 
+    @pytest.mark.parametrize("flag", ["--lda-alpha", "--lda-beta"])
+    def test_zero_prior_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):
+        assert main(["stratify-train", "--data", str(subtyped_files["train"]),
+                     "--schema", str(subtyped_files["schema"]),
+                     "--out", str(tmp_path / "m"), flag, "0"]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {flag} must be positive and finite"
+        assert not (tmp_path / "m").exists()
+
     def test_negative_seed_rejected(self, subtyped_files, tmp_path):
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
                      "--schema", str(subtyped_files["schema"]),

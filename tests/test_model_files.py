@@ -136,6 +136,25 @@ def test_condition_dims_outside_features_rejected(model_files, tmp_path, kind, s
         loader(path)
 
 
+@pytest.mark.parametrize("bad", ["0x0.0p+0", "-0x1.0p-4", "nan", "inf"])
+def test_topic_weights_must_be_positive_and_finite(model_files, tmp_path, bad):
+    kinds, _ = model_files
+    loader, _, text, _ = kinds["stratified"]
+    lines = text.split("\n")
+    i = lines.index("[topics]") + 1
+    lines[i] = " ".join([bad] + lines[i].split()[1:])
+    path = tmp_path / "topics.model"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="section 'topics'.*positive and finite"):
+        loader(path)
+
+
+def test_config_priors_must_be_positive(model_files, tmp_path):
+    loader, path = edit(model_files, tmp_path, "stratified", '"lda_beta": 0.1', '"lda_beta": 0.0')
+    with pytest.raises(ValueError, match="section 'config'.*lda_beta must be positive"):
+        loader(path)
+
+
 def test_empty_rule_list_loads(model_files, tmp_path):
     kinds, _ = model_files
     m = load_from_text(kinds["binary"][2], tmp_path)

@@ -1,12 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dppred import stratify
 from dppred.data import minmax_normalize_labels
 from dppred.model import HyperParams, evaluate, refit_on_patterns, predict
 from dppred.stratify import (
     StratifyConfig,
+    _assign,
+    assign_clusters,
     cluster_patients,
     longitudinal_features,
     predict_stratified,
@@ -118,6 +122,43 @@ class TestClusterPatients:
         assert assignments[50] in (0, 1)
 
 
+class TestFoldIn:
+    def test_reproduces_training_clusters(self):
+        # the planted two-block bags of acceptance criterion 9
+        bits = disjoint_block_bits(seed=909)
+        cfg = StratifyConfig(n_clusters=2, gibbs_iterations=200, seed=2)
+        assignments, topics = cluster_patients(bits, cfg)
+        m = SimpleNamespace(topics=topics, config=cfg)
+        assert _assign(m, bits).tolist() == assignments.tolist()
+
+    def test_empty_bag_goes_to_cluster_zero(self):
+        bits = disjoint_block_bits(seed=909)
+        cfg = StratifyConfig(n_clusters=3, gibbs_iterations=50, seed=7)
+        _, topics = cluster_patients(bits, cfg)
+        m = SimpleNamespace(topics=topics, config=cfg)
+        empty = np.zeros((1, bits.shape[1]), dtype=np.uint8)
+        for batch in (empty, np.vstack([bits, empty]), np.vstack([empty, bits, empty]), empty):
+            empty_rows = ~batch.any(axis=1)
+            assert _assign(m, batch)[empty_rows].tolist() == [0] * int(empty_rows.sum())
+
+    def test_row_blocks_give_the_same_clusters(self, monkeypatch):
+        bits = disjoint_block_bits(seed=909)
+        cfg = StratifyConfig(n_clusters=3, gibbs_iterations=50, seed=7)
+        _, topics = cluster_patients(bits, cfg)
+        m = SimpleNamespace(topics=topics, config=cfg)
+        whole = _assign(m, bits)
+        # 80 rows in blocks of 7, the last one short
+        monkeypatch.setattr(stratify, "_FOLD_IN_CELLS", 7 * topics.size)
+        assert _assign(m, bits).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("name", ["lda_alpha", "lda_beta"])
+@pytest.mark.parametrize("value", [0.0, -0.5, math.nan, math.inf])
+def test_priors_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        StratifyConfig(**{name: value})
+
+
 def subtyped_setup(n_train=2200, n_test=1100, groups=3, seed=6):
     tr, te = generate_subtyped_regression(
         SynthConfig(n_train=n_train, n_test=n_test, noise_rate=0.0, seed=seed), groups)
@@ -194,7 +235,6 @@ class TestTrainStratified:
         hp = HyperParams(tree=TreeConfig(n_trees=100, seed=3), k=30,
                          method="forward", task="regression")
         m = train_stratified(tr, hp, cfg)
-        from dppred.stratify import assign_clusters
         refolded = assign_clusters(m, tr)
         agreement = float((refolded == m.cluster_assignments).mean())
         assert agreement >= 0.95
@@ -229,14 +269,15 @@ class TestPredictStratified:
         tr, te = subtyped_setup(n_train=700, n_test=40)
         m = train_stratified(tr, small_hp(), small_cfg())
         # every mined rule ends in a >= condition, so a row of huge negative
-        # values satisfies none of them: the empty-bag path must still yield
-        # a prediction via the seeded cluster draw
+        # values satisfies none of them: the empty bag goes to cluster 0 and
+        # still yields a prediction
         x = te.x.copy()
         x[0] = -1e30
         weird = dataclasses.replace(te, x=x)
         preds = predict_stratified(m, weird)
         assert len(preds) == weird.n
         assert np.isfinite(preds[0])
+        assert assign_clusters(m, weird)[0] == 0
 
 
 class TestImportanceReport:
