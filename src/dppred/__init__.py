@@ -12,7 +12,6 @@ from .data import (
     load_csv,
     minmax_normalize_labels,
     read_schema_file,
-    split_train_test,
     write_schema_file,
 )
 from .glm import GlmModel, fit_glm, fit_lasso, lambda_max, predict_glm
@@ -27,12 +26,11 @@ from .model import (
     train,
 )
 from .patterns import Condition, Pattern, PatternPool, construct_pattern_space, extract_patterns, matches
-from .selection import SelectionResult, forward_select, lasso_select, rank_heuristic
+from .selection import SelectionResult, forward_select, lasso_select
 from .stratify import (
     StratifiedModel,
     StratifyConfig,
     cluster_patients,
-    longitudinal_features,
     predict_stratified,
     train_stratified,
 )
@@ -41,15 +39,15 @@ from .tree import DecisionTree, TreeConfig, fit_forest, fit_tree, impurity
 
 __all__ = [
     "ColumnSchema", "Dataset", "load_csv", "minmax_normalize_labels",
-    "read_schema_file", "split_train_test", "write_schema_file",
+    "read_schema_file", "write_schema_file",
     "GlmModel", "fit_glm", "fit_lasso", "lambda_max", "predict_glm",
     "DppredModel", "HyperParams", "evaluate", "load", "predict", "predict_one",
     "save", "train",
     "Condition", "Pattern", "PatternPool", "construct_pattern_space",
     "extract_patterns", "matches",
-    "SelectionResult", "forward_select", "lasso_select", "rank_heuristic",
+    "SelectionResult", "forward_select", "lasso_select",
     "StratifiedModel", "StratifyConfig", "cluster_patients",
-    "longitudinal_features", "predict_stratified", "train_stratified",
+    "predict_stratified", "train_stratified",
     "SynthConfig", "generate_medical", "generate_subtyped_regression",
     "DecisionTree", "TreeConfig", "fit_forest", "fit_tree", "impurity",
 ]

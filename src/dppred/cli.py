@@ -200,9 +200,11 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_predictions(path, real: bool) -> list:
-    """Prediction cells of a ``row_index,prediction[,probability]`` file, as
-    numbers when ``real``; a malformed row raises a ValueError naming it."""
+def _read_predictions(path, classes: list[str] | None) -> list:
+    """Prediction cells of a ``row_index,prediction[,probability]`` file: names
+    from ``classes`` (the class labels of the evaluated data; a schema file
+    lists none), or numbers when it is None; a malformed row raises a
+    ValueError naming it."""
     cells = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -214,17 +216,22 @@ def _read_predictions(path, real: bool) -> list:
                 raise ValueError(f"{where}: expected row_index and prediction cells")
             if row[0] != str(len(cells)):
                 raise ValueError(f"{where}: row_index {row[0]!r}, expected {len(cells)}")
-            try:
-                cells.append(_parse_number(row[1], reader.line_num, "prediction") if real else row[1])
-            except ValueError as err:
-                raise ValueError(f"{path}, {err}") from None
+            if classes is None:
+                try:
+                    cells.append(_parse_number(row[1], reader.line_num, "prediction"))
+                except ValueError as err:
+                    raise ValueError(f"{path}, {err}") from None
+            elif row[1] in classes:
+                cells.append(row[1])
+            else:
+                raise ValueError(f"{where}: prediction {row[1]!r} is not a class label of the data")
     return cells
 
 
 def cmd_evaluate(args) -> int:
     label_task, schema = read_schema_file(args.schema)
     ds = load_csv(args.data, schema, label_task)
-    pred_cells = _read_predictions(args.predictions, real=label_task != LABEL_CLASS)
+    pred_cells = _read_predictions(args.predictions, ds.label_names)
     if len(pred_cells) != ds.n:
         raise ValueError(f"{args.predictions}: prediction count {len(pred_cells)} "
                          f"does not match data rows {ds.n}")

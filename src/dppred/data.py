@@ -1,4 +1,4 @@
-"""Tabular data loading, dummy encoding, label normalization and splitting.
+"""Tabular data loading, dummy encoding and label normalization.
 
 A dataset is parsed from CSV against a column schema, categoricals are
 expanded to per-category indicators plus a missing flag, numeric gaps are
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .rng import STREAM_SPLIT_DATA, sub_rng
 
 KIND_NUMERIC = "numeric"
 KIND_CATEGORICAL = "categorical"
@@ -127,7 +125,7 @@ def write_schema_file(path, label_task: str, schema: list[ColumnSchema]) -> None
 
 
 def load_csv(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS,
-             strict: bool = False, allow_missing_labels: bool = False) -> Dataset:
+             allow_missing_labels: bool = False) -> Dataset:
     """Load and encode a CSV file against ``schema``.
 
     The header must match the schema column names in order. Categories and
@@ -150,7 +148,7 @@ def load_csv(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS,
             if len(row) != len(schema):
                 raise ValueError(f"{path}: line {lineno} has {len(row)} cells, expected {len(schema)}")
             rows.append(row)
-    return encode_categoricals(rows, schema, label_task=label_task, strict=strict,
+    return encode_categoricals(rows, schema, label_task=label_task,
                                allow_missing_labels=allow_missing_labels)
 
 
@@ -174,7 +172,7 @@ def encoded_feature_names(schema: list[ColumnSchema]) -> tuple[list[str], list[s
 
 
 def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
-                        label_task: str = LABEL_CLASS, strict: bool = False,
+                        label_task: str = LABEL_CLASS,
                         allow_missing_labels: bool = False) -> Dataset:
     """Encode parsed string rows to a Dataset.
 
@@ -244,13 +242,9 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
             elif col.kind == KIND_CATEGORICAL:
                 cats = col.categories
                 width = len(cats) + 1
-                if v in MISSING_TOKENS:
-                    x[i, k + width - 1] = 1.0
-                elif v in cats:
+                if v in cats and v not in MISSING_TOKENS:
                     x[i, k + cats.index(v)] = 1.0
-                elif strict:
-                    raise ValueError(f"row {i + 1}, column {col.name!r}: unknown category {v!r}")
-                else:
+                else:  # missing or unseen
                     x[i, k + width - 1] = 1.0
                 k += width
             else:
@@ -307,16 +301,3 @@ def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
     """A new Dataset holding the given rows (metadata shared)."""
     indices = np.asarray(indices)
     return replace(ds, x=ds.x[indices], y=ds.y[indices])
-
-
-def split_train_test(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Disjoint uniform split into ceil(n * ratio) train rows and the rest."""
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("split ratio must be strictly between 0 and 1")
-    if ds.n < 2:
-        raise ValueError("need at least 2 instances to split")
-    # small epsilon so float ratios like 2/3 do not overshoot the exact product
-    n_train = int(math.ceil(ds.n * ratio - 1e-9))
-    n_train = min(max(n_train, 1), ds.n - 1)
-    perm = sub_rng(seed, STREAM_SPLIT_DATA).permutation(ds.n)
-    return subset(ds, np.sort(perm[:n_train])), subset(ds, np.sort(perm[n_train:]))

@@ -7,12 +7,11 @@ on call order across stages.
 
 import numpy as np
 
-# Stream tags. Changing a tag changes every downstream result.
+# Stream tags. Changing a tag changes every downstream result. Tags 2, 5
+# and 6 are retired; a tag is never reused.
 STREAM_TREE = 1
-STREAM_SPLIT_DATA = 2
 STREAM_LABEL_NOISE = 3
 STREAM_LDA = 4
-STREAM_EMPTY_BAG = 6          # 5 is retired; a tag is never reused
 STREAM_SYNTH = 7
 STREAM_LOCAL_TREES = 8
 

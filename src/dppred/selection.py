@@ -1,5 +1,10 @@
 """Top-k rule selection by combined predictive performance.
 
+Both selectors work on the distinct columns of the pool: columns that are
+identical on the training rows keep only their lowest pool index, so a
+rule never competes with its own copy. Chosen rules, traces and the refit
+still refer to pool indices.
+
 Forward selection scores every candidate extension of the incumbent rule
 set each round. Regression gains come from exact least-squares updates
 (Schur complement against the incumbent Gram matrix), so a candidate's
@@ -39,6 +44,7 @@ _INNER_TOL = 1e-5
 _SCHUR_EPS = 1e-9
 _MAX_GROUPS_FULL_BUDGET = 2048
 _BLOCK_CELLS = 3e7  # cap on candidate-block * group-count temporaries
+_COPY_ROWS = 4096   # rows per block of the work copy: no full-size gather of Xp first
 
 
 @dataclass
@@ -60,19 +66,22 @@ class SelectionResult:
                     writer.writerow([repr(float(lam)), size])
 
 
-def _as_work_matrix(Xp: np.ndarray) -> np.ndarray:
-    # float32 keeps the big candidate matmuls affordable; counts and
-    # co-occurrence sums stay exact because entries are 0/1
-    if Xp.dtype == np.float64 and Xp.size <= 2e7:
-        return Xp
-    return np.ascontiguousarray(Xp, dtype=np.float32)
+def _distinct_columns(Xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 work copy of the distinct columns of ``Xp``, and their pool indices.
 
-
-def _mark_duplicates(Xp, excluded: np.ndarray, winner: int) -> None:
-    # a column whose content equals an already-chosen column adds exactly
-    # zero information and is never selected
-    col = Xp[:, winner]
-    excluded |= np.all(Xp == col[:, None], axis=0)
+    A column equal to another on the training rows adds exactly zero
+    information, so each distinct content keeps only its lowest pool index.
+    float32 keeps the big candidate matmuls affordable; counts and
+    co-occurrence sums stay exact because entries are 0/1.
+    """
+    keys = np.ascontiguousarray(Xp.T)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    keep = np.sort(np.unique(keys, return_index=True)[1])
+    del keys  # as large as the pool itself: free it before the copy
+    Xw = np.empty((Xp.shape[0], len(keep)), dtype=np.float32)
+    for start in range(0, Xp.shape[0], _COPY_ROWS):
+        Xw[start:start + _COPY_ROWS] = Xp[start:start + _COPY_ROWS, keep]
+    return Xw, keep
 
 
 def forward_select(Xp, y, k: int, task: str) -> SelectionResult:
@@ -81,48 +90,44 @@ def forward_select(Xp, y, k: int, task: str) -> SelectionResult:
         raise ValueError("k must be >= 1")
     Xp = np.asarray(Xp)
     y = np.asarray(y)
-    n, pool = Xp.shape
-    if pool == 0:
+    if Xp.shape[1] == 0:
         raise ValueError("cannot select from an empty pool")
-    if k > pool:
-        warnings.warn(f"k={k} exceeds the pool size {pool}; selecting the entire pool")
-        k = pool
+    Xw, keep = _distinct_columns(Xp)
+    if k > len(keep):
+        warnings.warn(f"k={k} exceeds the {len(keep)} distinct columns of the pool; "
+                      "selecting the entire pool")
+        k = len(keep)
 
     if task == TASK_LINEAR:
-        chosen, trace = _forward_linear(Xp, y.astype(np.float64), k)
+        chosen, trace = _forward_linear(Xw, y.astype(np.float64), k)
     elif task == TASK_LOGISTIC:
-        chosen, trace = _forward_logistic(Xp, y.astype(np.int64), k)
+        chosen, trace = _forward_logistic(Xw, y.astype(np.int64), k)
     else:
         raise ValueError(f"unknown task {task!r}")
 
+    chosen = keep[chosen].tolist()
+    trace = [(rnd, int(keep[j]), metric) for rnd, j, metric in trace]
     model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
     return SelectionResult(chosen=chosen, model=model, trace=trace)
 
 
-def _forward_linear(Xp, y, k):
+def _forward_linear(Xw, y, k):
     """Exact least-squares forward selection via rank-one gain updates."""
-    n, pool = Xp.shape
-    Xf = _as_work_matrix(Xp)
-    col_sq = (Xf.astype(np.float64) ** 2).sum(axis=0) if pool * n <= 2e7 else \
-        np.asarray((Xf * Xf).sum(axis=0, dtype=np.float64))
+    n = Xw.shape[0]
+    col_sq = (Xw * Xw).sum(axis=0, dtype=np.float64)
 
     chosen: list[int] = []
     trace: list[tuple] = []
-    excluded = np.zeros(pool, dtype=bool)
     design = np.ones((n, 1))
     theta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ theta
     sse = float(resid @ resid)
     last_metric = -np.inf
-    # cross[i] = (design column i)ᵀ X for every pool column
-    cross = [np.asarray(Xf.sum(axis=0, dtype=np.float64))]
+    # cross[i] = (design column i)ᵀ X for every candidate column
+    cross = [Xw.sum(axis=0, dtype=np.float64)]
 
     for rnd in range(1, k + 1):
-        if excluded.all():
-            warnings.warn("candidate pool exhausted (all remaining columns duplicate "
-                          "chosen ones); stopping early")
-            break
-        proj = np.asarray(Xf.T @ resid.astype(Xf.dtype), dtype=np.float64)
+        proj = np.asarray(Xw.T @ resid.astype(Xw.dtype), dtype=np.float64)
         B = np.vstack(cross)
         gram = design.T @ design
         try:
@@ -132,12 +137,11 @@ def _forward_linear(Xp, y, k):
         schur = col_sq - (B * Z).sum(axis=0)
         gains = np.where(schur > _SCHUR_EPS, proj * proj / np.maximum(schur, _SCHUR_EPS), 0.0)
         metrics = -(sse - gains) / n
-        metrics[excluded] = -np.inf
+        metrics[chosen] = -np.inf
         winner = int(np.argmax(metrics))
 
         chosen.append(winner)
-        _mark_duplicates(Xp, excluded, winner)
-        col = Xp[:, winner].astype(np.float64)
+        col = Xw[:, winner].astype(np.float64)
         design = np.column_stack([design, col])
         theta, *_ = np.linalg.lstsq(design, y, rcond=None)
         resid_new = y - design @ theta
@@ -148,7 +152,7 @@ def _forward_linear(Xp, y, k):
         metric = max(-sse / n, last_metric)
         last_metric = metric
         trace.append((rnd, winner, metric))
-        cross.append(np.asarray(Xf.T @ col.astype(Xf.dtype), dtype=np.float64))
+        cross.append(np.asarray(Xw.T @ col.astype(Xw.dtype), dtype=np.float64))
 
     return chosen, trace
 
@@ -163,8 +167,8 @@ def _group_rows(selected_bits: np.ndarray, y: np.ndarray):
     return uniq[:, :-1].astype(np.float64), uniq[:, -1], counts, order, starts
 
 
-def _grouped_candidate_counts(Xf, order, starts):
-    gathered = Xf[order]
+def _grouped_candidate_counts(Xw, order, starts):
+    gathered = Xw[order]
     m1 = np.add.reduceat(gathered, starts, axis=0)
     return np.asarray(m1, dtype=np.float64)
 
@@ -173,10 +177,9 @@ def _softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def _forward_logistic(Xp, y, k):
+def _forward_logistic(Xw, y, k):
     """Grouped warm-started Newton scoring for every candidate each round."""
-    n, pool = Xp.shape
-    Xf = _as_work_matrix(Xp)
+    n, pool = Xw.shape
     n_classes = int(y.max()) + 1
     class_list = [1] if n_classes == 2 else list(range(n_classes))
 
@@ -187,17 +190,12 @@ def _forward_logistic(Xp, y, k):
 
     chosen: list[int] = []
     trace: list[tuple] = []
-    excluded = np.zeros(pool, dtype=bool)
     last_metric = -np.inf
 
     for rnd in range(1, k + 1):
-        if excluded.all():
-            warnings.warn("candidate pool exhausted (all remaining columns duplicate "
-                          "chosen ones); stopping early")
-            break
-        bits = Xp[:, chosen].astype(np.int64) if chosen else np.zeros((n, 0), dtype=np.int64)
+        bits = Xw[:, chosen].astype(np.int64)
         Xg, yg, n_g, order, starts = _group_rows(bits, y)
-        m1 = _grouped_candidate_counts(Xf, order, starts)  # (G, pool)
+        m1 = _grouped_candidate_counts(Xw, order, starts)  # (G, pool)
         m0 = n_g[:, None] - m1
         n_groups = len(n_g)
         inner_iters = 25 if n_groups <= _MAX_GROUPS_FULL_BUDGET else 8
@@ -218,7 +216,7 @@ def _forward_logistic(Xp, y, k):
             new_b[:, ci] = bfit
 
         metrics = -total_nll / n
-        metrics[excluded] = -np.inf
+        metrics[chosen] = -np.inf
         winner = int(np.argmax(metrics))
         metric = float(metrics[winner])
 
@@ -232,7 +230,6 @@ def _forward_logistic(Xp, y, k):
                 inc_w[ci] = np.append(inc_w[ci], 0.0)
             metric = last_metric
         chosen.append(winner)
-        _mark_duplicates(Xp, excluded, winner)
         last_metric = metric
         trace.append((rnd, winner, metric))
 
@@ -334,7 +331,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> Sele
     y = np.asarray(y)
     if Xp.shape[1] == 0:
         raise ValueError("cannot select from an empty pool")
-    Xw = _as_work_matrix(Xp)
+    Xw, keep = _distinct_columns(Xp)
 
     lam_top = lambda_max(Xw, y, task)
     if lam_top <= 0.0:
@@ -367,45 +364,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> Sele
             raise ValueError("no support found")
         recorded = min(nonempty, key=lambda item: item[0])[1]
 
-    chosen = [int(j) for j in recorded]
+    chosen = keep[recorded].tolist()
     model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
     trace = [(lam, len(sup)) for lam, sup in visited]
     return SelectionResult(chosen=chosen, model=model, trace=trace)
-
-
-def information_gains(Xp, y) -> np.ndarray:
-    """Per-column information gain (bits) of binary rules against binary labels."""
-    Xp = np.asarray(Xp, dtype=np.float64)
-    y = np.asarray(y).astype(np.int64)
-    uniq = set(np.unique(y).tolist())
-    if not uniq <= {0, 1} or len(uniq) < 2:
-        raise ValueError("information-gain ranking supports binary classification labels only")
-
-    n = len(y)
-    pos = (y == 1).astype(np.float64)
-    n1 = Xp.sum(axis=0)
-    n11 = pos @ Xp
-    n01 = pos.sum() - n11
-    n10 = n1 - n11
-    n0 = n - n1
-    n00 = n0 - n01
-
-    def entropy(a, b):
-        tot = a + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pa = np.where(tot > 0, a / np.maximum(tot, 1.0), 0.0)
-            pb = np.where(tot > 0, b / np.maximum(tot, 1.0), 0.0)
-            ha = np.where(pa > 0, pa * np.log2(np.where(pa > 0, pa, 1.0)), 0.0)
-            hb = np.where(pb > 0, pb * np.log2(np.where(pb > 0, pb, 1.0)), 0.0)
-        return -(ha + hb)
-
-    h_label = entropy(np.array([pos.sum()]), np.array([n - pos.sum()]))[0]
-    h_split = (n1 / n) * entropy(n11, n10) + (n0 / n) * entropy(n01, n00)
-    return h_label - h_split
-
-
-def rank_heuristic(Xp, y, heuristic: str = "info_gain") -> np.ndarray:
-    """Rank single rules by an independent score (comparison baseline only)."""
-    if heuristic != "info_gain":
-        raise ValueError(f"unsupported heuristic {heuristic!r}")
-    return np.argsort(-information_gains(Xp, y), kind="stable")

@@ -4,16 +4,16 @@ Instances are first described by which globally mined rules they satisfy.
 Treating each satisfied rule as a token, latent Dirichlet allocation over
 these bags partitions the instances into disjoint clusters; each cluster
 then gets its own locally mined rules, and one unified GLM is fitted over
-the global block plus the (cluster-dependent) local block.
+the global block plus the (cluster-dependent) local block. A training row
+satisfying no global rule has an empty bag and goes to cluster 0.
 
 Prediction folds each row into the frozen topics with a deterministic
 per-row EM (no random draws), so a row gets the same cluster, and the same
 prediction bits, alone or inside any batch; a row satisfying no global rule
-keeps the uniform topic mix and goes to cluster 0. The global and local
-rules are served by the compiled kernel of plain models, the unified block
-is scored by the same GLM kernel, and model files reuse the plain model's
-section codecs. Also houses the longitudinal summary-statistics conversion
-for repeated measurements.
+keeps the uniform topic mix and goes to cluster 0, as in training. The
+global and local rules are served by the compiled kernel of plain models,
+the unified block is scored by the same GLM kernel, and model files reuse
+the plain model's section codecs.
 """
 
 import json
@@ -55,7 +55,7 @@ from .patterns import (
     construct_pattern_space,
     rule_matrix,
 )
-from .rng import STREAM_EMPTY_BAG, STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
+from .rng import STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
 
 _STRAT_HEADER = "dppred stratified model format"
 _FOLD_IN_CELLS = 1 << 18   # 2 MiB per float64 temporary of the fold-in
@@ -117,33 +117,6 @@ class StratifiedModel:
         return TASK_REGRESSION if self.glm.task == TASK_LINEAR else TASK_CLASSIFICATION
 
 
-def longitudinal_features(xs, ts) -> np.ndarray:
-    """Summarize one repeatedly measured variable into 12 fixed features.
-
-    Six statistics of the values (mean, first, last, max, min, population
-    std) and the same six of the finite-difference rates; with a single
-    measurement the rate block is NaN and is imputed downstream like any
-    missing numeric cell.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ts = np.asarray(ts, dtype=np.float64)
-    if xs.ndim != 1 or xs.shape != ts.shape or len(xs) < 1:
-        raise ValueError("values and times must be equal-length non-empty vectors")
-    if len(ts) > 1 and not np.all(np.diff(ts) > 0):
-        raise ValueError("measurement times must be strictly increasing")
-
-    def stats(v):
-        return [float(v.mean()), float(v[0]), float(v[-1]),
-                float(v.max()), float(v.min()), float(v.std())]
-
-    if len(xs) == 1:
-        rate_block = [np.nan] * 6
-    else:
-        rates = np.diff(xs) / np.diff(ts)
-        rate_block = stats(rates)
-    return np.array(stats(xs) + rate_block)
-
-
 def _bits_to_tokens(bits: np.ndarray, rng):
     """Satisfied-rule ids per instance in shuffled order, padded to a rectangle.
 
@@ -162,7 +135,7 @@ def _bits_to_tokens(bits: np.ndarray, rng):
             ids = ids[rng.permutation(len(ids))]
         tokens[i, :len(ids)] = ids
         mask[i, :len(ids)] = True
-    return tokens, mask, counts
+    return tokens, mask
 
 
 def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
@@ -224,23 +197,18 @@ def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
 def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
     """Hard cluster assignments plus the topic-rule distributions.
 
-    Instances satisfying no rule are assigned uniformly at random from a
-    dedicated seeded stream.
+    An instance satisfying no rule has no topic counts, so ``argmax`` puts
+    it in cluster 0, where the fold-in of ``_assign`` serves it too.
     """
     bits = np.asarray(global_bits)
-    n, n_words = bits.shape
+    n_words = bits.shape[1]
     rng = sub_rng(cfg.seed, STREAM_LDA)
-    tokens, mask, counts = _bits_to_tokens(bits, rng)
+    tokens, mask = _bits_to_tokens(bits, rng)
     _, cd, ckw, ck = _gibbs_train(
         tokens, mask, cfg.n_clusters, n_words, cfg.alpha, cfg.lda_beta,
         cfg.gibbs_iterations, rng)
 
     assignments = np.argmax(cd + cfg.alpha, axis=1).astype(np.int64)
-    empty = np.flatnonzero(counts == 0)
-    if len(empty):
-        draws = sub_rng(cfg.seed, STREAM_EMPTY_BAG).integers(0, cfg.n_clusters, size=len(empty))
-        assignments[empty] = draws
-
     topics = (ckw + cfg.lda_beta) / (ck + n_words * cfg.lda_beta)[:, None]
     return assignments, topics
 

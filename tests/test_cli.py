@@ -163,6 +163,7 @@ class TestEvaluateMalformedPredictions:
         ("medical", "yes", _blank_first_line),
         ("medical", "yes", _missing_cell),
         ("medical", "yes", _bad_row_index),
+        ("medical", "0.73", lambda lines: (lines, 2)),
         ("subtyped", "nan", lambda lines: (lines, 2)),
         ("subtyped", "0.5", _unparsable),
     ])

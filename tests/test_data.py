@@ -11,7 +11,6 @@ from dppred.data import (
     load_csv,
     minmax_normalize_labels,
     read_schema_file,
-    split_train_test,
     write_schema_file,
 )
 
@@ -84,13 +83,6 @@ class TestLoadCsv:
         schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]
         with pytest.raises(ValueError, match="line 3"):
             load_csv(path, schema, label_task="class")
-
-    def test_unknown_category_strict(self, tmp_path):
-        path = write(tmp_path, "d.csv", "c,target\nz,0\n")
-        schema = [ColumnSchema("c", "categorical", categories=["x", "y"]),
-                  ColumnSchema("target", "label", categories=["0", "1"])]
-        with pytest.raises(ValueError, match="unknown category"):
-            load_csv(path, schema, label_task="class", strict=True)
 
     def test_unknown_category_lenient_maps_to_missing(self, tmp_path):
         path = write(tmp_path, "d.csv", "c,target\nz,0\n")
@@ -177,38 +169,6 @@ class TestNormalizeLabels:
         back = denormalize_labels(ds.y, ds.label_bounds)
         scale = max(abs(v) for v in values) or 1.0
         assert np.all(np.abs(back - np.asarray(values)) <= 1e-12 * max(scale, 1.0))
-
-
-class TestSplit:
-    def make(self, n):
-        return Dataset(x=np.arange(n, dtype=np.float64).reshape(-1, 1),
-                       y=np.zeros(n), feature_names=["v"], feature_sources=["v"],
-                       binary_dims=np.array([False]), label_kind="real")
-
-    def test_sizes(self):
-        tr, te = split_train_test(self.make(9), 2 / 3, seed=7)
-        assert (tr.n, te.n) == (6, 3)
-
-    def test_deterministic(self):
-        a1, b1 = split_train_test(self.make(40), 0.5, seed=3)
-        a2, b2 = split_train_test(self.make(40), 0.5, seed=3)
-        assert a1.x.tolist() == a2.x.tolist()
-        assert b1.x.tolist() == b2.x.tolist()
-
-    def test_single_instance_error(self):
-        with pytest.raises(ValueError):
-            split_train_test(self.make(1), 0.5, seed=0)
-
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            split_train_test(self.make(5), 1.5, seed=0)
-
-    @given(st.integers(min_value=2, max_value=200), st.integers(min_value=0, max_value=50))
-    @settings(max_examples=60, deadline=None)
-    def test_partition_is_exact(self, n, seed):
-        tr, te = split_train_test(self.make(n), 2 / 3, seed=seed)
-        ids = sorted(tr.x[:, 0].tolist() + te.x[:, 0].tolist())
-        assert ids == list(range(n))
 
 
 class TestSchemaFile:

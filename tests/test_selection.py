@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dppred.glm import lambda_max, logistic_loss, support
-from dppred.selection import forward_select, lasso_select, rank_heuristic
+from dppred.selection import forward_select, lasso_select
 
 
 def rng(seed=0):
@@ -155,41 +157,49 @@ class TestLassoSelect:
         assert a.trace == b.trace
 
 
-class TestRankHeuristic:
-    def test_perfect_column_first_with_label_entropy_gain(self):
-        # four instances, balanced labels: entropy 1 bit; column 0 matches
-        # labels exactly, so its gain is the full bit
-        X = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
-        y = np.array([1, 1, 0, 0])
-        order = rank_heuristic(X, y)
-        assert order[0] == 0
-        from dppred.selection import information_gains
-        gains = information_gains(X, y)
-        assert gains[0] == 1.0
-        assert gains[1] == 0.0
+def _labels(gen, X, kind):
+    score = X @ gen.normal(size=X.shape[1]) + gen.normal(size=len(X))
+    if kind == "linear":
+        return "linear", score
+    cuts = [0.5] if kind == "binary" else [1 / 3, 2 / 3]
+    return "logistic", np.digitize(score, np.quantile(score, cuts))
 
-    def test_constant_column_ranked_last_with_zero_gain(self):
-        X = np.column_stack([np.ones(40, dtype=np.uint8),
-                             (np.arange(40) % 2).astype(np.uint8)])
-        y = (np.arange(40) % 2).astype(np.int64)
-        order = rank_heuristic(X, y)
-        assert order.tolist() == [1, 0]
-        from dppred.selection import information_gains
-        assert information_gains(X, y)[0] == 0.0
 
-    def test_identical_columns_adjacent_stable(self):
-        gen = rng(2)
-        col = gen.integers(0, 2, size=60).astype(np.uint8)
-        noise = gen.integers(0, 2, size=60).astype(np.uint8)
-        X = np.column_stack([noise, col, col])
-        y = col.astype(np.int64)
-        order = rank_heuristic(X, y).tolist()
-        assert order[:2] == [1, 2]
+def _first_of_each_content(X):
+    return [j for j in range(X.shape[1])
+            if not any(np.array_equal(X[:, i], X[:, j]) for i in range(j))]
 
-    def test_rejects_non_binary_labels(self):
-        X = np.zeros((6, 2), dtype=np.uint8)
-        with pytest.raises(ValueError, match="binary"):
-            rank_heuristic(X, np.array([0, 1, 2, 0, 1, 2]))
+
+def _selected(select, X, y, k, task):
+    try:
+        res = select(X, y, k, task)
+    except ValueError as err:  # a degenerate penalty path fails the same way
+        return str(err)
+    return (res.chosen, res.trace, res.model.weights.tobytes(),
+            np.asarray(res.model.intercept).tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multiclass", "linear"]),
+       n=st.integers(30, 90), pool=st.integers(2, 14), n_copies=st.integers(1, 10))
+def test_appended_copies_change_nothing(seed, kind, n, pool, n_copies):
+    # exact copies placed after their originals carry no information, so
+    # both selectors must return the pool without them, bit for bit
+    gen = rng(seed)
+    X = gen.integers(0, 2, size=(n, pool)).astype(np.uint8)
+    X_copies = np.column_stack([X, X[:, gen.integers(0, pool, size=n_copies)]])
+    task, y = _labels(gen, X, kind)
+    assume(task == "linear" or len(np.unique(y)) == (2 if kind == "binary" else 3))
+    distinct = _first_of_each_content(X_copies)
+    k = int(gen.integers(1, len(distinct) + 1))
+    for select in (forward_select, lasso_select):
+        assert _selected(select, X, y, k, task) == _selected(select, X_copies, y, k, task)
+
+    # k past the distinct count: one warning, then each distinct column once
+    k = int(gen.integers(len(distinct) + 1, X_copies.shape[1] + 1))
+    with pytest.warns(UserWarning, match="entire pool"):
+        res = forward_select(X_copies, y, k, task)
+    assert sorted(res.chosen) == distinct
 
 
 class TestTraceCsv:
