@@ -20,6 +20,7 @@ from .data import (
     _parse_number,
     denormalize_labels,
     load_csv,
+    load_labels,
     minmax_normalize_labels,
     read_schema_file,
 )
@@ -230,7 +231,7 @@ def _read_predictions(path, classes: list[str] | None) -> list:
 
 def cmd_evaluate(args) -> int:
     label_task, schema = read_schema_file(args.schema)
-    ds = load_csv(args.data, schema, label_task)
+    ds = load_labels(args.data, schema, label_task)
     pred_cells = _read_predictions(args.predictions, ds.label_names)
     if len(pred_cells) != ds.n:
         raise ValueError(f"{args.predictions}: prediction count {len(pred_cells)} "
@@ -312,22 +313,14 @@ def cmd_sweep(args) -> int:
     task = _resolve_task(args.task, label_task)
     train_ds = load_csv(args.data, schema, label_task)
     test_ds = load_csv(args.test, train_ds.schema, label_task)
+    if args.param == "trees" and min(values) < 1:
+        raise UsageError("tree counts must be >= 1")
+    hp = _hyperparams(args, task, k=min(values) if args.param == "k" else None)
 
-    rows = []
-    for v in values:
-        if args.param == "k":
-            hp = _hyperparams(args, task, k=v)
-        else:
-            if v < 1:
-                raise UsageError("tree counts must be >= 1")
-            hp = _hyperparams(args, task)
-            hp = HyperParams(tree=TreeConfig(n_trees=v, max_depth=args.depth,
-                                             min_bag=args.min_bag, seed=args.seed),
-                             k=hp.k, method=args.method, task=task)
-        m = model_mod.train(train_ds, hp)
-        key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
-        rows.append((v, *(model_mod.evaluate(model_mod.predict(m, d), d.y, task)[key]
-                          for d in (train_ds, test_ds))))
+    key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
+    rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), d.y, task)[key]
+                  for d in (train_ds, test_ds)))
+            for v, m in model_mod.train_sweep(train_ds, hp, args.param, values)]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -132,6 +132,23 @@ def load_csv(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS,
     medians missing from the schema are learned from this file (training
     load); already-fitted schemas are applied as-is (test load).
     """
+    return encode_categoricals(_read_rows(path, schema), schema, label_task=label_task,
+                               allow_missing_labels=allow_missing_labels)
+
+
+def load_labels(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS) -> Dataset:
+    """The label column of a CSV file laid out as ``schema``, as a Dataset with no
+    features: the other cells are checked for count only, never parsed."""
+    label = [i for i, c in enumerate(schema) if c.kind == KIND_LABEL]
+    if len(label) != 1:
+        raise ValueError("schema must declare exactly one label column")
+    rows = _read_rows(path, schema)
+    return encode_categoricals([[row[label[0]]] for row in rows], [schema[label[0]]],
+                               label_task=label_task)
+
+
+def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
+    """The non-empty rows of a CSV file whose header names the schema columns in order."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -148,8 +165,7 @@ def load_csv(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS,
             if len(row) != len(schema):
                 raise ValueError(f"{path}: line {lineno} has {len(row)} cells, expected {len(schema)}")
             rows.append(row)
-    return encode_categoricals(rows, schema, label_task=label_task,
-                               allow_missing_labels=allow_missing_labels)
+    return rows
 
 
 def encoded_feature_names(schema: list[ColumnSchema]) -> tuple[list[str], list[str], list[bool]]:

@@ -14,7 +14,7 @@ the stratified model files.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,16 +119,51 @@ def _data_fields(ds: Dataset) -> dict:
 
 def train(ds: Dataset, hp: HyperParams) -> DppredModel:
     """Grow the forest, pool its rules, select top-k, and refit the GLM."""
+    _check_training_data(ds, hp)
+    return _select(ds, hp, *_rule_space(ds, fit_forest(ds, hp.tree)))
+
+
+def train_sweep(ds: Dataset, hp: HyperParams, param: str, values: list[int]):
+    """Yield ``(v, train(ds, hp'))`` for each v, where hp' is ``hp`` with ``param``
+    ("k" or "trees") set to v, growing one forest for the whole sweep.
+
+    With "k" the forest and the rule space are shared and only selection
+    reruns. With "trees" the largest forest is grown once: tree t depends
+    only on (seed, t), so its first v trees are the forest of v trees.
+    """
+    if param not in ("k", "trees"):
+        raise ValueError(f"unknown sweep parameter {param!r}")
+    hps = [replace(hp, k=v) if param == "k" else replace(hp, tree=replace(hp.tree, n_trees=v))
+           for v in values]
+    if not hps:
+        return
+    _check_training_data(ds, hp)
+    if param == "k":
+        pool, space = _rule_space(ds, fit_forest(ds, hp.tree))
+        for v, hp_v in zip(values, hps):
+            yield v, _select(ds, hp_v, pool, space)
+    else:
+        forest = fit_forest(ds, replace(hp.tree, n_trees=max(values)))
+        for v, hp_v in zip(values, hps):
+            yield v, _select(ds, hp_v, *_rule_space(ds, forest[:v]))
+
+
+def _check_training_data(ds: Dataset, hp: HyperParams) -> None:
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
     _check_labels(ds, hp.task)
 
-    forest = fit_forest(ds, hp.tree)
+
+def _rule_space(ds: Dataset, forest) -> tuple:
+    """The forest's deduplicated rule pool and its rule matrix on ``ds``."""
     pool = extract_patterns(forest)
     if len(pool) == 0:
         raise ValueError("no patterns generated")
+    return pool, construct_pattern_space(ds, pool.patterns)
 
-    space = construct_pattern_space(ds, pool.patterns)
+
+def _select(ds: Dataset, hp: HyperParams, pool, space) -> DppredModel:
+    """Select ``hp.k`` rules of the pool and refit the GLM over them."""
     if hp.method == METHOD_FORWARD:
         result = forward_select(space, ds.y, hp.k, _glm_task(hp.task))
     else:

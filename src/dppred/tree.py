@@ -5,10 +5,36 @@ size on both sides of every split, so any root-to-node path covers enough
 training instances to be worth keeping as a candidate rule. Splits pick
 the best of a few randomly sampled (feature, threshold) pairs rather than
 scanning exhaustively.
+
+Growth is lockstep: the trees of a forest grow together, in chunks of at
+most ``_CHUNK_ROWS`` bootstrap rows, each keeping a stack of pending
+nodes, and each step takes the next node of every tree that must try a
+split and scores all of them in one batched pass. Tree ``t`` draws only
+from its own generator, ``sub_rng(seed, STREAM_TREE, t)``, in a fixed
+order: the bootstrap, then for each split it tries, in preorder, the
+``choice`` of dims followed by one ``uniform`` per sampled dim that is not
+binary and not constant on the bag. So a tree does not depend on the
+trees grown beside it, ``fit_tree`` is the one-tree call of the same
+engine, and forests are bit-identical to the earlier per-node recursion.
+
+A step gathers the sampled dims of its nodes in a (dims, rows) layout,
+compares each node's rows with its own thresholds into one preallocated
+(dims, thresholds, rows) bool mask and counts along the contiguous rows
+with ``np.add.reduceat``. The nodes are scored in batches of at most
+``max(_BATCH_ROWS, n)`` bag rows, so the mask stays the size that one
+bootstrap bag needs however many trees grow together. Class
+counts are exact integers, so classification gains are the same bits
+however they are batched. Regression sums are not: the rounding of a BLAS
+gemv column depends on the matrix width, the column's position and the
+row stride. So they stay one ``y @ M`` per node and sampled dim, with
+``M`` the C-contiguous (bag, thresholds) 0/1 matrix the per-node search
+used (one column for a binary dim); one gemv over all of a node's
+columns gives other gain bits.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +46,17 @@ TASK_REGRESSION = "regression"
 # splits must beat this relative floor so float noise in the moment
 # arithmetic never splits an (effectively) pure bag
 _GAIN_EPS = 1e-12
+
+# bag rows scored per batched split search, or the training rows when more:
+# a step's nodes are cut into batches of at most this many rows, which
+# keeps the (dims, thresholds, rows) bool mask that a whole bootstrap bag
+# needs anyway from growing with the number of trees
+_BATCH_ROWS = 1 << 12
+# mask cells counted per reduceat call, which copies its input to int32
+_COUNT_CELLS = 1 << 16
+# trees grown together hold at most this many bootstrap rows, which bounds
+# the pending bags they keep: 100 trees of 1000 rows, 6 of 20k rows
+_CHUNK_ROWS = 1 << 17
 
 
 @dataclass
@@ -89,130 +126,247 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return -(np.where(p > 0, p * logs, 0.0)).sum(axis=0)
 
 
-def best_random_split(bag: np.ndarray, ds, cfg: TreeConfig, rng: np.random.Generator):
-    """Best of the sampled candidate splits, or None when no candidate is usable.
+class _Split(NamedTuple):
+    dim: int
+    threshold: float
+    gain: float
+    left: np.ndarray  # the bag of each child
+    right: np.ndarray
+    left_counts: np.ndarray | None  # class counts of each child; None for regression
+    right_counts: np.ndarray | None
 
-    A candidate is usable when both children keep at least ``min_bag``
-    instances and the size-weighted impurity drop is strictly positive.
-    Exact ties resolve to the lowest (dim, threshold).
-    """
-    n_bag = len(bag)
-    sigma = cfg.min_bag
-    if n_bag < 2 * sigma:
-        return None
 
-    task = TASK_CLASSIFICATION if ds.label_kind == "class" else TASK_REGRESSION
-    y = ds.y[bag]
-    n_feats = cfg.n_feature_candidates or math.ceil(math.sqrt(ds.d))
-    dims = rng.choice(ds.d, size=min(n_feats, ds.d), replace=False)
+class _Grower:
+    """Batched split search and lockstep growth of trees over one dataset."""
 
-    if task == TASK_CLASSIFICATION:
-        y_int = y.astype(np.int64)
-        n_classes = int(y_int.max()) + 1 if n_bag else 1
-        onehot = (y_int[:, None] == np.arange(n_classes)[None, :]).astype(np.float64)
-        total_counts = onehot.sum(axis=0)
-        parent = float(_entropy_from_counts(total_counts[:, None], np.array([float(n_bag)]))[0])
-    else:
-        sum_tot = float(y.sum())
-        sumsq_tot = float((y * y).sum())
-        # moment form (clipped) keeps parent and children arithmetically
-        # consistent so pure bags yield exactly zero gain
-        parent = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
-
-    best = None
-    for dim in dims:
-        xcol = ds.x[bag, dim]
-        if ds.binary_dims[dim]:
-            thresholds = np.array([0.5])
+    def __init__(self, ds, cfg: TreeConfig):
+        self.ds, self.cfg = ds, cfg
+        self.classify = ds.label_kind == "class"
+        self.xt = np.ascontiguousarray(ds.x.T)
+        self.n_dims = min(cfg.n_feature_candidates or math.ceil(math.sqrt(ds.d)), ds.d)
+        self.batch_rows = max(_BATCH_ROWS, ds.n)
+        cells = self.n_dims * cfg.n_threshold_candidates * self.batch_rows
+        self.mask_buf = np.empty(cells, dtype=bool)
+        if self.classify:
+            self.y = ds.y.astype(np.int64)
+            self.n_classes = max(len(ds.label_names or ()), int(self.y.max()) + 1)
+            self.class_buf = np.empty(cells, dtype=bool)
         else:
-            lo, hi = float(xcol.min()), float(xcol.max())
-            if lo == hi:
-                continue
-            thresholds = rng.uniform(lo, hi, size=cfg.n_threshold_candidates)
+            self.y = np.asarray(ds.y, dtype=np.float64)
 
-        masks = xcol[:, None] < thresholds[None, :]
-        n_left = masks.sum(axis=0).astype(np.float64)
+    def node(self, bag: np.ndarray, counts: np.ndarray | None = None) -> TreeNode:
+        """A leaf over ``bag``: its class distribution or mean label."""
+        if not self.classify:
+            return TreeNode(prediction=float(self.y[bag].sum() / len(bag)), bag_size=len(bag))
+        if counts is None:
+            counts = np.bincount(self.y[bag], minlength=self.n_classes)
+        return TreeNode(prediction=counts / len(bag), bag_size=len(bag))
+
+    def grow(self, rngs: list) -> list[DecisionTree]:
+        """One tree per generator; each step tries the next pending split of every tree."""
+        cfg, n = self.cfg, self.ds.n
+        trees, stacks = [], []
+        for rng in rngs:
+            bootstrap = rng.integers(0, n, size=n)
+            root = self.node(bootstrap)
+            trees.append(DecisionTree(root=root, bootstrap_indices=bootstrap))
+            stacks.append([(root, bootstrap, 0)])
+        while True:
+            step = []
+            for t, stack in enumerate(stacks):
+                while stack:
+                    node, bag, depth = stack.pop()
+                    if depth < cfg.max_depth and len(bag) >= 2 * cfg.min_bag:
+                        step.append((t, node, bag, depth))
+                        break
+            if not step:
+                return trees
+            splits, batch, rows = [], [], 0
+            for t, _, bag, _ in step:
+                if batch and rows + len(bag) > self.batch_rows:
+                    splits += self.best_splits(*zip(*batch))
+                    batch, rows = [], 0
+                batch.append((bag, rngs[t]))
+                rows += len(bag)
+            splits += self.best_splits(*zip(*batch))
+            for (t, node, _, depth), split in zip(step, splits):
+                if split is None:
+                    continue
+                node.dim, node.threshold = split.dim, split.threshold
+                node.left = self.node(split.left, split.left_counts)
+                node.right = self.node(split.right, split.right_counts)
+                # the left child is popped first: preorder
+                stacks[t] += [(node.right, split.right, depth + 1),
+                              (node.left, split.left, depth + 1)]
+
+    def best_splits(self, bags: list, rngs: list) -> list[_Split | None]:
+        """Best sampled split of each bag (of at least ``2 * min_bag`` rows), drawing
+        from that bag's own generator, or None where no candidate is usable."""
+        cfg, ds = self.cfg, self.ds
+        sigma, n_thr = cfg.min_bag, cfg.n_threshold_candidates
+        n_nodes = len(bags)
+        sizes = np.array([len(bag) for bag in bags])
+        starts = np.zeros(n_nodes, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        segments = [slice(a, a + b) for a, b in zip(starts.tolist(), sizes.tolist())]
+        rows = np.concatenate(bags)
+        n_rows = len(rows)
+
+        dims = np.array([rng.choice(ds.d, size=self.n_dims, replace=False) for rng in rngs])
+        at = np.repeat(dims.T * ds.n, sizes, axis=1)
+        at += rows
+        cols = np.take(self.xt, at)  # (dims, rows)
+        lo = np.minimum.reduceat(cols, starts, axis=1).T          # (nodes, dims)
+        hi = np.maximum.reduceat(cols, starts, axis=1).T
+        binary = ds.binary_dims[dims]
+        # NaN thresholds send no row left, so those slots are never usable
+        thresholds = np.full((n_nodes, self.n_dims, n_thr), np.nan)
+        thresholds[:, :, 0][binary] = 0.5
+        drawn = (~binary & (lo != hi)).tolist()
+        for k, (rng, lo_k, hi_k) in enumerate(zip(rngs, lo.tolist(), hi.tolist())):
+            for f in range(self.n_dims):
+                if drawn[k][f]:
+                    thresholds[k, f] = rng.uniform(lo_k[f], hi_k[f], size=n_thr)
+
+        mask = self.mask_buf[:self.n_dims * n_thr * n_rows].reshape(self.n_dims, n_thr, n_rows)
+        for k, seg in enumerate(segments):
+            np.less(cols[:, None, seg], thresholds[k, :, :, None], out=mask[:, :, seg])
+        flat = mask.reshape(-1, n_rows)
+
+        block = max(1, _COUNT_CELLS // n_rows)
+
+        def counts(m):  # (nodes, dims, thresholds) int32
+            out = np.empty((len(m), n_nodes), dtype=np.int32)
+            for r in range(0, len(m), block):
+                np.add.reduceat(m[r:r + block], starts, axis=1, dtype=np.int32,
+                                out=out[r:r + block])
+            return out.T.reshape(thresholds.shape)
+
+        n_left = counts(flat)
+        n_bag = sizes[:, None, None]
         n_right = n_bag - n_left
         usable = (n_left >= sigma) & (n_right >= sigma)
-        if not usable.any():
-            continue
-
-        if task == TASK_CLASSIFICATION:
-            left_counts = onehot.T @ masks
-            right_counts = total_counts[:, None] - left_counts
-            imp_l = _entropy_from_counts(left_counts, n_left)
-            imp_r = _entropy_from_counts(right_counts, n_right)
+        if self.classify:
+            y = self.y[rows]
+            totals = np.stack([np.add.reduceat(y == c, starts, dtype=np.int32)
+                               for c in range(self.n_classes)])    # (classes, nodes)
+            left = np.empty((self.n_classes,) + n_left.shape, dtype=np.int32)
+            scratch = self.class_buf[:flat.size].reshape(flat.shape)
+            for c in range(self.n_classes - 1):
+                np.logical_and(flat, y == c, out=scratch)
+                left[c] = counts(scratch)
+            left[-1] = n_left - left[:-1].sum(axis=0)
+            right = totals[:, :, None, None] - left
+            parent = _entropy_from_counts(totals, sizes.astype(np.float64))
+            imp_l = _entropy_from_counts(left.reshape(self.n_classes, -1), n_left.ravel())
+            imp_r = _entropy_from_counts(right.reshape(self.n_classes, -1), n_right.ravel())
+            imp_l, imp_r = imp_l.reshape(n_left.shape), imp_r.reshape(n_left.shape)
         else:
-            s1 = y @ masks
-            s2 = (y * y) @ masks
+            s1, s2, tot1, tot2, parent = self._regression_sums(bags, flat, segments,
+                                                                usable, binary)
             with np.errstate(divide="ignore", invalid="ignore"):
                 imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
                 imp_r = np.where(
                     n_right > 0,
-                    (sumsq_tot - s2) / n_right - ((sum_tot - s1) / n_right) ** 2,
+                    (tot2 - s2) / n_right - ((tot1 - s1) / n_right) ** 2,
                     0.0,
                 )
             imp_l = np.maximum(imp_l, 0.0)
             imp_r = np.maximum(imp_r, 0.0)
 
+        parent = parent[:, None, None]
         gains = parent - (n_left * imp_l + n_right * imp_r) / n_bag
-        for t in np.flatnonzero(usable):
-            gain = float(gains[t])
-            if gain <= _GAIN_EPS * max(1.0, parent):
+        gains[~(usable & (gains > _GAIN_EPS * np.maximum(1.0, parent)))] = -np.inf
+        best = gains.max(axis=(1, 2), keepdims=True, initial=-np.inf)
+        # lexicographic minimum of (-gain, dim, threshold) per node: the
+        # largest gain, then the lowest dim and threshold among exact ties
+        node, f, j = np.nonzero((gains == best) & (best > -np.inf))
+        dim = dims[node, f]
+        thr = thresholds[node, f, j]
+        order = np.lexsort((thr, dim, node))
+        first = order[np.r_[True, node[order][1:] != node[order][:-1]]] if order.size else order
+        out = [None] * n_nodes
+        for i in first.tolist():
+            k, fi, ji = node[i], f[i], j[i]
+            goes_left = flat[fi * n_thr + ji, segments[k]]
+            out[k] = _Split(int(dim[i]), float(thr[i]), float(gains[k, fi, ji]),
+                            bags[k][goes_left], bags[k][~goes_left],
+                            *((left[:, k, fi, ji], right[:, k, fi, ji]) if self.classify
+                              else (None, None)))
+        return out
+
+    def _regression_sums(self, bags, flat, segments, usable, binary):
+        """Left sums of y and y² per candidate, bag totals and parent variance.
+
+        Each sampled dim's sums are a gemv of y with its C-contiguous
+        (bag, thresholds) 0/1 matrix, stacked over the dims; a binary dim's
+        is a gemv with its single (bag, 1) column.
+        """
+        n_nodes, n_dims, n_thr = usable.shape
+        s1 = np.zeros(usable.shape)
+        s2 = np.zeros(usable.shape)
+        tot1 = np.empty((n_nodes, 1, 1))
+        tot2 = np.empty((n_nodes, 1, 1))
+        parent = np.empty(n_nodes)
+        live = usable.any(axis=2)
+        for k, bag in enumerate(bags):
+            y = self.y[bag]
+            yy = y * y
+            n_bag = len(bag)
+            sum_tot, sumsq_tot = float(y.sum()), float(yy.sum())
+            tot1[k], tot2[k] = sum_tot, sumsq_tot
+            # moment form (clipped) keeps parent and children arithmetically
+            # consistent so pure bags yield exactly zero gain
+            parent[k] = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
+            dims = np.flatnonzero(live[k])
+            if not dims.size:
                 continue
-            cand = (-gain, int(dim), float(thresholds[t]))
-            if best is None or cand < best:
-                best = cand
+            node_mask = flat[:, segments[k]].reshape(n_dims, n_thr, n_bag)
+            m = node_mask[dims].transpose(0, 2, 1).astype(np.float64, order="C")
+            s1[k, dims] = y @ m
+            s2[k, dims] = yy @ m
+            for fb in np.flatnonzero(binary[k] & live[k]).tolist():
+                column = node_mask[fb, 0][:, None]
+                s1[k, fb, :1] = y @ column
+                s2[k, fb, :1] = yy @ column
+        return s1, s2, tot1, tot2, parent
 
-    if best is None:
+
+def best_random_split(bag: np.ndarray, ds, cfg: TreeConfig, rng: np.random.Generator):
+    """Best of the sampled candidate splits, or None when no candidate is usable.
+
+    A candidate is usable when both children keep at least ``min_bag``
+    instances and the size-weighted impurity drop is strictly positive.
+    Exact ties resolve to the lowest (dim, threshold). A bag smaller than
+    ``2 * min_bag`` draws nothing from ``rng``.
+    """
+    if len(bag) < 2 * cfg.min_bag:
         return None
-    neg_gain, dim, thr = best
-    return dim, thr, -neg_gain
+    split = _Grower(ds, cfg).best_splits([np.asarray(bag)], [rng])[0]
+    return None if split is None else split[:3]
 
 
-def _leaf(ds, bag: np.ndarray, task: str, n_classes: int) -> TreeNode:
-    y = ds.y[bag]
-    if task == TASK_CLASSIFICATION:
-        counts = np.bincount(y.astype(np.int64), minlength=n_classes)
-        prediction = counts / len(bag)
-    else:
-        prediction = float(y.mean())
-    return TreeNode(prediction=prediction, bag_size=len(bag))
+def _check_nonempty(ds) -> None:
+    if ds.n == 0:
+        raise ValueError("cannot fit a tree on an empty dataset")
 
 
 def fit_tree(ds, cfg: TreeConfig, rng: np.random.Generator) -> DecisionTree:
     """Grow one tree on a bootstrap sample of ``ds``."""
-    if ds.n == 0:
-        raise ValueError("cannot fit a tree on an empty dataset")
-    task = TASK_CLASSIFICATION if ds.label_kind == "class" else TASK_REGRESSION
-    if task == TASK_CLASSIFICATION:
-        n_classes = len(ds.label_names) if ds.label_names else int(ds.y.max()) + 1
-    else:
-        n_classes = 0
-    bootstrap = rng.integers(0, ds.n, size=ds.n)
-
-    def grow(bag: np.ndarray, depth: int) -> TreeNode:
-        if depth >= cfg.max_depth or len(bag) < 2 * cfg.min_bag:
-            return _leaf(ds, bag, task, n_classes)
-        split = best_random_split(bag, ds, cfg, rng)
-        if split is None:
-            return _leaf(ds, bag, task, n_classes)
-        dim, thr, _ = split
-        mask = ds.x[bag, dim] < thr
-        node = _leaf(ds, bag, task, n_classes)
-        node.dim = dim
-        node.threshold = thr
-        node.left = grow(bag[mask], depth + 1)
-        node.right = grow(bag[~mask], depth + 1)
-        return node
-
-    root = grow(bootstrap, 0)
-    return DecisionTree(root=root, bootstrap_indices=bootstrap)
+    _check_nonempty(ds)
+    return _Grower(ds, cfg).grow([rng])[0]
 
 
 def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:
     """Grow ``n_trees`` trees, each from its own generator derived from (seed, t)."""
-    return [fit_tree(ds, cfg, sub_rng(cfg.seed, STREAM_TREE, t)) for t in range(cfg.n_trees)]
+    _check_nonempty(ds)
+    grower = _Grower(ds, cfg)
+    chunk = max(1, _CHUNK_ROWS // ds.n)
+    forest = []
+    for first in range(0, cfg.n_trees, chunk):
+        trees = range(first, min(first + chunk, cfg.n_trees))
+        forest += grower.grow([sub_rng(cfg.seed, STREAM_TREE, t) for t in trees])
+    return forest
 
 
 def iter_nodes(root: TreeNode, depth: int = 0):

@@ -3,7 +3,11 @@ import re
 
 import pytest
 
+from dppred import model as model_mod
 from dppred.cli import main
+from dppred.data import load_csv, read_schema_file
+from dppred.model import HyperParams
+from dppred.tree import TreeConfig
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,20 @@ class TestPredictEvaluate:
         acc = float(printed.split("accuracy:")[1].strip())
         assert acc >= 0.97
 
+    def test_evaluate_reads_only_the_label_column(self, medical_files, tmp_path, capsys):
+        # feature cells are never parsed: an all-empty categorical column and
+        # a non-numeric age would both fail a full load of this file
+        data = tmp_path / "two.csv"
+        data.write_text("age,gender,blood_type,lab_score,disease\n"
+                        "abc,,A,0.5,yes\n"
+                        "40,,B,0.1,no\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,prediction\n0,yes\n1,yes\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(data),
+                     "--schema", str(medical_files["schema"])]) == 0
+        assert capsys.readouterr().out == "accuracy: 0.500000\n"
+
     def test_regression_predictions_numeric(self, subtyped_files, tmp_path):
         model = tmp_path / "m.model"
         assert main(["train", "--data", str(subtyped_files["train"]),
@@ -229,6 +247,39 @@ class TestSweepCommand:
         rows = read_csv(out)
         metrics = {int(r[0]): float(r[2]) for r in rows[1:]}
         assert metrics[1] <= metrics[100]
+
+    @pytest.mark.parametrize("param,values,method", [
+        ("k", [1, 4, 9], "forward"),
+        ("k", [2, 6], "lasso"),
+        ("trees", [3, 1, 8], "forward"),
+    ])
+    def test_sweep_rows_equal_separate_training(self, param, values, method, medical_files,
+                                                tmp_path, monkeypatch):
+        grown = []
+        fit_forest = model_mod.fit_forest
+        monkeypatch.setattr(model_mod, "fit_forest",
+                            lambda ds, cfg: grown.append(cfg.n_trees) or fit_forest(ds, cfg))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]),
+                     "--test", str(medical_files["test"]), "--method", method,
+                     "--param", param, "--values", ",".join(map(str, values)),
+                     "--trees", "6", "--seed", "4", "--out", str(out)]) == 0
+        # one forest for the whole sweep, the largest one
+        assert grown == [max(values) if param == "trees" else 6]
+
+        label_task, schema = read_schema_file(medical_files["schema"])
+        train = load_csv(medical_files["train"], schema, label_task)
+        test = load_csv(medical_files["test"], train.schema, label_task)
+        want = [["value", "train_metric", "test_metric"]]
+        for v in values:
+            tree = TreeConfig(n_trees=v if param == "trees" else 6, seed=4)
+            hp = HyperParams(tree=tree, k=v if param == "k" else 20, method=method)
+            m = model_mod.train(train, hp)
+            want.append([str(v)] + [repr(model_mod.evaluate(model_mod.predict(m, d), d.y,
+                                                            "classification")["accuracy"])
+                                    for d in (train, test)])
+        assert read_csv(out) == want
 
     def test_empty_values_usage_error(self, medical_files, tmp_path):
         assert main(["sweep", "--data", str(medical_files["train"]),

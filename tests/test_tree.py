@@ -1,9 +1,15 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppred.data import Dataset
 from dppred.rng import STREAM_TREE, sub_rng
-from dppred.synth import SynthConfig, generate_medical
+from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
+from dppred import tree as tree_mod
 from dppred.tree import (
     TreeConfig,
     best_random_split,
@@ -84,6 +90,134 @@ class TestBestRandomSplit:
             assert n_left >= 15 and 60 - n_left >= 15
 
 
+def reference_split(bag, ds, cfg, rng):
+    """The per-node, per-dim split search that lockstep growth replaced.
+
+    Same draws in the same order (``choice`` of the dims, then ``uniform``
+    per non-binary dim whose range on the bag is not zero) and the same
+    arithmetic; the best candidate is the minimum of (-gain, dim, threshold).
+    """
+    n_bag = len(bag)
+    sigma = cfg.min_bag
+    if n_bag < 2 * sigma:
+        return None
+    classify = ds.label_kind == "class"
+    y = ds.y[bag]
+    n_feats = cfg.n_feature_candidates or math.ceil(math.sqrt(ds.d))
+    dims = rng.choice(ds.d, size=min(n_feats, ds.d), replace=False)
+    if classify:
+        y_int = y.astype(np.int64)
+        onehot = (y_int[:, None] == np.arange(int(y_int.max()) + 1)[None, :]).astype(np.float64)
+        total_counts = onehot.sum(axis=0)
+        parent = float(tree_mod._entropy_from_counts(total_counts[:, None],
+                                                     np.array([float(n_bag)]))[0])
+    else:
+        sum_tot = float(y.sum())
+        sumsq_tot = float((y * y).sum())
+        parent = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
+
+    best = None
+    for dim in dims:
+        xcol = ds.x[bag, dim]
+        if ds.binary_dims[dim]:
+            thresholds = np.array([0.5])
+        else:
+            lo, hi = float(xcol.min()), float(xcol.max())
+            if lo == hi:
+                continue
+            thresholds = rng.uniform(lo, hi, size=cfg.n_threshold_candidates)
+        masks = xcol[:, None] < thresholds[None, :]
+        n_left = masks.sum(axis=0).astype(np.float64)
+        n_right = n_bag - n_left
+        usable = (n_left >= sigma) & (n_right >= sigma)
+        if not usable.any():
+            continue
+        if classify:
+            left_counts = onehot.T @ masks
+            right_counts = total_counts[:, None] - left_counts
+            imp_l = tree_mod._entropy_from_counts(left_counts, n_left)
+            imp_r = tree_mod._entropy_from_counts(right_counts, n_right)
+        else:
+            s1 = y @ masks
+            s2 = (y * y) @ masks
+            with np.errstate(divide="ignore", invalid="ignore"):
+                imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
+                imp_r = np.where(n_right > 0, (sumsq_tot - s2) / n_right
+                                 - ((sum_tot - s1) / n_right) ** 2, 0.0)
+            imp_l = np.maximum(imp_l, 0.0)
+            imp_r = np.maximum(imp_r, 0.0)
+        gains = parent - (n_left * imp_l + n_right * imp_r) / n_bag
+        for t in np.flatnonzero(usable):
+            gain = float(gains[t])
+            if gain <= tree_mod._GAIN_EPS * max(1.0, parent):
+                continue
+            cand = (-gain, int(dim), float(thresholds[t]))
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        return None
+    neg_gain, dim, thr = best
+    return dim, thr, -neg_gain
+
+
+@st.composite
+def split_problems(draw):
+    """Small integer-valued datasets (duplicate values, duplicate columns,
+    binary dims) and several bags, so gains tie across thresholds and dims."""
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    levels = draw(st.integers(1, 4))
+    x = rng.integers(0, levels + 1, size=(n, d)).astype(np.float64)
+    binary = rng.random(d) < 0.4
+    x[:, binary] = x[:, binary] > levels / 2
+    if d > 1 and draw(st.booleans()):
+        x[:, 1], binary[1] = x[:, 0], binary[0]
+    kind = draw(st.sampled_from(["class2", "class3", "real", "real-ties"]))
+    if kind == "real":
+        # sums of these labels round, so a change in BLAS summation order shows
+        ds = make_ds(x, rng.random(n) * 10.0, label_kind="real", binary=binary)
+    elif kind == "real-ties":
+        ds = make_ds(x, rng.integers(0, 5, size=n) / 4.0, label_kind="real", binary=binary)
+    else:
+        ds = make_ds(x, rng.integers(0, 2 if kind == "class2" else 3, size=n), binary=binary)
+        ds.label_names = ["a", "b", "c"][:int(ds.y.max()) + 1]
+    cfg = TreeConfig(min_bag=draw(st.integers(1, 4)),
+                     n_feature_candidates=draw(st.one_of(st.none(), st.integers(1, d))),
+                     n_threshold_candidates=draw(st.integers(1, 5)))
+    sizes = draw(st.lists(st.integers(2 * cfg.min_bag, 8 * n), min_size=1, max_size=4))
+    bags = [rng.integers(0, n, size=size) for size in sizes]
+    return ds, cfg, bags, seed
+
+
+class TestBatchedSplitOracle:
+    @given(split_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_reference_per_bag(self, problem):
+        ds, cfg, bags, seed = problem
+        rngs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+        refs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+        grower = tree_mod._Grower(ds, cfg)
+        got = grower.best_splits(bags, rngs)
+        for bag, split, rng, ref_rng in zip(bags, got, rngs, refs):
+            want = reference_split(bag, ds, cfg, ref_rng)
+            assert (None if split is None else split[:3]) == want
+            if split is not None:
+                goes_left = ds.x[bag, split.dim] < split.threshold
+                assert np.array_equal(split.left, bag[goes_left])
+                assert np.array_equal(split.right, bag[~goes_left])
+            # the same draws were made: both generators are at the same state
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(split_problems())
+    @settings(max_examples=50, deadline=None)
+    def test_one_node_call_matches_reference(self, problem):
+        ds, cfg, bags, seed = problem
+        got = best_random_split(bags[0], ds, cfg, np.random.default_rng(seed))
+        assert got == reference_split(bags[0], ds, cfg, np.random.default_rng(seed))
+
+
 class TestFitTree:
     def test_depth_one_is_a_stump(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=300, n_test=10, noise_rate=0, seed=1))
@@ -103,6 +237,10 @@ class TestFitTree:
         tree = fit_tree(ds, TreeConfig(seed=3), sub_rng(3, STREAM_TREE, 0))
         assert tree.root.is_leaf
 
+    def test_no_features_give_single_leaves(self):
+        ds = make_ds(np.empty((30, 0)), np.arange(30) % 2)
+        assert all(t.root.is_leaf for t in fit_forest(ds, TreeConfig(n_trees=3, seed=1)))
+
     def test_pure_regression_labels_give_single_leaf(self):
         ds = make_ds(np.random.default_rng(0).random(50), np.full(50, 0.1),
                      label_kind="real")
@@ -117,6 +255,28 @@ class TestForest:
         forest = fit_forest(tr, cfg)
         again = fit_tree(tr, cfg, sub_rng(9, STREAM_TREE, 0))
         assert _tree_signature(forest[0].root) == _tree_signature(again.root)
+
+    def test_every_tree_matches_its_derived_seed(self):
+        x, _ = _mixed_features(200, 3)
+        for ds in (make_ds(x, (x[:, 0] > 0.4).astype(int)),
+                   make_ds(x, x[:, 0] + x[:, 4], label_kind="real")):
+            cfg = TreeConfig(n_trees=7, max_depth=4, min_bag=5, seed=31)
+            forest = fit_forest(ds, cfg)
+            for t, tree in enumerate(forest):
+                alone = fit_tree(ds, cfg, sub_rng(31, STREAM_TREE, t))
+                assert forest_digest([tree]) == forest_digest([alone])
+
+    @pytest.mark.parametrize("case", ["mixed-3class", "mixed-regression"])
+    @pytest.mark.parametrize("limit,rows", [
+        ("_BATCH_ROWS", 1),      # batches of one bootstrap bag's rows
+        ("_BATCH_ROWS", 500),    # other cuts inside a step
+        ("_CHUNK_ROWS", 1),      # one tree at a time
+        ("_CHUNK_ROWS", 600),    # two trees at a time
+    ])
+    def test_batching_does_not_move_bits(self, case, limit, rows, monkeypatch):
+        ds, cfg = _golden_cases()[case]
+        monkeypatch.setattr(tree_mod, limit, rows)
+        assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
 
     def test_deterministic_forest(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
@@ -156,3 +316,76 @@ def _tree_signature(node):
         return ("leaf", pred, node.bag_size)
     return ("node", node.dim, node.threshold,
             _tree_signature(node.left), _tree_signature(node.right))
+
+
+# --- golden forests ---------------------------------------------------------
+#
+# sha256 of forest signatures grown by the per-node recursive grower that
+# preceded lockstep growth. A signature lists each tree's bootstrap indices
+# and, in preorder, every node's dim, threshold (hex), bag size and
+# prediction (hex), so any change to a draw, a split or a tie-break moves it.
+
+def _mixed_features(n, seed):
+    """Numeric dims (one with few distinct values, one constant) and dummy dims."""
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([
+        rng.random(n),
+        rng.integers(0, 3, n) * 0.25,  # duplicates, and constant in small bags
+        np.full(n, 0.7),               # never splittable
+        rng.normal(size=n),
+        rng.integers(0, 2, n),         # binary
+        (rng.random(n) < 0.15),        # binary, often constant in a bag
+    ]).astype(np.float64)
+    return x, rng
+
+
+def _golden_cases():
+    med, _, _ = generate_medical(SynthConfig(n_train=400, n_test=1, noise_rate=0.01, seed=3))
+    x, rng = _mixed_features(300, 21)
+    three = make_ds(x, (x[:, 0] * 3 + (x[:, 4] - 0.5) * rng.random(300)).astype(int) % 3)
+    three.label_names = ["a", "b", "c"]
+    real = make_ds(x, x[:, 0] + 0.5 * x[:, 4] - 0.3 * x[:, 5] + 0.1 * rng.normal(size=300),
+                   label_kind="real")
+    sub, _ = generate_subtyped_regression(SynthConfig(n_train=300, n_test=1, seed=5), 3)
+    edge = make_ds(x[:40], (x[:40, 0] > 0.5).astype(int))
+    noisy = make_ds(x[:40], ((x[:40, 0] * 4).astype(int) + x[:40, 4].astype(int)) % 2)
+    return {
+        "medical-2class": (med, TreeConfig(n_trees=8, seed=11)),
+        "mixed-3class": (three, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=12,
+                                           n_threshold_candidates=3)),
+        "mixed-regression": (real, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=13)),
+        "subtyped-regression": (sub, TreeConfig(n_trees=6, seed=14, n_feature_candidates=6)),
+        # a 40-row bag splits only 20/20, and no child can split again
+        "min-bag-edge": (edge, TreeConfig(n_trees=6, min_bag=20, seed=15,
+                                          n_feature_candidates=6)),
+        "min-bag-one": (noisy, TreeConfig(n_trees=4, max_depth=8, min_bag=1, seed=16)),
+    }
+
+
+def _hex_prediction(pred):
+    return " ".join(float(v).hex() for v in np.atleast_1d(pred))
+
+
+def forest_digest(forest):
+    lines = []
+    for tree in forest:
+        lines.append(np.asarray(tree.bootstrap_indices, dtype=np.int64).tobytes().hex())
+        lines.extend(f"{node.dim} {float(node.threshold).hex()} {node.bag_size} "
+                     f"{_hex_prediction(node.prediction)}" for node, _ in iter_nodes(tree.root))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+GOLDEN_FOREST_DIGESTS = {
+    "medical-2class": "429916c908d3cc35335b4b3970b20e75ba766626cb2b1335934cb82634a1232f",
+    "min-bag-edge": "56a20037a0bd6c0937f68d759cfc53ccb5ab3c9311cdc4294231dffd8921f995",
+    "min-bag-one": "41a233c3eafef8939ab0012bb9b080756b688260374fb9029554ced78fadacac",
+    "mixed-3class": "9d9277a25652245014453ee7ef297eb2a82ec6c16f3de6696a7dc97b5687b859",
+    "mixed-regression": "b377431a8169f988744eb43cdea354287e410c6c3931a7de6de1cc40dd4f27ae",
+    "subtyped-regression": "0ef52020a6633461f5123e09b0a5c11995a387708762fd73a5c7a32d75c29362",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FOREST_DIGESTS))
+def test_golden_forest(case):
+    ds, cfg = _golden_cases()[case]
+    assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
