@@ -127,9 +127,11 @@ def train_sweep(ds: Dataset, hp: HyperParams, param: str, values: list[int]):
     """Yield ``(v, train(ds, hp'))`` for each v, where hp' is ``hp`` with ``param``
     ("k" or "trees") set to v, growing one forest for the whole sweep.
 
-    With "k" the forest and the rule space are shared and only selection
-    reruns. With "trees" the largest forest is grown once: tree t depends
-    only on (seed, t), so its first v trees are the forest of v trees.
+    With "k" the forest and the rule space are shared. Forward selection
+    runs once, at the largest k, and each value refits its first v rules
+    (greedy rounds are nested); the lasso reselects per value. With "trees"
+    the largest forest is grown once: tree t depends only on (seed, t), so
+    its first v trees are the forest of v trees.
     """
     if param not in ("k", "trees"):
         raise ValueError(f"unknown sweep parameter {param!r}")
@@ -140,8 +142,12 @@ def train_sweep(ds: Dataset, hp: HyperParams, param: str, values: list[int]):
     _check_training_data(ds, hp)
     if param == "k":
         pool, space = _rule_space(ds, fit_forest(ds, hp.tree))
+        largest = None
+        if hp.method == METHOD_FORWARD:
+            largest = forward_select(space, ds.y, max(values), _glm_task(hp.task))
         for v, hp_v in zip(values, hps):
-            yield v, _select(ds, hp_v, pool, space)
+            result = largest.prefix(v, space, ds.y, _glm_task(hp.task)) if largest else None
+            yield v, _select(ds, hp_v, pool, space, result)
     else:
         forest = fit_forest(ds, replace(hp.tree, n_trees=max(values)))
         for v, hp_v in zip(values, hps):
@@ -162,12 +168,13 @@ def _rule_space(ds: Dataset, forest) -> tuple:
     return pool, construct_pattern_space(ds, pool.patterns)
 
 
-def _select(ds: Dataset, hp: HyperParams, pool, space) -> DppredModel:
-    """Select ``hp.k`` rules of the pool and refit the GLM over them."""
-    if hp.method == METHOD_FORWARD:
-        result = forward_select(space, ds.y, hp.k, _glm_task(hp.task))
-    else:
-        result = lasso_select(space, ds.y, hp.k, _glm_task(hp.task))
+def _select(ds: Dataset, hp: HyperParams, pool, space,
+            result: SelectionResult | None = None) -> DppredModel:
+    """Select ``hp.k`` rules of the pool, unless ``result`` already holds them,
+    and build the model on them."""
+    if result is None:
+        select = forward_select if hp.method == METHOD_FORWARD else lasso_select
+        result = select(space, ds.y, hp.k, _glm_task(hp.task))
 
     return DppredModel(
         patterns=[pool.patterns[j] for j in result.chosen],

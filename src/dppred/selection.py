@@ -10,9 +10,15 @@ set each round. Regression gains come from exact least-squares updates
 (Schur complement against the incumbent Gram matrix), so a candidate's
 score is the true refit MSE. Classification scoring compresses the rows
 to distinct (incumbent-bits, label) groups, which leaves the likelihood
-unchanged, then runs a few damped Newton steps per candidate from the
-incumbent warm start with the Hessian frozen at that start. Warm starts
-make the per-round training metric non-decreasing by construction.
+unchanged, so each candidate's refit is a logistic fit of s + 2
+parameters over at most 2G weighted points (s rules chosen, G groups).
+Every candidate gets that exact refit: Newton (IRLS) steps with its own
+exact Hessian, batched over blocks of candidates with one gemm for the
+Hessians and one batched solve, run until the loss changes by at most
+``_TOL`` relative. A candidate's score is thus its converged refit
+likelihood, one-vs-rest classes summed. Steps start from the incumbent
+with the candidate's weight at zero, which makes the per-round training
+metric non-decreasing by construction.
 
 LASSO selection binary-searches the penalty for the largest support of at
 most k rules, warm-starting each fit from the previous one. Each penalized
@@ -40,10 +46,10 @@ from .glm import (
     support,
 )
 
-_INNER_TOL = 1e-5
+_TOL = 1e-5         # relative loss change that ends a candidate's Newton steps
+_MAX_STEPS = 25     # Newton steps per candidate and class in one round
 _SCHUR_EPS = 1e-9
-_MAX_GROUPS_FULL_BUDGET = 2048
-_BLOCK_CELLS = 3e7  # cap on candidate-block * group-count temporaries
+_CANDIDATE_CELLS = 1 << 16  # cap on block candidates * (groups + Hessian cells) each
 _COPY_ROWS = 4096   # rows per block of the work copy: no full-size gather of Xp first
 
 
@@ -64,6 +70,19 @@ class SelectionResult:
                 writer.writerow(["lambda", "support_size"])
                 for lam, size in self.trace:
                     writer.writerow([repr(float(lam)), size])
+
+    def prefix(self, v: int, Xp, y, task: str) -> "SelectionResult":
+        """The forward selection of ``v`` rules from this forward selection.
+
+        Greedy rounds do not depend on k, so the first ``v`` rounds are the
+        selection at k = ``v``; only the refit on their rules is new.
+        """
+        if v >= len(self.chosen):
+            return self
+        chosen = self.chosen[:v]
+        return SelectionResult(chosen=chosen, trace=self.trace[:v],
+                               model=fit_glm(np.asarray(Xp)[:, chosen].astype(np.float64),
+                                             np.asarray(y), task))
 
 
 def _distinct_columns(Xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,25 +187,19 @@ def _group_rows(selected_bits: np.ndarray, y: np.ndarray):
 
 
 def _grouped_candidate_counts(Xw, order, starts):
-    gathered = Xw[order]
-    m1 = np.add.reduceat(gathered, starts, axis=0)
-    return np.asarray(m1, dtype=np.float64)
-
-
-def _softplus(z):
-    return np.logaddexp(0.0, z)
+    """(pool, G) counts of the rows of each group that satisfy each candidate."""
+    return np.add.reduceat(Xw[order], starts, axis=0).T.astype(np.float64, order="C")
 
 
 def _forward_logistic(Xw, y, k):
-    """Grouped warm-started Newton scoring for every candidate each round."""
+    """Grouped exact-refit scoring for every candidate each round."""
     n, pool = Xw.shape
     n_classes = int(y.max()) + 1
     class_list = [1] if n_classes == 2 else list(range(n_classes))
 
-    # incumbent per class: weights over chosen columns plus intercept
-    inc_w = [np.zeros(0) for _ in class_list]
+    # incumbent per class: intercept, then the weights of the chosen columns
     p_mean = [float((y == c).mean()) for c in class_list]
-    inc_b = [float(np.log(max(p, 1e-12) / max(1.0 - p, 1e-12))) for p in p_mean]
+    inc = [np.array([np.log(max(p, 1e-12) / max(1.0 - p, 1e-12))]) for p in p_mean]
 
     chosen: list[int] = []
     trace: list[tuple] = []
@@ -195,25 +208,16 @@ def _forward_logistic(Xw, y, k):
     for rnd in range(1, k + 1):
         bits = Xw[:, chosen].astype(np.int64)
         Xg, yg, n_g, order, starts = _group_rows(bits, y)
-        m1 = _grouped_candidate_counts(Xw, order, starts)  # (G, pool)
-        m0 = n_g[:, None] - m1
-        n_groups = len(n_g)
-        inner_iters = 25 if n_groups <= _MAX_GROUPS_FULL_BUDGET else 8
-        block = max(1, int(_BLOCK_CELLS / max(n_groups, 1)))
+        m1 = _grouped_candidate_counts(Xw, order, starts)
+        m0 = n_g - m1
 
         total_nll = np.zeros(pool)
-        new_w = np.zeros((pool, len(chosen) + 1, len(class_list)))
-        new_b = np.zeros((pool, len(class_list)))
-
+        fits = []
         for ci, c in enumerate(class_list):
-            t_g = (yg == c).astype(np.float64)
-            nll, wfit, vfit, bfit = _score_candidates_one_class(
-                Xg, t_g, n_g, m1, m0, inc_w[ci], inc_b[ci], inner_iters, block)
+            nll, theta = _score_candidates_one_class(Xg, (yg == c).astype(np.float64),
+                                                     m1, m0, inc[ci])
             total_nll += nll
-            if len(chosen):
-                new_w[:, :-1, ci] = wfit
-            new_w[:, -1, ci] = vfit
-            new_b[:, ci] = bfit
+            fits.append(theta)
 
         metrics = -total_nll / n
         metrics[chosen] = -np.inf
@@ -221,13 +225,10 @@ def _forward_logistic(Xw, y, k):
         metric = float(metrics[winner])
 
         if metric >= last_metric:
-            for ci in range(len(class_list)):
-                inc_w[ci] = new_w[winner, :, ci].copy()
-                inc_b[ci] = float(new_b[winner, ci])
+            inc = [theta[winner] for theta in fits]
         else:
             # regrouping float noise: extend the incumbent with a zero weight
-            for ci in range(len(class_list)):
-                inc_w[ci] = np.append(inc_w[ci], 0.0)
+            inc = [np.append(w, 0.0) for w in inc]
             metric = last_metric
         chosen.append(winner)
         last_metric = metric
@@ -236,91 +237,68 @@ def _forward_logistic(Xw, y, k):
     return chosen, trace
 
 
-def _score_candidates_one_class(Xg, t_g, n_g, m1, m0, w_start, b_start, max_iters, block):
-    """Fit every single-column extension for one binary target.
+def _score_candidates_one_class(Xg, t_g, m1, m0, start):
+    """Refit every single-column extension of the incumbent for one binary target.
 
-    Groups are exact sufficient statistics; each candidate's parameters are
-    updated with damped Newton steps whose Hessian is frozen at the shared
-    warm start, solved per candidate through the Schur complement of the
-    shared block.
+    A candidate is a logistic fit of s + 2 parameters (intercept, the s
+    incumbent weights, its own weight) over 2G weighted points: the rows of
+    group g with the candidate's bit set (count ``m1``) or clear (``m0``).
+    Exact Newton steps from the incumbent, with the candidate's weight at
+    zero, run batched over a block of candidates; a candidate leaves the
+    block once its loss change meets the tolerance. Returns each
+    candidate's loss and parameters (intercept, weights, its weight).
     """
-    n_groups, s = Xg.shape
-    pool = m1.shape[1]
+    phi = np.column_stack([np.ones(len(t_g)), Xg])  # (G, s+1)
+    outer = (phi[:, :, None] * phi[:, None, :]).reshape(len(t_g), -1)
+    sign = 2.0 * t_g - 1.0  # margins keep tiny losses exact once rows separate
+    theta = np.tile(np.append(start, 0.0), (len(m1), 1))
+    nll = np.empty(len(m1))
+    block = max(1, _CANDIDATE_CELLS // (len(t_g) + theta.shape[1] ** 2))
 
-    z0 = Xg @ w_start + b_start
-    mu0 = sigmoid(z0)
-    dens = mu0 * (1.0 - mu0)            # per-row curvature density
-    phi = np.column_stack([np.ones(n_groups), Xg])  # (G, s+1)
-    h_base = phi.T @ ((n_g * dens)[:, None] * phi)
-    h_base[np.diag_indices_from(h_base)] += 1e-10
-    cross = phi.T @ (dens[:, None] * m1)  # (s+1, pool)
-    corner = dens @ m1
-    try:
-        u_mat = np.linalg.solve(h_base, cross)
-    except np.linalg.LinAlgError:
-        u_mat = np.linalg.lstsq(h_base, cross, rcond=None)[0]
-    schur = corner - (cross * u_mat).sum(axis=0)
-    usable = schur > _SCHUR_EPS * np.maximum(corner, 1.0)
-    schur_safe = np.where(usable, schur, 1.0)
+    def margins(th):  # of the points with the candidate's bit set, and clear
+        u0 = sign * (th[:, :-1] @ phi.T)
+        return u0 + sign * th[:, -1:], u0
 
-    W = np.tile(w_start, (pool, 1))
-    V = np.zeros(pool)
-    B = np.full(pool, float(b_start))
-    nll = np.empty(pool)
+    def losses(th, a1, a0):
+        u1, u0 = margins(th)
+        return (a1 * np.logaddexp(0.0, -u1) + a0 * np.logaddexp(0.0, -u0)).sum(axis=1)
 
-    def block_nll(sl, Wb, Vb, Bb):
-        zs = Wb @ Xg.T + Bb[:, None]
-        z1 = zs + Vb[:, None]
-        loss1 = m1[:, sl].T * (_softplus(z1) - t_g[None, :] * z1)
-        loss0 = m0[:, sl].T * (_softplus(zs) - t_g[None, :] * zs)
-        return loss1.sum(axis=1) + loss0.sum(axis=1), zs, z1
+    def newton_steps(th, a1, a0):
+        q1, q0 = (sigmoid(-u) for u in margins(th))  # probabilities of the other label
+        r1, d1 = -sign * a1 * q1, a1 * q1 * (1.0 - q1)  # loss gradient and curvature in z
+        r, d = r1 - sign * a0 * q0, d1 + a0 * q0 * (1.0 - q0)
+        s1 = phi.shape[1]
+        hess = np.empty((len(th), s1 + 1, s1 + 1))
+        hess[:, :s1, :s1] = (d @ outer).reshape(-1, s1, s1)
+        hess[:, :s1, s1] = hess[:, s1, :s1] = d1 @ phi
+        hess[:, s1, s1] = d1.sum(axis=1)
+        hess += 1e-10 * np.eye(s1 + 1)  # duplicate and complement columns stay solvable
+        grad = np.column_stack([r @ phi, r1.sum(axis=1)])
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
 
-    for start in range(0, pool, block):
-        sl = slice(start, min(start + block, pool))
-        Wb, Vb, Bb = W[sl], V[sl], B[sl]
-        f_cur, zs, z1 = block_nll(sl, Wb, Vb, Bb)
-        active = np.ones(sl.stop - sl.start, dtype=bool)
-
-        for _ in range(max_iters):
-            r1 = m1[:, sl].T * (sigmoid(z1) - t_g[None, :])
-            r0 = m0[:, sl].T * (sigmoid(zs) - t_g[None, :])
-            r_all = r1 + r0
-            g_shared = r_all @ phi  # (B, s+1)
-            g_v = r1.sum(axis=1)
-
-            try:
-                q = np.linalg.solve(h_base, g_shared.T)
-            except np.linalg.LinAlgError:
-                q = np.linalg.lstsq(h_base, g_shared.T, rcond=None)[0]
-            dv = np.where(usable[sl], (g_v - (cross[:, sl] * q).sum(axis=0)) / schur_safe[sl], 0.0)
-            d_shared = q - u_mat[:, sl] * dv[None, :]  # (s+1, B)
-
-            alpha = np.where(active, 1.0, 0.0)
-            for _ in range(12):
-                W_try = Wb - alpha[:, None] * d_shared[1:].T
-                B_try = Bb - alpha * d_shared[0]
-                V_try = Vb - alpha * dv
-                f_try, zs_try, z1_try = block_nll(sl, W_try, V_try, B_try)
-                bad = active & (f_try > f_cur)
-                if not bad.any():
+    for lo in range(0, len(m1), block):
+        th, a1, a0 = theta[lo:lo + block], m1[lo:lo + block], m0[lo:lo + block]
+        f = losses(th, a1, a0)
+        act = np.arange(len(th))
+        for _ in range(_MAX_STEPS):
+            step = newton_steps(th[act], a1[act], a0[act])
+            trial = th[act] - step
+            f_old, f_try = f[act], losses(trial, a1[act], a0[act])
+            for _ in range(12):  # halve only the steps whose loss rose
+                bad = np.flatnonzero(f_try > f_old)
+                if not len(bad):
                     break
-                alpha[bad] *= 0.5
-            improved = active & (f_try <= f_cur)
-            Wb = np.where(improved[:, None], W_try, Wb)
-            Bb = np.where(improved, B_try, Bb)
-            Vb = np.where(improved, V_try, Vb)
-            f_new = np.where(improved, f_try, f_cur)
-            zs = np.where(improved[:, None], zs_try, zs)
-            z1 = np.where(improved[:, None], z1_try, z1)
-            active = active & (np.abs(f_cur - f_new) > _INNER_TOL * np.maximum(1.0, np.abs(f_cur)))
-            f_cur = f_new
-            if not active.any():
+                step[bad] *= 0.5
+                trial[bad] = th[act[bad]] - step[bad]
+                f_try[bad] = losses(trial[bad], a1[act[bad]], a0[act[bad]])
+            ok = f_try <= f_old
+            th[act[ok]], f[act[ok]] = trial[ok], f_try[ok]
+            act = act[ok & (f_old - f_try > _TOL * np.maximum(1.0, np.abs(f_old)))]
+            if not len(act):
                 break
+        nll[lo:lo + block] = f
 
-        W[sl], V[sl], B[sl] = Wb, Vb, Bb
-        nll[sl] = f_cur
-
-    return nll, W, V, B
+    return nll, theta
 
 
 def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> SelectionResult:

@@ -252,21 +252,30 @@ class TestSweepCommand:
         ("k", [1, 4, 9], "forward"),
         ("k", [2, 6], "lasso"),
         ("trees", [3, 1, 8], "forward"),
+        # unsorted, repeated, and past the 87 distinct rules of this pool
+        ("k", [5, 2, 5, 90], "forward"),
     ])
     def test_sweep_rows_equal_separate_training(self, param, values, method, medical_files,
                                                 tmp_path, monkeypatch):
-        grown = []
+        grown, selected = [], []
         fit_forest = model_mod.fit_forest
         monkeypatch.setattr(model_mod, "fit_forest",
                             lambda ds, cfg: grown.append(cfg.n_trees) or fit_forest(ds, cfg))
+        for name in ("forward_select", "lasso_select"):
+            select = getattr(model_mod, name)
+            monkeypatch.setattr(model_mod, name, lambda space, y, k, task, select=select:
+                                selected.append(k) or select(space, y, k, task))
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--data", str(medical_files["train"]),
                      "--schema", str(medical_files["schema"]),
                      "--test", str(medical_files["test"]), "--method", method,
                      "--param", param, "--values", ",".join(map(str, values)),
                      "--trees", "6", "--seed", "4", "--out", str(out)]) == 0
-        # one forest for the whole sweep, the largest one
+        # one forest for the whole sweep, the largest one, and one forward
+        # selection for a k sweep: its first v rounds are the selection at v
         assert grown == [max(values) if param == "trees" else 6]
+        assert selected == ([20] * len(values) if param == "trees" else
+                            [max(values)] if method == "forward" else values)
 
         label_task, schema = read_schema_file(medical_files["schema"])
         train = load_csv(medical_files["train"], schema, label_task)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dppred.glm import lambda_max, logistic_loss, support
+from dppred import selection
+from dppred.glm import fit_glm, lambda_max, logistic_loss, support
 from dppred.selection import forward_select, lasso_select
 
 
@@ -200,6 +201,57 @@ def test_appended_copies_change_nothing(seed, kind, n, pool, n_copies):
     with pytest.warns(UserWarning, match="entire pool"):
         res = forward_select(X_copies, y, k, task)
     assert sorted(res.chosen) == distinct
+
+
+def _refit_nll(X, y, cols):
+    """Summed one-vs-rest training loss of the unpenalized refit on ``cols``."""
+    Xc = X[:, cols].astype(np.float64)
+    fit = fit_glm(Xc, y, "logistic")
+    labels = [1] if fit.classes == 2 else range(fit.classes)
+    weights, intercepts = np.atleast_2d(fit.weights), np.atleast_1d(fit.intercept)
+    return sum(len(y) * logistic_loss(Xc, (y == c).astype(float), w, b)[0]
+               for c, w, b in zip(labels, weights, intercepts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multiclass"]),
+       n=st.integers(30, 90), pool=st.integers(2, 6), planted=st.booleans(),
+       flip=st.sampled_from([0.0, 0.1]))
+def test_forward_logistic_scores_are_exact_refits(seed, kind, n, pool, planted, flip):
+    # each round's winner scores its exact refit loss, and no candidate's
+    # exact refit beats it, within the stopping tolerance of each class
+    gen = rng(seed)
+    base = gen.integers(0, 2, size=(n, pool)).astype(np.uint8)
+    X = np.column_stack([base, base[:, 0], 1 - base[:, 1]])  # a duplicate, a complement
+    _, y = _labels(gen, base, kind)
+    if planted:  # labels a function of the pool: the refits separate the rows
+        y = base[:, -1] + (kind == "multiclass") * base[:, 0].astype(np.int64)
+    y = np.where(gen.random(n) < flip, gen.integers(0, y.max() + 1, size=n), y)
+    n_targets = 1 if kind == "binary" else 3
+    assume(len(np.unique(y)) == n_targets + (kind == "binary"))
+    distinct = _first_of_each_content(X)
+    res = forward_select(X, y, min(4, len(distinct)), "logistic")
+    for rnd, winner, metric in res.trace:
+        incumbent = res.chosen[:rnd - 1]
+        refs = {j: _refit_nll(X, y, incumbent + [j]) for j in distinct if j not in incumbent}
+        tol = selection._TOL * n_targets * max(1.0, refs[winner])
+        assert abs(-metric * n - refs[winner]) <= tol, rnd
+        assert min(refs.values()) >= refs[winner] - tol, rnd
+
+
+@pytest.mark.parametrize("kind", ["binary", "multiclass"])
+def test_candidate_blocks_do_not_change_the_selection(kind, monkeypatch):
+    gen = rng(17)
+    X = gen.integers(0, 2, size=(300, 40)).astype(np.uint8)
+    _, y = _labels(gen, X[:, :6], kind)
+    want = forward_select(X, y, 8, "logistic")
+    for cells in (1, 300):  # one candidate per block; a few per block
+        monkeypatch.setattr(selection, "_CANDIDATE_CELLS", cells)
+        got = forward_select(X, y, 8, "logistic")
+        assert got.chosen == want.chosen
+        # gemm rows may round differently with the block height
+        np.testing.assert_allclose([m for *_, m in got.trace], [m for *_, m in want.trace],
+                                   rtol=1e-12, atol=0)
 
 
 class TestTraceCsv:
