@@ -96,9 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lda-beta", type=float, default=0.1)
     p.add_argument("--gibbs-iterations", type=int, default=500)
     p.add_argument("--fold-in-iterations", type=int, default=50,
-                   help="steps of the deterministic EM fold-in that assigns each predicted row "
-                        "to a cluster: a row gets the same cluster alone or in any batch, and "
-                        "a row satisfying no global rule goes to cluster 0")
+                   help="steps of the deterministic EM fold-in that assigns each training and "
+                        "predicted row to a cluster: a row gets the same cluster alone or in any "
+                        "batch, and a row satisfying no global rule goes to cluster 0")
     _add_tree_flags(p)
     _add_common(p)
 
@@ -155,12 +155,16 @@ def _hyperparams(args, task, k=None):
     return HyperParams(tree=tree, k=k, method=args.method, task=task)
 
 
+def _truth(ds):
+    """Labels on their original scale, which predictions are on."""
+    return ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
+
+
 def _print_train_metric(preds, ds, task):
     if task == TASK_CLASSIFICATION:
         print(f"train accuracy: {model_mod.evaluate(preds, ds.y, task)['accuracy']:.6f}")
     else:
-        truth = ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
-        print(f"train RMSE: {model_mod.evaluate(preds, truth, task)['rmse']:.6f}")
+        print(f"train RMSE: {model_mod.evaluate(preds, _truth(ds), task)['rmse']:.6f}")
 
 
 def cmd_train(args) -> int:
@@ -309,16 +313,14 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise UsageError("--values must be comma-separated integers") from None
 
-    label_task, schema = read_schema_file(args.schema)
-    task = _resolve_task(args.task, label_task)
-    train_ds = load_csv(args.data, schema, label_task)
-    test_ds = load_csv(args.test, train_ds.schema, label_task)
+    train_ds, task = _load_training_data(args)
+    test_ds = load_csv(args.test, train_ds.schema, train_ds.label_kind)
     if args.param == "trees" and min(values) < 1:
         raise UsageError("tree counts must be >= 1")
     hp = _hyperparams(args, task, k=min(values) if args.param == "k" else None)
 
     key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
-    rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), d.y, task)[key]
+    rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), _truth(d), task)[key]
                   for d in (train_ds, test_ds)))
             for v, m in model_mod.train_sweep(train_ds, hp, args.param, values)]
 

@@ -18,7 +18,9 @@ Hessians and one batched solve, run until the loss changes by at most
 ``_TOL`` relative. A candidate's score is thus its converged refit
 likelihood, one-vs-rest classes summed. Steps start from the incumbent
 with the candidate's weight at zero, which makes the per-round training
-metric non-decreasing by construction.
+metric non-decreasing by construction. The group counts of a round are
+one matrix product of the work copy with the 0/1 group-membership
+matrix, a block of rows at a time; they are exact integers.
 
 LASSO selection binary-searches the penalty for the largest support of at
 most k rules, warm-starting each fit from the previous one. Each penalized
@@ -50,7 +52,9 @@ _TOL = 1e-5         # relative loss change that ends a candidate's Newton steps
 _MAX_STEPS = 25     # Newton steps per candidate and class in one round
 _SCHUR_EPS = 1e-9
 _CANDIDATE_CELLS = 1 << 16  # cap on block candidates * (groups + Hessian cells) each
-_COPY_ROWS = 4096   # rows per block of the work copy: no full-size gather of Xp first
+# rows per block of the work copy (no full-size gather of Xp first) and of
+# the grouped counts, whose float32 block sums stay exact below 2**24
+_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -98,8 +102,8 @@ def _distinct_columns(Xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep = np.sort(np.unique(keys, return_index=True)[1])
     del keys  # as large as the pool itself: free it before the copy
     Xw = np.empty((Xp.shape[0], len(keep)), dtype=np.float32)
-    for start in range(0, Xp.shape[0], _COPY_ROWS):
-        Xw[start:start + _COPY_ROWS] = Xp[start:start + _COPY_ROWS, keep]
+    for start in range(0, Xp.shape[0], _BLOCK_ROWS):
+        Xw[start:start + _BLOCK_ROWS] = Xp[start:start + _BLOCK_ROWS, keep]
     return Xw, keep
 
 
@@ -176,19 +180,22 @@ def _forward_linear(Xw, y, k):
     return chosen, trace
 
 
-def _group_rows(selected_bits: np.ndarray, y: np.ndarray):
-    """Collapse rows to distinct (incumbent bits, label) combinations."""
-    key = np.column_stack([selected_bits, y]).astype(np.int64, copy=False)
+def _group_rows(Xw, chosen, y):
+    """Collapse rows to distinct (incumbent bits, label) groups.
+
+    Returns each group's incumbent bits, label and size, and the (pool, G)
+    counts of its rows that satisfy each candidate: float32 products of
+    ``Xw`` with the 0/1 group-membership matrix, one block of rows at a
+    time, summed in float64. Every count is an exact integer.
+    """
+    key = np.column_stack([Xw[:, chosen], y]).astype(np.int64)
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(uniq)))
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
-    return uniq[:, :-1].astype(np.float64), uniq[:, -1], counts, order, starts
-
-
-def _grouped_candidate_counts(Xw, order, starts):
-    """(pool, G) counts of the rows of each group that satisfy each candidate."""
-    return np.add.reduceat(Xw[order], starts, axis=0).T.astype(np.float64, order="C")
+    m1 = np.zeros((Xw.shape[1], len(uniq)))
+    for start in range(0, len(y), _BLOCK_ROWS):
+        member = inverse[start:start + _BLOCK_ROWS, None] == np.arange(len(uniq))
+        m1 += Xw[start:start + _BLOCK_ROWS].T @ member.astype(np.float32)
+    n_g = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
+    return uniq[:, :-1].astype(np.float64), uniq[:, -1], n_g, m1
 
 
 def _forward_logistic(Xw, y, k):
@@ -206,9 +213,7 @@ def _forward_logistic(Xw, y, k):
     last_metric = -np.inf
 
     for rnd in range(1, k + 1):
-        bits = Xw[:, chosen].astype(np.int64)
-        Xg, yg, n_g, order, starts = _group_rows(bits, y)
-        m1 = _grouped_candidate_counts(Xw, order, starts)
+        Xg, yg, n_g, m1 = _group_rows(Xw, chosen, y)
         m0 = n_g - m1
 
         total_nll = np.zeros(pool)

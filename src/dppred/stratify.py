@@ -4,13 +4,13 @@ Instances are first described by which globally mined rules they satisfy.
 Treating each satisfied rule as a token, latent Dirichlet allocation over
 these bags partitions the instances into disjoint clusters; each cluster
 then gets its own locally mined rules, and one unified GLM is fitted over
-the global block plus the (cluster-dependent) local block. A training row
-satisfying no global rule has an empty bag and goes to cluster 0.
+the global block plus the (cluster-dependent) local block.
 
-Prediction folds each row into the frozen topics with a deterministic
-per-row EM (no random draws), so a row gets the same cluster, and the same
-prediction bits, alone or inside any batch; a row satisfying no global rule
-keeps the uniform topic mix and goes to cluster 0, as in training. The
+Training and prediction both fold each row into the frozen topics with a
+deterministic per-row EM (no random draws), so a row gets the same
+cluster, and the same prediction bits, alone or inside any batch, and a
+training row is served in the cluster it was trained in; a row satisfying
+no global rule keeps the uniform topic mix and goes to cluster 0. The
 global and local rules are served by the compiled kernel of plain models,
 the unified block is scored by the same GLM kernel, and model files reuse
 the plain model's section codecs.
@@ -143,8 +143,8 @@ def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
 
     All documents update a slot simultaneously: document-topic counts stay
     exact per document, topic-word counts refresh after each slot pass.
-    The second half of the sweeps is averaged, so short bags are not at
-    the mercy of their final draw.
+    Returns the topic-word counts averaged over the second half of the
+    sweeps, so short bags are not at the mercy of their final draw.
     """
     n, width = tokens.shape
     z = rng.integers(0, n_topics, size=(n, width))
@@ -157,9 +157,7 @@ def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
     ck = ckw.sum(axis=1)
 
     burn_in = iterations // 2
-    cd_acc = np.zeros_like(cd)
     ckw_acc = np.zeros_like(ckw)
-    samples = 0
 
     for sweep in range(iterations):
         for j in rng.permutation(width):
@@ -184,33 +182,27 @@ def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
             np.add.at(ck, new, 1.0)
             cd[docs, new] += 1.0
         if sweep >= burn_in:
-            cd_acc += cd
             ckw_acc += ckw
-            samples += 1
 
-    # sweep range always reaches burn_in, so samples >= 1
-    mean_cd = cd_acc / samples
-    mean_ckw = ckw_acc / samples
-    return z, mean_cd, mean_ckw, mean_ckw.sum(axis=1)
+    # sweep range always reaches burn_in, so at least one sample was taken
+    return ckw_acc / (iterations - burn_in)
 
 
 def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
     """Hard cluster assignments plus the topic-rule distributions.
 
-    An instance satisfying no rule has no topic counts, so ``argmax`` puts
-    it in cluster 0, where the fold-in of ``_assign`` serves it too.
+    Each instance is assigned by the fold-in of ``_assign`` on the returned
+    topics, so training and serving give a row the same cluster; an
+    instance satisfying no rule goes to cluster 0.
     """
     bits = np.asarray(global_bits)
     n_words = bits.shape[1]
     rng = sub_rng(cfg.seed, STREAM_LDA)
     tokens, mask = _bits_to_tokens(bits, rng)
-    _, cd, ckw, ck = _gibbs_train(
-        tokens, mask, cfg.n_clusters, n_words, cfg.alpha, cfg.lda_beta,
-        cfg.gibbs_iterations, rng)
-
-    assignments = np.argmax(cd + cfg.alpha, axis=1).astype(np.int64)
-    topics = (ckw + cfg.lda_beta) / (ck + n_words * cfg.lda_beta)[:, None]
-    return assignments, topics
+    ckw = _gibbs_train(tokens, mask, cfg.n_clusters, n_words, cfg.alpha, cfg.lda_beta,
+                       cfg.gibbs_iterations, rng)
+    topics = (ckw + cfg.lda_beta) / (ckw.sum(axis=1) + n_words * cfg.lda_beta)[:, None]
+    return _assign(topics, cfg, bits), topics
 
 
 def _unified_matrix(global_bits, assignments, x, local_rules, n_global, n_local):
@@ -277,7 +269,7 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
     )
 
 
-def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
+def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
     """Fold rows into the frozen topics by a deterministic per-row EM.
 
     With ``A = topics.T`` and ``theta`` starting uniform, each of
@@ -289,9 +281,9 @@ def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
     temporary near ``_FOLD_IN_CELLS`` cells. An empty bag keeps the uniform
     ``theta`` and goes to cluster 0.
     """
-    a = m.topics.T
+    a = topics.T
     n_topics = a.shape[1]
-    alpha = m.config.alpha
+    alpha = cfg.alpha
     bits = np.asarray(global_bits, dtype=np.float64)
     block = max(1, _FOLD_IN_CELLS // a.size)
     out = np.empty(bits.shape[0], dtype=np.int64)
@@ -300,7 +292,7 @@ def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
         weighted = rows[:, :, None] * a
         norm = rows.sum(axis=1, keepdims=True) + n_topics * alpha
         theta = np.full((rows.shape[0], n_topics), 1.0 / n_topics)
-        for _ in range(m.config.fold_in_iterations):
+        for _ in range(cfg.fold_in_iterations):
             mix = (theta[:, None, :] * a).sum(axis=2, keepdims=True)
             theta = (alpha + theta * (weighted / mix).sum(axis=1)) / norm
         out[start:start + block] = np.argmax(theta, axis=1)
@@ -309,7 +301,7 @@ def _assign(m: StratifiedModel, global_bits: np.ndarray) -> np.ndarray:
 
 def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     """Fold new instances into the trained clusters."""
-    return _assign(m, rule_matrix(m.compiled[0], ds.x))
+    return _assign(m.topics, m.config, rule_matrix(m.compiled[0], ds.x))
 
 
 def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
@@ -317,8 +309,8 @@ def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     _check_compatible(m, ds)
     global_rules, local_rules = m.compiled
     global_bits = rule_matrix(global_rules, ds.x)
-    unified = _unified_matrix(global_bits, _assign(m, global_bits), ds.x, local_rules,
-                              m.config.n_global, m.config.n_local)
+    unified = _unified_matrix(global_bits, _assign(m.topics, m.config, global_bits), ds.x,
+                              local_rules, m.config.n_global, m.config.n_local)
     return glm_predictions(m.glm, unified, m.label_bounds)
 
 

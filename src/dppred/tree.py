@@ -14,22 +14,21 @@ from its own generator, ``sub_rng(seed, STREAM_TREE, t)``, in a fixed
 order: the bootstrap, then for each split it tries, in preorder, the
 ``choice`` of dims followed by one ``uniform`` per sampled dim that is not
 binary and not constant on the bag. So a tree does not depend on the
-trees grown beside it, ``fit_tree`` is the one-tree call of the same
-engine, and forests are bit-identical to the earlier per-node recursion.
+trees grown beside it, and ``fit_tree`` is the one-tree call of the same
+engine.
 
 A step gathers the sampled dims of its nodes in a (dims, rows) layout,
 compares each node's rows with its own thresholds into one preallocated
 (dims, thresholds, rows) bool mask and counts along the contiguous rows
 with ``np.add.reduceat``. The nodes are scored in batches of at most
 ``max(_BATCH_ROWS, n)`` bag rows, so the mask stays the size that one
-bootstrap bag needs however many trees grow together. Class
-counts are exact integers, so classification gains are the same bits
-however they are batched. Regression sums are not: the rounding of a BLAS
-gemv column depends on the matrix width, the column's position and the
-row stride. So they stay one ``y @ M`` per node and sampled dim, with
-``M`` the C-contiguous (bag, thresholds) 0/1 matrix the per-node search
-used (one column for a binary dim); one gemv over all of a node's
-columns gives other gain bits.
+bootstrap bag needs however many trees grow together. Class counts are
+exact integers, so classification gains are the same bits however they
+are batched, and classification forests are bit-identical to the earlier
+per-node recursion. A node's regression sums are one product of its
+(dims * thresholds, bag) 0/1 slice of the mask with the (bag, 2) matrix
+[y, y²]; it reads only that node's rows, so regression gains do not
+depend on batching either.
 """
 
 import math
@@ -262,8 +261,7 @@ class _Grower:
             imp_r = _entropy_from_counts(right.reshape(self.n_classes, -1), n_right.ravel())
             imp_l, imp_r = imp_l.reshape(n_left.shape), imp_r.reshape(n_left.shape)
         else:
-            s1, s2, tot1, tot2, parent = self._regression_sums(bags, flat, segments,
-                                                                usable, binary)
+            s1, s2, tot1, tot2, parent = self._regression_sums(bags, flat, segments)
             with np.errstate(divide="ignore", invalid="ignore"):
                 imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
                 imp_r = np.where(
@@ -295,20 +293,18 @@ class _Grower:
                               else (None, None)))
         return out
 
-    def _regression_sums(self, bags, flat, segments, usable, binary):
+    def _regression_sums(self, bags, flat, segments):
         """Left sums of y and y² per candidate, bag totals and parent variance.
 
-        Each sampled dim's sums are a gemv of y with its C-contiguous
-        (bag, thresholds) 0/1 matrix, stacked over the dims; a binary dim's
-        is a gemv with its single (bag, 1) column.
+        A node's sums are one product of its (candidates, bag) 0/1 slice of
+        the mask with the (bag, 2) matrix [y, y²]; unusable candidates,
+        NaN thresholds included, are rows like any other.
         """
-        n_nodes, n_dims, n_thr = usable.shape
-        s1 = np.zeros(usable.shape)
-        s2 = np.zeros(usable.shape)
+        n_nodes = len(bags)
+        sums = np.empty((n_nodes, flat.shape[0], 2))
         tot1 = np.empty((n_nodes, 1, 1))
         tot2 = np.empty((n_nodes, 1, 1))
         parent = np.empty(n_nodes)
-        live = usable.any(axis=2)
         for k, bag in enumerate(bags):
             y = self.y[bag]
             yy = y * y
@@ -318,18 +314,9 @@ class _Grower:
             # moment form (clipped) keeps parent and children arithmetically
             # consistent so pure bags yield exactly zero gain
             parent[k] = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
-            dims = np.flatnonzero(live[k])
-            if not dims.size:
-                continue
-            node_mask = flat[:, segments[k]].reshape(n_dims, n_thr, n_bag)
-            m = node_mask[dims].transpose(0, 2, 1).astype(np.float64, order="C")
-            s1[k, dims] = y @ m
-            s2[k, dims] = yy @ m
-            for fb in np.flatnonzero(binary[k] & live[k]).tolist():
-                column = node_mask[fb, 0][:, None]
-                s1[k, fb, :1] = y @ column
-                s2[k, fb, :1] = yy @ column
-        return s1, s2, tot1, tot2, parent
+            sums[k] = flat[:, segments[k]].astype(np.float64) @ np.column_stack([y, yy])
+        shape = (n_nodes, self.n_dims, -1)
+        return sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), tot1, tot2, parent
 
 
 def best_random_split(bag: np.ndarray, ds, cfg: TreeConfig, rng: np.random.Generator):

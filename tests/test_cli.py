@@ -1,11 +1,12 @@
 import csv
 import re
+from dataclasses import replace
 
 import pytest
 
 from dppred import model as model_mod
 from dppred.cli import main
-from dppred.data import load_csv, read_schema_file
+from dppred.data import denormalize_labels, load_csv, minmax_normalize_labels, read_schema_file
 from dppred.model import HyperParams
 from dppred.tree import TreeConfig
 
@@ -288,6 +289,31 @@ class TestSweepCommand:
             want.append([str(v)] + [repr(model_mod.evaluate(model_mod.predict(m, d), d.y,
                                                             "classification")["accuracy"])
                                     for d in (train, test)])
+        assert read_csv(out) == want
+
+    @pytest.mark.parametrize("flags", [[], ["--no-normalize-labels"]])
+    def test_regression_sweep_rows_equal_train_then_predict(self, flags, subtyped_files,
+                                                            tmp_path):
+        common = ["--data", str(subtyped_files["train"]),
+                  "--schema", str(subtyped_files["schema"]),
+                  "--trees", "10", "--seed", "4", *flags]
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *common, "--test", str(subtyped_files["test"]),
+                     "--param", "k", "--values", "3,8", "--out", str(out)]) == 0
+
+        label_task, schema = read_schema_file(subtyped_files["schema"])
+        data = [load_csv(subtyped_files[name], schema, label_task) for name in ("train", "test")]
+        if not flags:  # train rows are scored as `train` scores them: on denormalized labels
+            scaled = minmax_normalize_labels(data[0])
+            data[0] = replace(data[0], y=denormalize_labels(scaled.y, scaled.label_bounds))
+        want = [["value", "train_metric", "test_metric"]]
+        for k in (3, 8):
+            path = tmp_path / f"k{k}.model"
+            assert main(["train", *common, "--k", str(k), "--out", str(path)]) == 0
+            m = model_mod.load(path)
+            want.append([str(k)] + [repr(model_mod.evaluate(model_mod.predict(m, d), d.y,
+                                                            "regression")["rmse"])
+                                    for d in data])
         assert read_csv(out) == want
 
     def test_empty_values_usage_error(self, medical_files, tmp_path):

@@ -272,3 +272,34 @@ class TestTraceCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "lambda,support_size"
         assert len(lines) == len(res.trace) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.sampled_from([2, 3]),
+       n=st.integers(1, 60), pool=st.integers(1, 12), n_chosen=st.integers(0, 4),
+       rows=st.sampled_from([1, 7]))
+def test_group_counts_equal_a_per_group_loop(seed, n_classes, n, pool, n_chosen, rows):
+    gen = rng(seed)
+    Xw = gen.integers(0, 2, size=(n, pool)).astype(np.float32)
+    y = gen.integers(0, n_classes, size=n)
+    chosen = gen.choice(pool, size=min(n_chosen, pool), replace=False).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection, "_BLOCK_ROWS", rows)
+        Xg, yg, n_g, m1 = selection._group_rows(Xw, chosen, y)
+    assert m1.shape == (pool, len(yg)) and m1.dtype == np.float64
+    assert n_g.sum() == n  # groups are disjoint and cover every row
+    for g in range(len(yg)):
+        members = np.all(Xw[:, chosen] == Xg[g], axis=1) & (y == yg[g])
+        assert n_g[g] == members.sum()
+        assert np.array_equal(m1[:, g], Xw[members].sum(axis=0, dtype=np.float64))
+
+
+@pytest.mark.parametrize("kind", ["binary", "multiclass"])
+def test_count_blocks_do_not_move_bits(kind, monkeypatch):
+    gen = rng(23)
+    X = gen.integers(0, 2, size=(300, 40)).astype(np.uint8)
+    _, y = _labels(gen, X[:, :6], kind)
+    want = _selected(forward_select, X, y, 8, "logistic")
+    for rows in (1, 7):  # one row per block; blocks that do not divide the rows
+        monkeypatch.setattr(selection, "_BLOCK_ROWS", rows)
+        assert _selected(forward_select, X, y, 8, "logistic") == want

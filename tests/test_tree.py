@@ -96,6 +96,9 @@ def reference_split(bag, ds, cfg, rng):
     Same draws in the same order (``choice`` of the dims, then ``uniform``
     per non-binary dim whose range on the bag is not zero) and the same
     arithmetic; the best candidate is the minimum of (-gain, dim, threshold).
+    Regression sums are the grower's: one product per node of the
+    (dims * thresholds, bag) 0/1 matrix, slots without a threshold all
+    zero, with [y, y²].
     """
     n_bag = len(bag)
     sigma = cfg.min_bag
@@ -116,17 +119,27 @@ def reference_split(bag, ds, cfg, rng):
         sumsq_tot = float((y * y).sum())
         parent = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
 
-    best = None
-    for dim in dims:
+    grid = np.full((len(dims), cfg.n_threshold_candidates), np.nan)
+    for i, dim in enumerate(dims):
         xcol = ds.x[bag, dim]
         if ds.binary_dims[dim]:
-            thresholds = np.array([0.5])
+            grid[i, 0] = 0.5
         else:
             lo, hi = float(xcol.min()), float(xcol.max())
-            if lo == hi:
-                continue
-            thresholds = rng.uniform(lo, hi, size=cfg.n_threshold_candidates)
-        masks = xcol[:, None] < thresholds[None, :]
+            if lo != hi:
+                grid[i] = rng.uniform(lo, hi, size=cfg.n_threshold_candidates)
+    slots = ds.x[bag][:, dims].T[:, None, :] < grid[:, :, None]  # NaN: all zero
+    if not classify:
+        sums = (slots.reshape(-1, n_bag).astype(np.float64) @ np.column_stack([y, y * y])
+                ).reshape(grid.shape + (2,))
+
+    best = None
+    for i, dim in enumerate(dims):
+        drawn = ~np.isnan(grid[i])
+        if not drawn.any():
+            continue
+        thresholds = grid[i, drawn]
+        masks = slots[i, drawn].T
         n_left = masks.sum(axis=0).astype(np.float64)
         n_right = n_bag - n_left
         usable = (n_left >= sigma) & (n_right >= sigma)
@@ -138,8 +151,7 @@ def reference_split(bag, ds, cfg, rng):
             imp_l = tree_mod._entropy_from_counts(left_counts, n_left)
             imp_r = tree_mod._entropy_from_counts(right_counts, n_right)
         else:
-            s1 = y @ masks
-            s2 = (y * y) @ masks
+            s1, s2 = sums[i, drawn].T
             with np.errstate(divide="ignore", invalid="ignore"):
                 imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
                 imp_r = np.where(n_right > 0, (sumsq_tot - s2) / n_right
