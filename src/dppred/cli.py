@@ -18,7 +18,6 @@ from .data import (
     LABEL_CLASS,
     LABEL_REAL,
     _parse_number,
-    denormalize_labels,
     load_csv,
     load_labels,
     minmax_normalize_labels,
@@ -135,12 +134,16 @@ def _resolve_task(flag_task, label_task):
 
 
 def _load_training_data(args):
+    """The training set (real labels rescaled unless --no-normalize-labels),
+    its task, and its labels as read from the file, which predictions are
+    scored against."""
     label_task, schema = read_schema_file(args.schema)
     task = _resolve_task(args.task, label_task)
     ds = load_csv(args.data, schema, label_task)
+    labels = ds.y
     if task == TASK_REGRESSION and not args.no_normalize_labels:
         ds = minmax_normalize_labels(ds)
-    return ds, task
+    return ds, task, labels
 
 
 def _hyperparams(args, task, k=None):
@@ -155,27 +158,22 @@ def _hyperparams(args, task, k=None):
     return HyperParams(tree=tree, k=k, method=args.method, task=task)
 
 
-def _truth(ds):
-    """Labels on their original scale, which predictions are on."""
-    return ds.y if ds.label_bounds is None else denormalize_labels(ds.y, ds.label_bounds)
-
-
-def _print_train_metric(preds, ds, task):
+def _print_train_metric(preds, labels, task):
     if task == TASK_CLASSIFICATION:
-        print(f"train accuracy: {model_mod.evaluate(preds, ds.y, task)['accuracy']:.6f}")
+        print(f"train accuracy: {model_mod.evaluate(preds, labels, task)['accuracy']:.6f}")
     else:
-        print(f"train RMSE: {model_mod.evaluate(preds, _truth(ds), task)['rmse']:.6f}")
+        print(f"train RMSE: {model_mod.evaluate(preds, labels, task)['rmse']:.6f}")
 
 
 def cmd_train(args) -> int:
-    ds, task = _load_training_data(args)
+    ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task)
     m = model_mod.train(ds, hp)
     model_mod.save(m, args.out)
     if args.trace and m.selection is not None:
         m.selection.write_trace_csv(args.trace)
     print(model_mod.render_model(m))
-    _print_train_metric(model_mod.predict(m, ds), ds, task)
+    _print_train_metric(model_mod.predict(m, ds), labels, task)
     print(f"model written to {args.out}")
     return 0
 
@@ -272,7 +270,7 @@ def cmd_stratify_train(args) -> int:
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
             raise UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
-    ds, task = _load_training_data(args)
+    ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task, k=args.global_patterns)
     cfg = strat_mod.StratifyConfig(
         n_global=args.global_patterns, n_local=args.local_patterns,
@@ -285,7 +283,7 @@ def cmd_stratify_train(args) -> int:
     for c, rules in enumerate(m.cluster_patterns):
         size = int((m.cluster_assignments == c).sum())
         print(f"cluster {c}: {size} instances, {len(rules)} local rules")
-    _print_train_metric(strat_mod.predict_stratified(m, ds), ds, task)
+    _print_train_metric(strat_mod.predict_stratified(m, ds), labels, task)
     print(f"model written to {args.out}")
     return 0
 
@@ -313,15 +311,15 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise UsageError("--values must be comma-separated integers") from None
 
-    train_ds, task = _load_training_data(args)
+    train_ds, task, train_labels = _load_training_data(args)
     test_ds = load_csv(args.test, train_ds.schema, train_ds.label_kind)
     if args.param == "trees" and min(values) < 1:
         raise UsageError("tree counts must be >= 1")
     hp = _hyperparams(args, task, k=min(values) if args.param == "k" else None)
 
     key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
-    rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), _truth(d), task)[key]
-                  for d in (train_ds, test_ds)))
+    rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), labels, task)[key]
+                  for d, labels in ((train_ds, train_labels), (test_ds, test_ds.y))))
             for v, m in model_mod.train_sweep(train_ds, hp, args.param, values)]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -4,6 +4,15 @@ A dataset is parsed from CSV against a column schema, categoricals are
 expanded to per-category indicators plus a missing flag, numeric gaps are
 filled with the training median, and the result is a dense float matrix
 whose columns are traceable back to their source columns.
+
+Cells are encoded a column at a time (one Python ``float`` per numeric
+cell, one dict lookup per categorical cell, one store per column), which
+gives the bits of a cell-by-cell loop. A bad cell raises a ValueError
+naming its row and column. When a file has several, the one reported is
+the first that a cell-by-cell loop meets: a training load checks numeric
+cells while it fits the medians, column by column, so the first bad cell
+of the first bad column is reported; other bad cells (every bad cell of
+a test load, and bad labels) are reported in row-major order.
 """
 
 import csv
@@ -195,6 +204,9 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
     Each categorical column with c categories becomes c+1 indicator
     dimensions (one per category, one for missing/unseen); numeric columns
     pass through with missing cells imputed by the fitted median.
+
+    Columns are encoded one at a time; the module docstring gives which
+    bad cell is reported when there are several.
     """
     label_cols = [i for i, c in enumerate(schema) if c.kind == KIND_LABEL]
     if len(label_cols) != 1:
@@ -205,74 +217,52 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
 
     fitted = [replace(c) for c in schema]
     n = len(rows)
+    columns = [[row[j].strip() for row in rows] for j in range(len(fitted))]
 
     # Fit pass: learn category sets (first-seen order) and numeric medians.
-    for j, col in enumerate(fitted):
+    parsed = {}   # column -> its parsed cells, for the encode pass
+    for j, (col, cells) in enumerate(zip(fitted, columns)):
         if col.kind == KIND_CATEGORICAL and col.categories is None:
-            seen: list[str] = []
-            for row in rows:
-                v = row[j].strip()
-                if v not in MISSING_TOKENS and v not in seen:
-                    seen.append(v)
+            seen = _first_seen(cells)
             if not seen:
                 raise ValueError(f"column {col.name!r}: empty category set")
             col.categories = seen
         elif col.kind == KIND_NUMERIC and col.median is None:
-            vals = []
-            for i, row in enumerate(rows):
-                v = row[j].strip()
-                if v in MISSING_TOKENS:
-                    continue
-                vals.append(_parse_number(v, i + 1, col.name))
-            col.median = float(np.median(vals)) if vals else 0.0
+            parsed[j] = _numbers(cells, col.name)
+            vals = parsed[j][1]
+            col.median = float(np.median(vals)) if len(vals) else 0.0
         elif col.kind == KIND_LABEL and label_task == LABEL_CLASS and col.categories is None:
-            seen = []
-            for row in rows:
-                v = row[j].strip()
-                if v in MISSING_TOKENS:
-                    continue
-                if v not in seen:
-                    seen.append(v)
-            col.categories = seen
+            col.categories = _first_seen(cells)
 
     names, sources, binary = encoded_feature_names(fitted)
-    d = len(names)
-    x = np.zeros((n, d), dtype=np.float64)
+    x = np.zeros((n, len(names)), dtype=np.float64)
     label_col = fitted[label_idx]
+    classes = None
     if label_task == LABEL_CLASS:
-        y = np.full(n, -1, dtype=np.int64)
-        class_index = {c: i for i, c in enumerate(label_col.categories or [])}
-    else:
-        y = np.full(n, np.nan, dtype=np.float64)
-
-    for i, row in enumerate(rows):
-        k = 0
-        for j, col in enumerate(fitted):
-            v = row[j].strip()
+        classes = {c: i for i, c in enumerate(label_col.categories or [])}
+    y = None
+    errors: list[_CellError] = []
+    k = 0
+    for j, (col, cells) in enumerate(zip(fitted, columns)):
+        width = {KIND_NUMERIC: 1, KIND_CATEGORICAL: len(col.categories or []) + 1}.get(col.kind, 0)
+        try:
             if col.kind == KIND_NUMERIC:
-                if v in MISSING_TOKENS:
-                    x[i, k] = col.median
-                else:
-                    x[i, k] = _parse_number(v, i + 1, col.name)
-                k += 1
+                present, vals = parsed.get(j) or _numbers(cells, col.name)
+                x[:, k] = col.median
+                x[present, k] = vals
             elif col.kind == KIND_CATEGORICAL:
-                cats = col.categories
-                width = len(cats) + 1
-                if v in cats and v not in MISSING_TOKENS:
-                    x[i, k + cats.index(v)] = 1.0
-                else:  # missing or unseen
-                    x[i, k + width - 1] = 1.0
-                k += width
+                # missing tokens and unseen values go to the last indicator
+                index = {c: t for t, c in enumerate(col.categories) if c not in MISSING_TOKENS}
+                hot = [index.get(v, width - 1) for v in cells]
+                x[np.arange(n), k + np.array(hot, dtype=np.intp)] = 1.0
             else:
-                if v in MISSING_TOKENS:
-                    if not allow_missing_labels:
-                        raise ValueError(f"row {i + 1}: missing label value")
-                elif label_task == LABEL_CLASS:
-                    if v not in class_index:
-                        raise ValueError(f"row {i + 1}: unknown class label {v!r}")
-                    y[i] = class_index[v]
-                else:
-                    y[i] = _parse_number(v, i + 1, col.name)
+                y = _label_values(cells, col.name, classes, allow_missing_labels)
+        except _CellError as err:
+            errors.append(err)
+        k += width
+    if errors:
+        # the lowest row; among its bad cells, the first column
+        raise min(errors, key=lambda err: err.row)
 
     return Dataset(
         x=x,
@@ -286,14 +276,62 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
     )
 
 
+def _first_seen(cells: list[str]) -> list[str]:
+    """The distinct non-missing cells in order of first appearance."""
+    return list(dict.fromkeys(v for v in cells if v not in MISSING_TOKENS))
+
+
+def _numbers(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the non-missing cells, their Python ``float`` values); the
+    first of them that is not a finite number raises, naming its row."""
+    present = np.array([v not in MISSING_TOKENS for v in cells], dtype=bool)
+    try:
+        values = np.array([float(v) for v in cells if v not in MISSING_TOKENS], dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # _parse_number runs the same float(), so it raises at the first bad cell
+        for i in np.flatnonzero(present):
+            _parse_number(cells[i], int(i) + 1, column)
+    return present, values
+
+
+def _label_values(cells: list[str], column: str, classes: dict[str, int] | None,
+                  allow_missing: bool) -> np.ndarray:
+    """Class indices (``classes`` maps each label to its index) or reals; a
+    missing cell gives -1 or NaN when ``allow_missing``, else raises."""
+    values = []
+    for i, v in enumerate(cells, start=1):
+        if v in MISSING_TOKENS:
+            if not allow_missing:
+                raise _CellError(i, f"row {i}: missing label value")
+            values.append(math.nan if classes is None else -1)
+        elif classes is None:
+            values.append(_parse_number(v, i, column))
+        elif v in classes:
+            values.append(classes[v])
+        else:
+            raise _CellError(i, f"row {i}: unknown class label {v!r}")
+    return np.array(values, dtype=np.float64 if classes is None else np.int64)
+
+
+class _CellError(ValueError):
+    """A bad cell, carrying its 1-based row so that the column-at-a-time
+    encoder can raise the first bad cell in row-major order."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
 def _parse_number(value: str, row: int, column: str) -> float:
     try:
         number = float(value)
     except ValueError:
-        raise ValueError(f"row {row}, column {column!r}: cannot parse {value!r} as a number") from None
+        raise _CellError(row, f"row {row}, column {column!r}: cannot parse {value!r} as a number") from None
     # float() takes 'nan' and 'inf'; a NaN cell would poison the stored median
     if not math.isfinite(number):
-        raise ValueError(f"row {row}, column {column!r}: non-finite value {value!r}")
+        raise _CellError(row, f"row {row}, column {column!r}: non-finite value {value!r}")
     return number
 
 

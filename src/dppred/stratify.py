@@ -10,10 +10,13 @@ Training and prediction both fold each row into the frozen topics with a
 deterministic per-row EM (no random draws), so a row gets the same
 cluster, and the same prediction bits, alone or inside any batch, and a
 training row is served in the cluster it was trained in; a row satisfying
-no global rule keeps the uniform topic mix and goes to cluster 0. The
-global and local rules are served by the compiled kernel of plain models,
-the unified block is scored by the same GLM kernel, and model files reuse
-the plain model's section codecs.
+no global rule keeps the uniform topic mix and goes to cluster 0. Because
+a row's EM depends on its rule bag alone, a batch runs it once per
+distinct bag and copies the cluster to every row holding that bag; rows
+share few bags, so batch serving costs about the distinct bags, not the
+rows. The global and local rules are served by the compiled kernel of
+plain models, the unified block is scored by the same GLM kernel, and
+model files reuse the plain model's section codecs.
 """
 
 import json
@@ -270,17 +273,31 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
 
 
 def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
-    """Fold rows into the frozen topics by a deterministic per-row EM.
+    """Fold rows of 0/1 rule bits into the frozen topics by a deterministic per-row EM.
 
     With ``A = topics.T`` and ``theta`` starting uniform, each of
     ``fold_in_iterations`` steps sets ``theta <- (alpha + theta * sum_w
     bits_w A[w] / (theta . A[w])) / (count + K alpha)``; the cluster is
     ``argmax theta``. Every operation is element-wise or a reduction inside
-    one row, so a row's cluster does not depend on the rest of the batch,
-    and rows are folded in blocks that keep each rows x rules x topics
-    temporary near ``_FOLD_IN_CELLS`` cells. An empty bag keeps the uniform
+    one row, so a row's cluster does not depend on the rest of the batch.
+    Rows share few rule bags, so a batch is keyed by the packed bytes of
+    each row, the EM runs once per distinct bag, and the clusters are
+    scattered back: the same clusters, bit for bit, as folding in every
+    row. A one-row call skips the keying. An empty bag keeps the uniform
     ``theta`` and goes to cluster 0.
     """
+    bits = np.asarray(global_bits)
+    if len(bits) < 2:
+        return _fold_in(topics, cfg, bits)
+    keys = np.packbits(bits != 0, axis=1)
+    keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return _fold_in(topics, cfg, bits[first])[inverse]
+
+
+def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
+    """The per-row EM of ``_assign`` on every row, in blocks that keep each
+    rows x rules x topics temporary near ``_FOLD_IN_CELLS`` cells."""
     a = topics.T
     n_topics = a.shape[1]
     alpha = cfg.alpha

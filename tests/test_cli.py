@@ -1,12 +1,10 @@
 import csv
 import re
-from dataclasses import replace
-
 import pytest
 
 from dppred import model as model_mod
 from dppred.cli import main
-from dppred.data import denormalize_labels, load_csv, minmax_normalize_labels, read_schema_file
+from dppred.data import load_csv, read_schema_file
 from dppred.model import HyperParams
 from dppred.tree import TreeConfig
 
@@ -301,11 +299,9 @@ class TestSweepCommand:
         assert main(["sweep", *common, "--test", str(subtyped_files["test"]),
                      "--param", "k", "--values", "3,8", "--out", str(out)]) == 0
 
+        # both files are scored against their labels as read, normalized or not
         label_task, schema = read_schema_file(subtyped_files["schema"])
         data = [load_csv(subtyped_files[name], schema, label_task) for name in ("train", "test")]
-        if not flags:  # train rows are scored as `train` scores them: on denormalized labels
-            scaled = minmax_normalize_labels(data[0])
-            data[0] = replace(data[0], y=denormalize_labels(scaled.y, scaled.label_bounds))
         want = [["value", "train_metric", "test_metric"]]
         for k in (3, 8):
             path = tmp_path / f"k{k}.model"

@@ -1,13 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppred.data import (
+    KIND_CATEGORICAL,
+    KIND_LABEL,
+    KIND_NUMERIC,
+    LABEL_CLASS,
+    MISSING_TOKENS,
     ColumnSchema,
     Dataset,
+    _parse_number,
     denormalize_labels,
     encode_categoricals,
+    encoded_feature_names,
     load_csv,
     minmax_normalize_labels,
     read_schema_file,
@@ -101,6 +110,147 @@ class TestLoadCsv:
         assert ds2.x[0, 0] == 3.0
 
 
+def reference_encode(rows, schema, label_task=LABEL_CLASS, allow_missing_labels=False):
+    """The encoder as a per-cell loop: one scalar store per cell, one pass over
+    the rows; encode_categoricals must give its bits and its errors."""
+    label_idx = [i for i, c in enumerate(schema) if c.kind == KIND_LABEL][0]
+    fitted = [replace(c) for c in schema]
+    n = len(rows)
+
+    for j, col in enumerate(fitted):
+        if col.kind == KIND_CATEGORICAL and col.categories is None:
+            seen = []
+            for row in rows:
+                v = row[j].strip()
+                if v not in MISSING_TOKENS and v not in seen:
+                    seen.append(v)
+            if not seen:
+                raise ValueError(f"column {col.name!r}: empty category set")
+            col.categories = seen
+        elif col.kind == KIND_NUMERIC and col.median is None:
+            vals = []
+            for i, row in enumerate(rows):
+                v = row[j].strip()
+                if v in MISSING_TOKENS:
+                    continue
+                vals.append(_parse_number(v, i + 1, col.name))
+            col.median = float(np.median(vals)) if vals else 0.0
+        elif col.kind == KIND_LABEL and label_task == LABEL_CLASS and col.categories is None:
+            seen = []
+            for row in rows:
+                v = row[j].strip()
+                if v in MISSING_TOKENS:
+                    continue
+                if v not in seen:
+                    seen.append(v)
+            col.categories = seen
+
+    names, _, _ = encoded_feature_names(fitted)
+    x = np.zeros((n, len(names)), dtype=np.float64)
+    label_col = fitted[label_idx]
+    if label_task == LABEL_CLASS:
+        y = np.full(n, -1, dtype=np.int64)
+        class_index = {c: i for i, c in enumerate(label_col.categories or [])}
+    else:
+        y = np.full(n, np.nan, dtype=np.float64)
+
+    for i, row in enumerate(rows):
+        k = 0
+        for j, col in enumerate(fitted):
+            v = row[j].strip()
+            if col.kind == KIND_NUMERIC:
+                if v in MISSING_TOKENS:
+                    x[i, k] = col.median
+                else:
+                    x[i, k] = _parse_number(v, i + 1, col.name)
+                k += 1
+            elif col.kind == KIND_CATEGORICAL:
+                cats = col.categories
+                width = len(cats) + 1
+                if v in cats and v not in MISSING_TOKENS:
+                    x[i, k + cats.index(v)] = 1.0
+                else:
+                    x[i, k + width - 1] = 1.0
+                k += width
+            else:
+                if v in MISSING_TOKENS:
+                    if not allow_missing_labels:
+                        raise ValueError(f"row {i + 1}: missing label value")
+                elif label_task == LABEL_CLASS:
+                    if v not in class_index:
+                        raise ValueError(f"row {i + 1}: unknown class label {v!r}")
+                    y[i] = class_index[v]
+                else:
+                    y[i] = _parse_number(v, i + 1, col.name)
+    return x, y, fitted
+
+
+def _outcome(encode, rows, schema, label_task, allow_missing):
+    """(x bytes, y bytes, fitted schema) of an encoding, or its error text."""
+    try:
+        result = encode(rows, schema, label_task=label_task, allow_missing_labels=allow_missing)
+    except ValueError as err:
+        return "error", str(err)
+    if isinstance(result, Dataset):
+        result = (result.x, result.y, result.schema)
+    x, y, fitted = result
+    return x.tobytes(), y.dtype, y.tobytes(), fitted
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10**6, 10**6).map(str),
+                     st.sampled_from(["1e-3", "-0.0", "0", "+2.5", "1_000", ".5", "7."]))
+_MISSING = st.sampled_from(sorted(MISSING_TOKENS) + [" ", " ? ", "NA "])
+_BAD_NUMBERS = st.sampled_from(["oops", "nan", "-inf", "Infinity", "1,5", "--1", "NA?"])
+_SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _cells(draw, values, bad_rate):
+    """A cell from ``values`` or a missing token, sometimes a bad number,
+    with optional surrounding whitespace."""
+    roll = draw(st.floats(0, 1))
+    cell = (draw(_BAD_NUMBERS) if roll < bad_rate else
+            draw(_MISSING) if roll < bad_rate + 0.15 else draw(values))
+    return draw(_SPACE) + cell + draw(_SPACE)
+
+
+@st.composite
+def encode_problems(draw, bad_rate):
+    """(rows, schema, label task, missing labels allowed), a training load
+    (nothing fitted) or a test load against the schema fitted on training
+    rows, whose cells also hold categories the training rows never saw."""
+    kinds = draw(st.lists(st.sampled_from([KIND_NUMERIC, KIND_CATEGORICAL]), min_size=0, max_size=4))
+    kinds.insert(draw(st.integers(0, len(kinds))), KIND_LABEL)
+    schema = [ColumnSchema(f"c{j}", kind) for j, kind in enumerate(kinds)]
+    label_task = draw(st.sampled_from(["class", "real"]))
+    categories = st.sampled_from(["a", "b", "c", "A", "a b"])
+    classes = st.sampled_from(["yes", "no", "maybe"])
+
+    def column(kind, bad):
+        if kind == KIND_CATEGORICAL:
+            return _cells(categories, 0.0)
+        if kind == KIND_LABEL and label_task == "class":
+            return _cells(classes, 0.0)
+        return _cells(_NUMBERS, bad)
+
+    def draw_rows(bad, n_min):
+        n = draw(st.integers(n_min, 12))
+        return [[draw(column(kind, bad)) for kind in kinds] for _ in range(n)]
+
+    test_load = draw(st.booleans())
+    if test_load:
+        # a clean training load fits the schema first
+        train = draw_rows(0.0, 1)
+        for row in train:
+            for j, kind in enumerate(kinds):
+                if row[j].strip() in MISSING_TOKENS:
+                    row[j] = {KIND_CATEGORICAL: "a", KIND_LABEL: "yes" if label_task == "class" else "1"}.get(
+                        kind, row[j])
+        schema = encode_categoricals(train, schema, label_task=label_task).schema
+    return draw_rows(bad_rate, 0), schema, label_task, draw(st.booleans())
+
+
 class TestEncodeCategoricals:
     def setup_method(self):
         self.schema = [
@@ -139,6 +289,38 @@ class TestEncodeCategoricals:
         rows = [[v, "1"] for v in values] + [["A", "0"]]
         ds = encode_categoricals(rows, self.schema)
         assert np.all(ds.x.sum(axis=1) == 1.0)
+
+    @given(encode_problems(bad_rate=0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_column_encoder_matches_per_cell_loop(self, problem):
+        rows, schema, label_task, allow_missing = problem
+        want = _outcome(reference_encode, rows, schema, label_task, allow_missing)
+        assert _outcome(encode_categoricals, rows, schema, label_task, allow_missing) == want
+
+    @given(encode_problems(bad_rate=0.3))
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_cell_matches_per_cell_loop(self, problem):
+        rows, schema, label_task, allow_missing = problem
+        want = _outcome(reference_encode, rows, schema, label_task, allow_missing)
+        assert _outcome(encode_categoricals, rows, schema, label_task, allow_missing) == want
+
+    def test_errors_in_row_major_order_on_test_load(self):
+        schema = [ColumnSchema("a", "numeric", median=0.0), ColumnSchema("t", "label", categories=["x"]),
+                  ColumnSchema("b", "numeric", median=0.0)]
+        rows = [["1", "x", "2"], ["1", "x", "bad"], ["bad", "x", "bad"], ["1", "z", "1"]]
+        with pytest.raises(ValueError, match=r"^row 2, column 'b': cannot parse 'bad'"):
+            encode_categoricals(rows, schema)
+        with pytest.raises(ValueError, match=r"^row 3, column 'a'"):
+            encode_categoricals([rows[0], rows[0], rows[2], rows[1]], schema)
+        with pytest.raises(ValueError, match=r"^row 1: unknown class label 'z'"):
+            encode_categoricals([rows[3], rows[2]], schema)
+
+    def test_training_load_raises_in_fit_column_order(self):
+        schema = [ColumnSchema("t", "label"), ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric")]
+        rows = [["", "1", "1"], ["x", "1", "bad"], ["x", "bad", "1"]]
+        # the fit pass reads column a before column b, and both before any label
+        with pytest.raises(ValueError, match=r"^row 3, column 'a'"):
+            encode_categoricals(rows, schema)
 
 
 class TestNormalizeLabels:

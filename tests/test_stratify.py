@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppred import stratify
 from dppred.data import minmax_normalize_labels
@@ -96,13 +99,62 @@ class TestClusterPatients:
         assert assignments[50] == 0
 
 
+def reference_fold_in(topics, cfg, bits):
+    """The fold-in EM of ``_assign``'s docstring, one row at a time: no
+    dedupe, no blocks."""
+    a = np.asarray(topics, dtype=np.float64).T          # (rules, topics)
+    n_topics = a.shape[1]
+    clusters = []
+    for row in np.asarray(bits, dtype=np.float64):
+        theta = np.full(n_topics, 1.0 / n_topics)
+        for _ in range(cfg.fold_in_iterations):
+            mix = (theta * a).sum(axis=1)                 # theta . A[w] per rule
+            resp = (row[:, None] * a / mix[:, None]).sum(axis=0)
+            theta = (cfg.alpha + theta * resp) / (row.sum() + n_topics * cfg.alpha)
+        clusters.append(int(np.argmax(theta)))
+    return clusters
+
+
+@st.composite
+def fold_in_batches(draw):
+    """(topics, config, bits, block rows): a few distinct bags, the empty
+    one among them at times, repeated and shuffled into a batch."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_topics = draw(st.integers(1, 4))
+    n_rules = draw(st.integers(1, 19))
+    topics = gen.random((n_topics, n_rules)) + 0.01
+    topics /= topics.sum(axis=1, keepdims=True)
+    bags = gen.random((draw(st.integers(1, 6)), n_rules)) < draw(st.floats(0.05, 0.9))
+    if draw(st.booleans()):
+        bags[0] = False
+    bits = bags[gen.integers(0, len(bags), size=draw(st.integers(0, 40)))]
+    bits = bits.astype(draw(st.sampled_from([bool, np.uint8, np.float64])))
+    cfg = StratifyConfig(n_clusters=n_topics, lda_alpha=draw(st.sampled_from([None, 0.05, 1.0])),
+                         fold_in_iterations=draw(st.integers(1, 30)))
+    return topics, cfg, bits, draw(st.integers(1, 5))
+
+
 class TestFoldIn:
     def test_reproduces_training_clusters(self):
-        # the planted two-block bags of acceptance criterion 9
+        # the planted two-block bags of acceptance criterion 9, which repeat rows
         bits = disjoint_block_bits(seed=909)
+        assert len(np.unique(bits, axis=0)) < len(bits)
         cfg = StratifyConfig(n_clusters=2, gibbs_iterations=200, seed=2)
         assignments, topics = cluster_patients(bits, cfg)
-        assert _assign(topics, cfg, bits).tolist() == assignments.tolist()
+        assert assignments.tolist() == reference_fold_in(topics, cfg, bits)
+
+    @given(fold_in_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_batch_matches_row_at_a_time_reference(self, batch):
+        topics, cfg, bits, block_rows = batch
+        want = reference_fold_in(topics, cfg, bits)
+        with mock.patch.object(stratify, "_FOLD_IN_CELLS", block_rows * topics.size):
+            got = _assign(topics, cfg, bits)
+            perm = np.random.default_rng(len(bits)).permutation(len(bits))
+            shuffled = _assign(topics, cfg, bits[perm])
+        assert got.tolist() == want
+        assert shuffled.tolist() == [want[i] for i in perm]
+        assert all(c == 0 for c, row in zip(got, bits) if not row.any())
 
     def test_empty_bag_goes_to_cluster_zero(self):
         bits = disjoint_block_bits(seed=909)
