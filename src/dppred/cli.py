@@ -41,7 +41,6 @@ def _add_tree_flags(p):
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--min-bag", type=int, default=10)
     p.add_argument("--method", choices=["forward", "lasso"], default="forward")
-    p.add_argument("--task", choices=[TASK_CLASSIFICATION, TASK_REGRESSION], default=None)
     p.add_argument("--no-normalize-labels", action="store_true",
                    help="keep regression labels on their original scale")
 
@@ -126,11 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_task(flag_task, label_task):
-    inferred = TASK_CLASSIFICATION if label_task == LABEL_CLASS else TASK_REGRESSION
-    if flag_task is not None and flag_task != inferred:
-        raise UsageError(f"--task {flag_task} conflicts with the schema's {label_task!r} labels")
-    return inferred
+def _resolve_task(label_task):
+    """The training task that the schema's label kind fixes."""
+    return TASK_CLASSIFICATION if label_task == LABEL_CLASS else TASK_REGRESSION
 
 
 def _load_training_data(args):
@@ -138,7 +135,7 @@ def _load_training_data(args):
     its task, and its labels as read from the file, which predictions are
     scored against."""
     label_task, schema = read_schema_file(args.schema)
-    task = _resolve_task(args.task, label_task)
+    task = _resolve_task(label_task)
     ds = load_csv(args.data, schema, label_task)
     labels = ds.y
     if task == TASK_REGRESSION and not args.no_normalize_labels:

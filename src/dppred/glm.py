@@ -179,7 +179,10 @@ def _feature_sign(H, g, x0, lam, tol):
             v = x + t * step
             v[cross == t] = 0.0
             f_v = q(v)
-            if f_v < f_best:
+            # a zero crossing that only ties x still zeroes a weight that
+            # rounding left near 1e-16 with the wrong sign; taking it lets the
+            # rule re-enter with the right sign instead of stopping short
+            if f_v < f_best or (f_v == f_best and best is x and t < 1.0):
                 best, f_best = v, f_v
         if best is x:
             break

@@ -30,7 +30,7 @@ from .patterns import (
     render_pattern,
     rule_matrix,
 )
-from .selection import SelectionResult, forward_select, lasso_select
+from .selection import NoRulesError, SelectionResult, forward_select, lasso_select
 from .tree import TreeConfig, fit_forest
 
 TASK_CLASSIFICATION = "classification"
@@ -59,18 +59,11 @@ class HyperParams:
             raise ValueError(f"unknown task {self.task!r}")
 
     @classmethod
-    def for_task(cls, task: str, seed: int = 0, method: str = METHOD_FORWARD,
-                 high_dimensional: bool = False) -> "HyperParams":
+    def for_task(cls, task: str, seed: int = 0, method: str = METHOD_FORWARD) -> "HyperParams":
         """Defaults: T=100, D=6, sigma=10 with k=20 (classification) or
-        k=30 (regression); the high-dimensional preset raises to T=200,
-        D=10, k=50."""
-        if high_dimensional:
-            tree = TreeConfig(n_trees=200, max_depth=10, min_bag=10, seed=seed)
-            k = 50
-        else:
-            tree = TreeConfig(seed=seed)
-            k = 20 if task == TASK_CLASSIFICATION else 30
-        return cls(tree=tree, k=k, method=method, task=task)
+        k=30 (regression)."""
+        k = 20 if task == TASK_CLASSIFICATION else 30
+        return cls(tree=TreeConfig(seed=seed), k=k, method=method, task=task)
 
 
 @dataclass
@@ -163,12 +156,12 @@ def _check_training_data(ds: Dataset, hp: HyperParams) -> None:
 def _rule_space(ds: Dataset, forest) -> tuple:
     """The forest's deduplicated rule pool and its rule matrix on ``ds``."""
     pool = extract_patterns(forest)
-    if len(pool) == 0:
-        raise ValueError("no patterns generated")
-    return pool, construct_pattern_space(ds, pool.patterns)
+    if not pool:
+        raise NoRulesError("no patterns generated")
+    return pool, construct_pattern_space(ds, pool)
 
 
-def _select(ds: Dataset, hp: HyperParams, pool, space,
+def _select(ds: Dataset, hp: HyperParams, pool: list[Pattern], space,
             result: SelectionResult | None = None) -> DppredModel:
     """Select ``hp.k`` rules of the pool, unless ``result`` already holds them,
     and build the model on them."""
@@ -177,7 +170,7 @@ def _select(ds: Dataset, hp: HyperParams, pool, space,
         result = select(space, ds.y, hp.k, _glm_task(hp.task))
 
     return DppredModel(
-        patterns=[pool.patterns[j] for j in result.chosen],
+        patterns=[pool[j] for j in result.chosen],
         glm=result.model,
         **_data_fields(ds),
         provenance={

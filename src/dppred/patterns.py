@@ -4,7 +4,8 @@ Every split in a tree contributes one candidate rule: the conjunction of
 edge conditions on the path from the root down to that split, closed with
 the split's own >= condition. A rule therefore holds for an instance
 exactly when routing the instance reaches the split and takes its >= side,
-which is what the routing-consistency tests assert.
+which is what the routing-consistency tests assert. The pool of a forest
+is a plain list of its distinct rules, in the order they first occur.
 
 Serving compiles a selected rule list once (``compile_rules``) and then
 evaluates exactly ``sum(p.m)`` conditions per row (``rule_matrix``);
@@ -84,17 +85,6 @@ def matches(pattern: Pattern, x: np.ndarray) -> bool:
     return True
 
 
-@dataclass
-class PatternPool:
-    """Deduplicated candidate rules with their tree-bag coverage counts."""
-
-    patterns: list[Pattern]
-    source_counts: list[int]
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-
 def tree_patterns(tree) -> list[tuple[Pattern, object]]:
     """Per-split rules of one tree, paired with the >=-side child they describe.
 
@@ -115,20 +105,12 @@ def tree_patterns(tree) -> list[tuple[Pattern, object]]:
     return out
 
 
-def extract_patterns(forest) -> PatternPool:
-    """Pool the per-split rules of every tree, deduplicated by canonical form."""
+def extract_patterns(forest) -> list[Pattern]:
+    """The per-split rules of every tree, deduplicated by canonical form and
+    kept in first-occurrence order."""
     if not forest:
         raise ValueError("cannot extract patterns from an empty forest")
-    seen: dict[Pattern, int] = {}
-    counts: list[int] = []
-    ordered: list[Pattern] = []
-    for tree in forest:
-        for pattern, child in tree_patterns(tree):
-            if pattern not in seen:
-                seen[pattern] = len(ordered)
-                ordered.append(pattern)
-                counts.append(int(child.bag_size))
-    return PatternPool(patterns=ordered, source_counts=counts)
+    return list(dict.fromkeys(pattern for tree in forest for pattern, _ in tree_patterns(tree)))
 
 
 def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:

@@ -57,6 +57,10 @@ _CANDIDATE_CELLS = 1 << 16  # cap on block candidates * (groups + Hessian cells)
 _BLOCK_ROWS = 4096
 
 
+class NoRulesError(ValueError):
+    """Training has no rule to fit: the forest made none, or no penalty kept one."""
+
+
 @dataclass
 class SelectionResult:
     chosen: list[int]
@@ -318,7 +322,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> Sele
 
     lam_top = lambda_max(Xw, y, task)
     if lam_top <= 0.0:
-        raise ValueError("no support found: the penalty range is degenerate")
+        raise NoRulesError("no support found: the penalty range is degenerate")
     if epsilon is None:
         epsilon = lam_top * 1e-3
     if epsilon <= 0.0:
@@ -344,7 +348,7 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> Sele
     if recorded is None or len(recorded) == 0:
         nonempty = [(lam, sup) for lam, sup in visited if 0 < len(sup) <= k]
         if not nonempty:
-            raise ValueError("no support found")
+            raise NoRulesError("no support found")
         recorded = min(nonempty, key=lambda item: item[0])[1]
 
     chosen = keep[recorded].tolist()

@@ -59,6 +59,7 @@ from .patterns import (
     rule_matrix,
 )
 from .rng import STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
+from .selection import NoRulesError
 
 _STRAT_HEADER = "dppred stratified model format"
 _FOLD_IN_CELLS = 1 << 18   # 2 MiB per float64 temporary of the fold-in
@@ -244,14 +245,10 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
         local_tree = replace(hp.tree, seed=derive_seed(hp.tree.seed, STREAM_LOCAL_TREES, c))
         hp_local = replace(hp, k=cfg.n_local, tree=local_tree)
         try:
-            local_model = train(subset(ds, rows), hp_local)
-            cluster_patterns.append(local_model.patterns[:cfg.n_local])
-        except ValueError as err:
-            if "no patterns" in str(err) or "no support" in str(err):
-                warnings.warn(f"cluster {c}: {err}; falling back to global rules only")
-                cluster_patterns.append([])
-            else:
-                raise
+            cluster_patterns.append(train(subset(ds, rows), hp_local).patterns)
+        except NoRulesError as err:
+            warnings.warn(f"cluster {c}: {err}; falling back to global rules only")
+            cluster_patterns.append([])
 
     unified = _unified_matrix(global_bits, assignments, ds.x,
                               [compile_rules(rules) for rules in cluster_patterns],

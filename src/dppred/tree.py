@@ -1,10 +1,13 @@
 """Constrained random decision trees used as rule generators.
 
-Trees grow on bootstrap samples with a hard depth cap and a minimum bag
-size on both sides of every split, so any root-to-node path covers enough
-training instances to be worth keeping as a candidate rule. Splits pick
-the best of a few randomly sampled (feature, threshold) pairs rather than
-scanning exhaustively.
+The trees exist only to generate candidate rules, so a tree keeps its
+splits and the bag size of every node and nothing else: no node
+predicts, and no tree keeps its bootstrap sample. Trees grow on bootstrap
+samples with a hard depth cap and a minimum bag size on both sides of
+every split, so any root-to-node path covers enough training instances to
+be worth keeping as a candidate rule. Splits pick the best of a few
+randomly sampled (feature, threshold) pairs rather than scanning
+exhaustively.
 
 Growth is lockstep: the trees of a forest grow together, in chunks of at
 most ``_CHUNK_ROWS`` bootstrap rows, each keeping a stack of pending
@@ -32,7 +35,7 @@ depend on batching either.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +92,6 @@ class TreeNode:
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    prediction: object = None  # class distribution or bag mean
     bag_size: int = 0
 
     @property
@@ -100,7 +102,6 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     root: TreeNode
-    bootstrap_indices: np.ndarray = field(repr=False, default=None)
 
 
 def impurity(labels: np.ndarray, task: str) -> float:
@@ -131,8 +132,6 @@ class _Split(NamedTuple):
     gain: float
     left: np.ndarray  # the bag of each child
     right: np.ndarray
-    left_counts: np.ndarray | None  # class counts of each child; None for regression
-    right_counts: np.ndarray | None
 
 
 class _Grower:
@@ -153,22 +152,14 @@ class _Grower:
         else:
             self.y = np.asarray(ds.y, dtype=np.float64)
 
-    def node(self, bag: np.ndarray, counts: np.ndarray | None = None) -> TreeNode:
-        """A leaf over ``bag``: its class distribution or mean label."""
-        if not self.classify:
-            return TreeNode(prediction=float(self.y[bag].sum() / len(bag)), bag_size=len(bag))
-        if counts is None:
-            counts = np.bincount(self.y[bag], minlength=self.n_classes)
-        return TreeNode(prediction=counts / len(bag), bag_size=len(bag))
-
     def grow(self, rngs: list) -> list[DecisionTree]:
         """One tree per generator; each step tries the next pending split of every tree."""
         cfg, n = self.cfg, self.ds.n
         trees, stacks = [], []
         for rng in rngs:
             bootstrap = rng.integers(0, n, size=n)
-            root = self.node(bootstrap)
-            trees.append(DecisionTree(root=root, bootstrap_indices=bootstrap))
+            root = TreeNode(bag_size=n)
+            trees.append(DecisionTree(root=root))
             stacks.append([(root, bootstrap, 0)])
         while True:
             step = []
@@ -192,8 +183,8 @@ class _Grower:
                 if split is None:
                     continue
                 node.dim, node.threshold = split.dim, split.threshold
-                node.left = self.node(split.left, split.left_counts)
-                node.right = self.node(split.right, split.right_counts)
+                node.left = TreeNode(bag_size=len(split.left))
+                node.right = TreeNode(bag_size=len(split.right))
                 # the left child is popped first: preorder
                 stacks[t] += [(node.right, split.right, depth + 1),
                               (node.left, split.left, depth + 1)]
@@ -288,9 +279,7 @@ class _Grower:
             k, fi, ji = node[i], f[i], j[i]
             goes_left = flat[fi * n_thr + ji, segments[k]]
             out[k] = _Split(int(dim[i]), float(thr[i]), float(gains[k, fi, ji]),
-                            bags[k][goes_left], bags[k][~goes_left],
-                            *((left[:, k, fi, ji], right[:, k, fi, ji]) if self.classify
-                              else (None, None)))
+                            bags[k][goes_left], bags[k][~goes_left])
         return out
 
     def _regression_sums(self, bags, flat, segments):

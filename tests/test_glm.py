@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dppred.glm import (
@@ -280,6 +280,9 @@ def _planted_columns(gen, n, d):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multiclass", "linear"]),
        n=st.integers(20, 90), d=st.integers(4, 16))
+# a rule whose weight rounding left at -2e-16 while its gradient asked for
+# the other sign; feature-sign search used to stop there, off the optimum
+@example(seed=12423, kind="multiclass", n=20, d=11)
 def test_fit_lasso_satisfies_kkt(seed, kind, n, d):
     # KKT certifies the optimum of this convex problem: at each penalty the
     # returned point must be stationary up to 1e-6 * max(1, lam)

