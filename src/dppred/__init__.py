@@ -35,7 +35,7 @@ from .stratify import (
     train_stratified,
 )
 from .synth import SynthConfig, generate_medical, generate_subtyped_regression
-from .tree import DecisionTree, TreeConfig, fit_forest, fit_tree, impurity
+from .tree import DecisionTree, TreeConfig, fit_forest
 
 __all__ = [
     "ColumnSchema", "Dataset", "load_csv", "minmax_normalize_labels",
@@ -49,7 +49,7 @@ __all__ = [
     "StratifiedModel", "StratifyConfig", "cluster_patients",
     "predict_stratified", "train_stratified",
     "SynthConfig", "generate_medical", "generate_subtyped_regression",
-    "DecisionTree", "TreeConfig", "fit_forest", "fit_tree", "impurity",
+    "DecisionTree", "TreeConfig", "fit_forest",
 ]
 
 __version__ = "0.1.0"

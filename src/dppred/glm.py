@@ -9,8 +9,8 @@ true objective. The unpenalized refit is the same solver at a penalty of
 zero, where each step is a plain Newton step on the working set.
 Internally columns are centered and the intercept is an unpenalized
 coordinate, which makes the all-zero weight vector an exact fixed point
-whenever the penalty is at least ``lambda_max``. Prediction scores one
-rule vector or a whole rule matrix, each row alike.
+whenever the penalty is at least ``lambda_max``. Prediction scores an
+(n, k) rule matrix, each row alike.
 """
 
 import math
@@ -314,31 +314,27 @@ def _scores(model: GlmModel, xp: np.ndarray) -> np.ndarray:
     Each row runs the BLAS call a lone row runs, so scores do not depend on
     ``n``; a plain ``xp @ w`` switches from dot to gemv beyond one row.
     """
-    xp = np.ascontiguousarray(np.atleast_2d(xp))
+    xp = np.ascontiguousarray(xp, dtype=np.float64)
     w = np.atleast_2d(model.weights)
-    if xp.shape[1] != w.shape[1]:
-        raise ValueError(f"expected {w.shape[1]} rule dimensions, got {xp.shape[1]}")
+    if xp.ndim != 2 or xp.shape[1] != w.shape[1]:
+        raise ValueError(f"expected an (n, {w.shape[1]}) rule matrix, got shape {xp.shape}")
     return np.matmul(xp[:, None, :], w.T)[:, 0] + np.asarray(model.intercept)
 
 
 def predict_proba(model: GlmModel, xp: np.ndarray) -> np.ndarray:
-    """Per-class probabilities (one-vs-rest sigmoids beyond two classes) of a
-    (k,) rule vector or, row by row, of an (n, k) rule matrix."""
+    """Per-class probabilities (one-vs-rest sigmoids beyond two classes) of
+    each row of an (n, k) rule matrix."""
     if model.task != TASK_LOGISTIC:
         raise ValueError("probabilities are defined for logistic models only")
-    xp = np.asarray(xp, dtype=np.float64)
     p = sigmoid(_scores(model, xp))
     if model.classes == 2:
         p = np.concatenate([1.0 - p, p], axis=1)
-    return p[0] if xp.ndim == 1 else p
+    return p
 
 
 def predict_glm(model: GlmModel, xp: np.ndarray):
-    """Real prediction (linear) or class index (logistic; ties to lowest class):
-    a Python float or int for a (k,) rule vector, an array for an (n, k) matrix."""
-    xp = np.asarray(xp, dtype=np.float64)
+    """Real predictions (linear) or class indices (logistic; ties to the lowest
+    class) of the rows of an (n, k) rule matrix."""
     if model.task == TASK_LINEAR:
-        out = _scores(model, xp)[:, 0]
-    else:
-        out = np.argmax(predict_proba(model, np.atleast_2d(xp)), axis=1)
-    return out[0].item() if xp.ndim == 1 else out
+        return _scores(model, xp)[:, 0]
+    return np.argmax(predict_proba(model, xp), axis=1)

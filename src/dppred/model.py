@@ -14,7 +14,7 @@ the stratified model files.
 """
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -173,17 +173,7 @@ def _select(ds: Dataset, hp: HyperParams, pool: list[Pattern], space,
         patterns=[pool[j] for j in result.chosen],
         glm=result.model,
         **_data_fields(ds),
-        provenance={
-            "seed": hp.tree.seed,
-            "n_trees": hp.tree.n_trees,
-            "max_depth": hp.tree.max_depth,
-            "min_bag": hp.tree.min_bag,
-            "n_feature_candidates": hp.tree.n_feature_candidates,
-            "n_threshold_candidates": hp.tree.n_threshold_candidates,
-            "k": hp.k,
-            "method": hp.method,
-            "task": hp.task,
-        },
+        provenance={**asdict(hp.tree), "k": hp.k, "method": hp.method, "task": hp.task},
         selection=result,
     )
 
@@ -221,7 +211,11 @@ def _serve(m: DppredModel, x: np.ndarray) -> np.ndarray:
 
 def predict_one(m: DppredModel, x: np.ndarray):
     """Prediction for a single feature vector: the batch of one row, as a Python int or float."""
-    return _serve(m, np.asarray(x)[None, :])[0].item()
+    x = np.asarray(x)
+    if x.shape != (len(m.feature_names),):
+        raise ValueError(f"expected a vector of {len(m.feature_names)} feature values, "
+                         f"got an array of shape {x.shape}")
+    return _serve(m, x[None, :])[0].item()
 
 
 def predict(m: DppredModel, ds: Dataset) -> np.ndarray:
@@ -236,29 +230,16 @@ def predict_probabilities(m: DppredModel, ds: Dataset) -> np.ndarray:
 
 
 def evaluate(preds: np.ndarray, truth: np.ndarray, task: str) -> dict:
-    """Accuracy with confusion counts, or RMSE with a residual summary."""
+    """``{"accuracy": ...}`` for class indices or ``{"rmse": ...}`` for real values."""
     preds = np.asarray(preds)
     truth = np.asarray(truth)
     if len(preds) != len(truth):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(truth)} truths")
     if task == TASK_CLASSIFICATION:
-        p = preds.astype(np.int64)
-        t = truth.astype(np.int64)
-        n_classes = int(max(p.max(initial=0), t.max(initial=0))) + 1
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        np.add.at(confusion, (t, p), 1)
-        return {"accuracy": float((p == t).mean()), "confusion": confusion}
+        return {"accuracy": float((preds.astype(np.int64) == truth.astype(np.int64)).mean())}
     if task == TASK_REGRESSION:
         r = preds.astype(np.float64) - truth.astype(np.float64)
-        return {
-            "rmse": float(np.sqrt(np.mean(r * r))),
-            "residuals": {
-                "mean": float(r.mean()),
-                "std": float(r.std()),
-                "min": float(r.min()),
-                "max": float(r.max()),
-            },
-        }
+        return {"rmse": float(np.sqrt(np.mean(r * r)))}
     raise ValueError(f"unknown task {task!r}")
 
 

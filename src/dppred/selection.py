@@ -310,8 +310,9 @@ def _score_candidates_one_class(Xg, t_g, m1, m0, start):
     return nll, theta
 
 
-def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> SelectionResult:
-    """Binary search on the L1 penalty for the largest support of size <= k."""
+def lasso_select(Xp, y, k: int, task: str) -> SelectionResult:
+    """Binary search on the L1 penalty for the largest support of size <= k; the
+    search stops once the bracket is narrower than ``1e-3 * lambda_max``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     Xp = np.asarray(Xp)
@@ -323,17 +324,13 @@ def lasso_select(Xp, y, k: int, task: str, epsilon: float | None = None) -> Sele
     lam_top = lambda_max(Xw, y, task)
     if lam_top <= 0.0:
         raise NoRulesError("no support found: the penalty range is degenerate")
-    if epsilon is None:
-        epsilon = lam_top * 1e-3
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
 
     lo, hi = 0.0, 1.05 * lam_top
     recorded: np.ndarray | None = None
     visited: list[tuple[float, np.ndarray]] = []
     warm = None
 
-    while lo + epsilon < hi:
+    while lo + 1e-3 * lam_top < hi:
         lam = (lo + hi) / 2.0
         fitted = fit_lasso(Xw, y, lam, task, warm_start=warm)
         warm = fitted

@@ -2,8 +2,11 @@
 
 ``generate_medical`` builds the four-feature diagnosis benchmark whose
 labels come from three known threshold rules, so recovered patterns can be
-checked against the generating truth. ``generate_subtyped_regression``
-builds regression data with latent subtypes for the stratified pipeline.
+checked against the generating truth. Its rows are the cells that
+``write_medical_csv`` writes, encoded by ``data.encode_categoricals``, so
+in memory and through a CSV file they give the same matrix.
+``generate_subtyped_regression`` builds regression data with latent
+subtypes for the stratified pipeline.
 """
 
 import csv
@@ -19,6 +22,7 @@ from .data import (
     LABEL_REAL,
     ColumnSchema,
     Dataset,
+    encode_categoricals,
     encoded_feature_names,
     write_schema_file,
 )
@@ -43,8 +47,8 @@ class SynthConfig:
 GENDERS = ["male", "female"]
 BLOOD_TYPES = ["A", "B", "O", "AB"]
 
-# Encoded dimension layout: age, gender dummies (+missing), blood-type
-# dummies (+missing), lab score.
+# Dimensions of the generating rules in the encoding of medical_schema():
+# age, gender dummies (+missing), blood-type dummies (+missing), lab score.
 _DIM_AGE = 0
 _DIM_MALE = 1
 _DIM_FEMALE = 2
@@ -97,7 +101,8 @@ def medical_rule_labels(age, is_male, blood, lab) -> np.ndarray:
     return (rule1 | rule2 | rule3).astype(np.int64)
 
 
-def _medical_raw(cfg: SynthConfig):
+def _medical_rows(cfg: SynthConfig) -> tuple[list, list]:
+    """The train and test rows of ``cfg`` as the CSV cells of ``medical_schema()``."""
     rng = sub_rng(cfg.seed, STREAM_SYNTH)
     total = cfg.n_train + cfg.n_test
     age = rng.integers(1, 61, size=total)
@@ -110,60 +115,29 @@ def _medical_raw(cfg: SynthConfig):
     if flips:
         noisy = sub_rng(cfg.seed, STREAM_LABEL_NOISE).choice(cfg.n_train, size=flips, replace=False)
         labels[noisy] = 1 - labels[noisy]
-    return age, gender, blood, lab, labels
-
-
-def _medical_encode(age, gender, blood, lab, labels) -> Dataset:
-    schema = medical_schema()
-    names, sources, binary = encoded_feature_names(schema)
-    n = len(age)
-    x = np.zeros((n, len(names)), dtype=np.float64)
-    x[:, _DIM_AGE] = age
-    x[np.arange(n), _DIM_MALE + gender] = 1.0
-    x[np.arange(n), 4 + blood] = 1.0
-    x[:, _DIM_LAB] = lab
-    return Dataset(
-        x=x,
-        y=labels.astype(np.int64),
-        feature_names=names,
-        feature_sources=sources,
-        binary_dims=np.array(binary, dtype=bool),
-        label_kind=LABEL_CLASS,
-        label_names=["no", "yes"],
-        schema=schema,
-    )
+    rows = list(zip([str(a) for a in age.tolist()],
+                    [GENDERS[g] for g in gender.tolist()],
+                    [BLOOD_TYPES[b] for b in blood.tolist()],
+                    [repr(v) for v in lab.tolist()],
+                    [("no", "yes")[v] for v in labels.tolist()]))
+    return rows[:cfg.n_train], rows[cfg.n_train:]
 
 
 def generate_medical(cfg: SynthConfig) -> tuple[Dataset, Dataset, list[Pattern]]:
     """Return (train, test, generating rules); noise applies to training labels only."""
-    age, gender, blood, lab, labels = _medical_raw(cfg)
-    tr = slice(0, cfg.n_train)
-    te = slice(cfg.n_train, cfg.n_train + cfg.n_test)
-    train = _medical_encode(age[tr], gender[tr], blood[tr], lab[tr], labels[tr])
-    test = _medical_encode(age[te], gender[te], blood[te], lab[te], labels[te])
+    train, test = (encode_categoricals(rows, medical_schema()) for rows in _medical_rows(cfg))
     return train, test, medical_ground_truth()
 
 
 def write_medical_csv(cfg: SynthConfig, train_path, test_path, schema_path) -> None:
     """Regenerate the raw rows for ``cfg`` and write CSV + schema files."""
-    age, gender, blood, lab, labels = _medical_raw(cfg)
-
-    def dump(path, sl):
+    schema = medical_schema()
+    for path, rows in zip((train_path, test_path), _medical_rows(cfg)):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["age", "gender", "blood_type", "lab_score", "disease"])
-            for i in range(sl.start, sl.stop):
-                writer.writerow([
-                    int(age[i]),
-                    GENDERS[gender[i]],
-                    BLOOD_TYPES[blood[i]],
-                    repr(float(lab[i])),
-                    "yes" if labels[i] else "no",
-                ])
-
-    dump(train_path, slice(0, cfg.n_train))
-    dump(test_path, slice(cfg.n_train, cfg.n_train + cfg.n_test))
-    write_schema_file(schema_path, LABEL_CLASS, medical_schema())
+            writer.writerow([c.name for c in schema])
+            writer.writerows(rows)
+    write_schema_file(schema_path, LABEL_CLASS, schema)
 
 
 # --- subtyped regression -------------------------------------------------

@@ -17,8 +17,8 @@ from its own generator, ``sub_rng(seed, STREAM_TREE, t)``, in a fixed
 order: the bootstrap, then for each split it tries, in preorder, the
 ``choice`` of dims followed by one ``uniform`` per sampled dim that is not
 binary and not constant on the bag. So a tree does not depend on the
-trees grown beside it, and ``fit_tree`` is the one-tree call of the same
-engine.
+trees grown beside it, and the first v trees of a forest are the forest
+of v trees.
 
 A step gathers the sampled dims of its nodes in a (dims, rows) layout,
 compares each node's rows with its own thresholds into one preallocated
@@ -41,9 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import STREAM_TREE, sub_rng
-
-TASK_CLASSIFICATION = "classification"
-TASK_REGRESSION = "regression"
 
 # splits must beat this relative floor so float noise in the moment
 # arithmetic never splits an (effectively) pure bag
@@ -104,20 +101,6 @@ class DecisionTree:
     root: TreeNode
 
 
-def impurity(labels: np.ndarray, task: str) -> float:
-    """Shannon entropy in bits (classification) or variance about the mean (regression)."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        raise ValueError("impurity of an empty bag is undefined")
-    if task == TASK_CLASSIFICATION:
-        counts = np.bincount(labels.astype(np.int64))
-        p = counts[counts > 0] / labels.size
-        return float(-(p * np.log2(p)).sum())
-    if task == TASK_REGRESSION:
-        return float(np.mean((labels - labels.mean()) ** 2))
-    raise ValueError(f"unknown task {task!r}")
-
-
 def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     # counts: (C, t), totals: (t,); columns with total 0 are left at 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -129,7 +112,6 @@ def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 class _Split(NamedTuple):
     dim: int
     threshold: float
-    gain: float
     left: np.ndarray  # the bag of each child
     right: np.ndarray
 
@@ -191,7 +173,12 @@ class _Grower:
 
     def best_splits(self, bags: list, rngs: list) -> list[_Split | None]:
         """Best sampled split of each bag (of at least ``2 * min_bag`` rows), drawing
-        from that bag's own generator, or None where no candidate is usable."""
+        from that bag's own generator, or None where no candidate is usable.
+
+        A candidate is usable when both children keep at least ``min_bag``
+        rows and the size-weighted drop in label entropy (classes) or
+        variance (real labels) is strictly positive.
+        """
         cfg, ds = self.cfg, self.ds
         sigma, n_thr = cfg.min_bag, cfg.n_threshold_candidates
         n_nodes = len(bags)
@@ -278,8 +265,7 @@ class _Grower:
         for i in first.tolist():
             k, fi, ji = node[i], f[i], j[i]
             goes_left = flat[fi * n_thr + ji, segments[k]]
-            out[k] = _Split(int(dim[i]), float(thr[i]), float(gains[k, fi, ji]),
-                            bags[k][goes_left], bags[k][~goes_left])
+            out[k] = _Split(int(dim[i]), float(thr[i]), bags[k][goes_left], bags[k][~goes_left])
         return out
 
     def _regression_sums(self, bags, flat, segments):
@@ -308,34 +294,10 @@ class _Grower:
         return sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), tot1, tot2, parent
 
 
-def best_random_split(bag: np.ndarray, ds, cfg: TreeConfig, rng: np.random.Generator):
-    """Best of the sampled candidate splits, or None when no candidate is usable.
-
-    A candidate is usable when both children keep at least ``min_bag``
-    instances and the size-weighted impurity drop is strictly positive.
-    Exact ties resolve to the lowest (dim, threshold). A bag smaller than
-    ``2 * min_bag`` draws nothing from ``rng``.
-    """
-    if len(bag) < 2 * cfg.min_bag:
-        return None
-    split = _Grower(ds, cfg).best_splits([np.asarray(bag)], [rng])[0]
-    return None if split is None else split[:3]
-
-
-def _check_nonempty(ds) -> None:
-    if ds.n == 0:
-        raise ValueError("cannot fit a tree on an empty dataset")
-
-
-def fit_tree(ds, cfg: TreeConfig, rng: np.random.Generator) -> DecisionTree:
-    """Grow one tree on a bootstrap sample of ``ds``."""
-    _check_nonempty(ds)
-    return _Grower(ds, cfg).grow([rng])[0]
-
-
 def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:
     """Grow ``n_trees`` trees, each from its own generator derived from (seed, t)."""
-    _check_nonempty(ds)
+    if ds.n == 0:
+        raise ValueError("cannot fit a tree on an empty dataset")
     grower = _Grower(ds, cfg)
     chunk = max(1, _CHUNK_ROWS // ds.n)
     forest = []

@@ -65,8 +65,7 @@ class TestFitGlm:
         y = col.astype(np.int64)
         m = fit_glm(X, y, "logistic")
         assert m.weights[0] > 0
-        preds = [predict_glm(m, X[i]) for i in range(200)]
-        assert np.mean(np.array(preds) == y) == 1.0
+        assert np.mean(predict_glm(m, X) == y) == 1.0
         # several columns, a duplicate and a complement among them: the
         # optimum is at infinity, yet the fit stops with finite weights that
         # classify every training row, for two classes and for three
@@ -112,46 +111,37 @@ class TestFitGlm:
         m = fit_glm(X, y, "logistic")
         assert m.classes == 3
         assert m.weights.shape == (3, 3)
-        preds = [predict_glm(m, X[i]) for i in range(150)]
-        assert np.mean(np.array(preds) == y) == 1.0
+        assert np.mean(predict_glm(m, X) == y) == 1.0
 
 
 class TestPredict:
     def test_zero_model_linear(self):
         m = GlmModel(weights=np.zeros(2), intercept=0.0, task="linear")
-        assert predict_glm(m, np.array([1.0, 1.0])) == 0.0
         assert predict_glm(m, np.ones((3, 2))).tolist() == [0.0, 0.0, 0.0]
 
     def test_zero_logistic_ties_to_class_zero(self):
         m = GlmModel(weights=np.zeros(2), intercept=0.0, task="logistic", classes=2)
-        assert predict_proba(m, np.array([1.0, 0.0])).tolist() == [0.5, 0.5]
-        assert predict_glm(m, np.array([1.0, 0.0])) == 0
         assert predict_proba(m, np.eye(2)).tolist() == [[0.5, 0.5], [0.5, 0.5]]
         assert predict_glm(m, np.eye(2)).tolist() == [0, 0]
 
     def test_dot_product(self):
         m = GlmModel(weights=np.array([2.0, -1.0]), intercept=0.0, task="linear")
-        assert predict_glm(m, np.array([1.0, 1.0])) == 1.0
         assert predict_glm(m, np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])).tolist() == [1.0, 2.0, -1.0]
-
-    def test_single_row_returns_python_scalars(self):
-        lin = GlmModel(weights=np.ones(2), intercept=0.5, task="linear")
-        log = GlmModel(weights=np.ones(2), intercept=-1.5, task="logistic", classes=2)
-        assert type(predict_glm(lin, np.ones(2))) is float
-        assert type(predict_glm(log, np.ones(2))) is int
 
     def test_dimension_mismatch(self):
         m = GlmModel(weights=np.zeros(2), intercept=0.0, task="linear")
         with pytest.raises(ValueError):
-            predict_glm(m, np.zeros(3))
-        with pytest.raises(ValueError):
             predict_glm(m, np.zeros((4, 3)))
+        # a rule vector is not a one-row matrix
+        for x in (np.zeros(2), np.zeros(3)):
+            with pytest.raises(ValueError, match="rule matrix"):
+                predict_glm(m, x)
 
     def test_probabilities_sum_to_one_binary(self):
         gen = rng(9)
         m = GlmModel(weights=gen.normal(size=4), intercept=0.3, task="logistic", classes=2)
         for _ in range(25):
-            p = predict_proba(m, gen.integers(0, 2, size=4).astype(float))
+            p = predict_proba(m, gen.integers(0, 2, size=(1, 4)).astype(float))[0]
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all((p > 0) & (p < 1))
         batch = predict_proba(m, gen.integers(0, 2, size=(25, 4)).astype(float))
@@ -162,7 +152,7 @@ class TestPredict:
         m = GlmModel(weights=rng(4).normal(size=(3, 5)), intercept=np.zeros(3),
                      task="logistic", classes=3)
         X = rng(5).integers(0, 2, size=(7, 5)).astype(float)
-        assert predict_proba(m, X[0]).shape == (3,)
+        assert predict_proba(m, X[:1]).shape == (1, 3)
         assert predict_proba(m, X).shape == (7, 3)
         assert predict_glm(m, X).shape == (7,)
 

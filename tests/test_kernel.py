@@ -138,7 +138,7 @@ def test_batch_equals_single_row_bytes(case):
     assert batch.tobytes() == np.array(stream, dtype=batch.dtype).tobytes()
     if m.glm.task == "logistic":
         probs = predict_probabilities(m, ds)
-        rows = [predict_proba(m.glm, rule_matrix(m.compiled, ds.x[i:i + 1])[0]) for i in range(ds.n)]
+        rows = [predict_proba(m.glm, rule_matrix(m.compiled, ds.x[i:i + 1])) for i in range(ds.n)]
         assert probs.tobytes() == np.array(rows).reshape(probs.shape).tobytes()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,16 @@ class TestPredict:
         with pytest.raises(ValueError, match="schema mismatch"):
             predict(m, other)
 
+    @pytest.mark.parametrize("case", ["two-extra-values", "one-short", "one-row-matrix"])
+    def test_predict_one_needs_one_row_of_every_feature(self, case):
+        tr, _, _ = small_medical(n_train=100, n_test=10)
+        m = refit_on_patterns(tr, [Pattern((Condition(0, "ge", 30.0),))], "classification")
+        x = {"two-extra-values": np.append(tr.x[0], [1.0, 1.0]), "one-short": tr.x[0, :-1],
+             "one-row-matrix": tr.x[:1]}[case]
+        want = f"expected a vector of {tr.d} feature values, got an array of shape {x.shape}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            predict_one(m, x)
+
     def test_condition_budget_per_instance(self):
         # serving evaluates every compiled condition once per row: sum(p.m) <= k * D
         tr, _, _ = small_medical(n_train=800, n_test=10)
@@ -133,12 +145,6 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             evaluate(np.zeros(3), np.zeros(4), "classification")
-
-    def test_confusion_counts(self):
-        res = evaluate(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 0]), "classification")
-        assert res["confusion"][0, 0] == 2
-        assert res["confusion"][0, 1] == 1
-        assert res["confusion"][1, 1] == 1
 
 
 class TestPersistence:

@@ -85,8 +85,7 @@ class TestForwardSelect:
         assert len(set(res.chosen) & {10, 11, 12}) >= 2
         from dppred.glm import predict_glm
         Xs = X[:, res.chosen].astype(np.float64)
-        preds = np.array([predict_glm(res.model, Xs[i]) for i in range(len(y))])
-        assert (preds == y).mean() == 1.0
+        assert (predict_glm(res.model, Xs) == y).mean() == 1.0
 
     def test_final_model_dimension(self):
         X, y, _ = planted_problem(pool=15)
@@ -117,12 +116,6 @@ class TestLassoSelect:
         lam_top = lambda_max(X, y, "logistic")
         assert res.trace[-1][0] < 0.05 * lam_top
         assert len(res.chosen) <= 10
-
-    def test_coarse_epsilon_single_probe(self):
-        X, y, _ = planted_problem(seed=4, n=200, pool=12)
-        lam_top = lambda_max(X, y, "logistic")
-        res = lasso_select(X, y, 3, "logistic", epsilon=lam_top)
-        assert len(res.trace) <= 1 or pytest.fail(f"trace {res.trace}")
 
     def test_refit_beats_penalized_model(self):
         X, y, _ = planted_problem(seed=6, n=300, pool=25)

@@ -10,14 +10,7 @@ from dppred.data import Dataset
 from dppred.rng import STREAM_TREE, sub_rng
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
 from dppred import tree as tree_mod
-from dppred.tree import (
-    TreeConfig,
-    best_random_split,
-    fit_forest,
-    fit_tree,
-    impurity,
-    iter_nodes,
-)
+from dppred.tree import TreeConfig, fit_forest, iter_nodes
 
 
 def make_ds(x, y, label_kind="class", binary=None):
@@ -33,23 +26,41 @@ def make_ds(x, y, label_kind="class", binary=None):
                    label_names=["0", "1"] if label_kind == "class" else None)
 
 
+def one_split(bag, ds, cfg, rng):
+    """The engine's best split of one bag, or None."""
+    return tree_mod._Grower(ds, cfg).best_splits([np.asarray(bag)], [rng])[0]
+
+
+def entropy_bits(class_counts):
+    """The split search's class entropy of one bag, from its class counts."""
+    counts = np.array(class_counts, dtype=np.float64)[:, None]
+    return tree_mod._entropy_from_counts(counts, counts.sum(axis=0))[0]
+
+
 class TestImpurity:
+    """The split search's impurities: class entropy in bits and the variance
+    of the labels about their mean."""
+
     def test_uniform_binary_entropy(self):
-        assert impurity(np.array([1, 1, 0, 0]), "classification") == 1.0
+        assert entropy_bits([2, 2]) == 1.0
 
     def test_pure_bag(self):
-        assert impurity(np.array([1, 1, 1, 1]), "classification") == 0.0
+        assert entropy_bits([0, 4]) == 0.0
 
     def test_two_point_variance(self):
-        assert impurity(np.array([0.0, 2.0]), "regression") == 1.0
+        ds = make_ds([0.0, 1.0], [0.0, 2.0], label_kind="real")
+        grower = tree_mod._Grower(ds, TreeConfig(min_bag=1))
+        parent = grower._regression_sums([np.arange(2)], np.zeros((1, 2), bool), [slice(0, 2)])[-1]
+        assert parent.tolist() == [1.0]
 
     def test_empty_bag(self):
-        with pytest.raises(ValueError):
-            impurity(np.array([]), "classification")
+        ds = make_ds(np.empty((0, 2)), np.empty(0, dtype=int))
+        with pytest.raises(ValueError, match="empty dataset"):
+            fit_forest(ds, TreeConfig(n_trees=1))
 
     def test_three_class_entropy(self):
         # 2 bits for four equiprobable classes
-        assert impurity(np.array([0, 1, 2, 3]), "classification") == 2.0
+        assert entropy_bits([1, 1, 1, 1]) == 2.0
 
 
 class TestBestRandomSplit:
@@ -59,23 +70,23 @@ class TestBestRandomSplit:
         x = np.array([0, 0, 1, 1, 0, 1, 0, 1], dtype=float)
         y = np.array([0, 0, 1, 1, 0, 1, 0, 1])
         ds = make_ds(x, y)
-        cfg = TreeConfig(min_bag=1, seed=0)
-        got = best_random_split(np.arange(8), ds, cfg, sub_rng(0, 1))
-        assert got is not None
-        dim, thr, gain = got
-        assert (dim, thr) == (0, 0.5)
-        assert gain == impurity(y, "classification")  # children are pure
+        split = one_split(np.arange(8), ds, TreeConfig(min_bag=1, seed=0), sub_rng(0, 1))
+        assert (split.dim, split.threshold) == (0, 0.5)
+        assert y[split.left].tolist() == [0] * 4 and y[split.right].tolist() == [1] * 4
 
     def test_constant_labels_yield_none(self):
         ds = make_ds(np.arange(10, dtype=float), np.ones(10, dtype=int))
         cfg = TreeConfig(min_bag=1, seed=0)
-        assert best_random_split(np.arange(10), ds, cfg, sub_rng(0, 2)) is None
+        assert one_split(np.arange(10), ds, cfg, sub_rng(0, 2)) is None
 
     def test_small_bag_gate(self):
-        ds = make_ds(np.arange(10, dtype=float), np.arange(10) % 2)
-        cfg = TreeConfig(min_bag=4, seed=0)
-        # 7 < 2 * min_bag
-        assert best_random_split(np.arange(7), ds, cfg, sub_rng(0, 3)) is None
+        # 7 < 2 * min_bag: the root stays a leaf and only the bootstrap is drawn
+        ds = make_ds(np.arange(7, dtype=float), np.arange(7) % 2)
+        rng, ref = sub_rng(0, 3), sub_rng(0, 3)
+        tree = tree_mod._Grower(ds, TreeConfig(min_bag=4, seed=0)).grow([rng])[0]
+        assert tree.root.is_leaf
+        ref.integers(0, 7, size=7)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_children_respect_min_bag(self):
         rng = np.random.default_rng(5)
@@ -83,15 +94,15 @@ class TestBestRandomSplit:
         y = (x > 0.8).astype(int)  # split candidates near the edge are rejected
         ds = make_ds(x, y)
         cfg = TreeConfig(min_bag=15, seed=0)
-        got = best_random_split(np.arange(60), ds, cfg, sub_rng(0, 4))
-        if got is not None:
-            dim, thr, _ = got
-            n_left = int((x < thr).sum())
-            assert n_left >= 15 and 60 - n_left >= 15
+        split = one_split(np.arange(60), ds, cfg, sub_rng(0, 4))
+        if split is not None:
+            n_left = int((x < split.threshold).sum())
+            assert n_left == len(split.left) >= 15 and len(split.right) >= 15
 
 
 def reference_split(bag, ds, cfg, rng):
-    """The per-node, per-dim split search that lockstep growth replaced.
+    """The per-node, per-dim split search that lockstep growth replaced:
+    (dim, threshold) of the best split, or None.
 
     Same draws in the same order (``choice`` of the dims, then ``uniform``
     per non-binary dim whose range on the bag is not zero) and the same
@@ -168,8 +179,7 @@ def reference_split(bag, ds, cfg, rng):
                 best = cand
     if best is None:
         return None
-    neg_gain, dim, thr = best
-    return dim, thr, -neg_gain
+    return best[1:]
 
 
 @st.composite
@@ -214,7 +224,7 @@ class TestBatchedSplitOracle:
         got = grower.best_splits(bags, rngs)
         for bag, split, rng, ref_rng in zip(bags, got, rngs, refs):
             want = reference_split(bag, ds, cfg, ref_rng)
-            assert (None if split is None else split[:3]) == want
+            assert (None if split is None else split[:2]) == want
             if split is not None:
                 goes_left = ds.x[bag, split.dim] < split.threshold
                 assert np.array_equal(split.left, bag[goes_left])
@@ -226,27 +236,26 @@ class TestBatchedSplitOracle:
     @settings(max_examples=50, deadline=None)
     def test_one_node_call_matches_reference(self, problem):
         ds, cfg, bags, seed = problem
-        got = best_random_split(bags[0], ds, cfg, np.random.default_rng(seed))
-        assert got == reference_split(bags[0], ds, cfg, np.random.default_rng(seed))
+        got = one_split(bags[0], ds, cfg, np.random.default_rng(seed))
+        assert (None if got is None else got[:2]) == reference_split(
+            bags[0], ds, cfg, np.random.default_rng(seed))
 
 
 class TestFitTree:
     def test_depth_one_is_a_stump(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=300, n_test=10, noise_rate=0, seed=1))
-        cfg = TreeConfig(max_depth=1, seed=2)
-        tree = fit_tree(tr, cfg, sub_rng(2, STREAM_TREE, 0))
+        tree = fit_forest(tr, TreeConfig(n_trees=1, max_depth=1, seed=2))[0]
         internal = [n for n, _ in iter_nodes(tree.root) if not n.is_leaf]
         assert len(internal) <= 1
 
     def test_huge_min_bag_gives_single_leaf(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=100, n_test=10, noise_rate=0, seed=1))
-        cfg = TreeConfig(min_bag=60, seed=2)  # 2 * 60 > 100
-        tree = fit_tree(tr, cfg, sub_rng(2, STREAM_TREE, 0))
+        tree = fit_forest(tr, TreeConfig(n_trees=1, min_bag=60, seed=2))[0]  # 2 * 60 > 100
         assert tree.root.is_leaf
 
     def test_pure_labels_give_single_leaf(self):
         ds = make_ds(np.random.default_rng(0).random(50), np.ones(50, dtype=int))
-        tree = fit_tree(ds, TreeConfig(seed=3), sub_rng(3, STREAM_TREE, 0))
+        tree = fit_forest(ds, TreeConfig(n_trees=1, seed=3))[0]
         assert tree.root.is_leaf
 
     def test_no_features_give_single_leaves(self):
@@ -256,7 +265,7 @@ class TestFitTree:
     def test_pure_regression_labels_give_single_leaf(self):
         ds = make_ds(np.random.default_rng(0).random(50), np.full(50, 0.1),
                      label_kind="real")
-        tree = fit_tree(ds, TreeConfig(seed=3), sub_rng(3, STREAM_TREE, 0))
+        tree = fit_forest(ds, TreeConfig(n_trees=1, seed=3))[0]
         assert tree.root.is_leaf
 
 
@@ -265,7 +274,7 @@ class TestForest:
         tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
         cfg = TreeConfig(n_trees=1, seed=9)
         forest = fit_forest(tr, cfg)
-        again = fit_tree(tr, cfg, sub_rng(9, STREAM_TREE, 0))
+        again = tree_mod._Grower(tr, cfg).grow([sub_rng(9, STREAM_TREE, 0)])[0]
         assert _tree_signature(forest[0].root) == _tree_signature(again.root)
 
     def test_every_tree_matches_its_derived_seed(self):
@@ -275,7 +284,7 @@ class TestForest:
             cfg = TreeConfig(n_trees=7, max_depth=4, min_bag=5, seed=31)
             forest = fit_forest(ds, cfg)
             for t, tree in enumerate(forest):
-                alone = fit_tree(ds, cfg, sub_rng(31, STREAM_TREE, t))
+                alone = tree_mod._Grower(ds, cfg).grow([sub_rng(31, STREAM_TREE, t)])[0]
                 assert forest_digest([tree]) == forest_digest([alone])
 
     @pytest.mark.parametrize("case", ["mixed-3class", "mixed-regression"])
