@@ -11,12 +11,12 @@ deterministic per-row EM (no random draws), so a row gets the same
 cluster, and the same prediction bits, alone or inside any batch, and a
 training row is served in the cluster it was trained in; a row satisfying
 no global rule keeps the uniform topic mix and goes to cluster 0. Because
-a row's EM depends on its rule bag alone, a batch runs it once per
-distinct bag and copies the cluster to every row holding that bag; rows
-share few bags, so batch serving costs about the distinct bags, not the
-rows. The global and local rules are served by the compiled kernel of
-plain models, the unified block is scored by the same GLM kernel, and
-model files reuse the plain model's section codecs.
+a row's EM depends on its rule bag alone, a loaded model folds each
+distinct bag in once and remembers its cluster; rows share few bags, so
+serving costs about the bags not seen before, not the rows. The memory
+is bounded and never saved. The global and local rules are served by the
+compiled kernel of plain models, the unified block is scored by the same
+GLM kernel, and model files reuse the plain model's section codecs.
 """
 
 import json
@@ -63,6 +63,7 @@ from .selection import NoRulesError
 
 _STRAT_HEADER = "dppred stratified model format"
 _FOLD_IN_CELLS = 1 << 18   # 2 MiB per float64 temporary of the fold-in
+_KNOWN_BAGS = 1 << 16      # bags a model remembers; a key is a few dozen bytes
 
 
 @dataclass
@@ -111,6 +112,9 @@ class StratifiedModel:
     provenance: dict = field(default_factory=dict)
     # (global rules, one entry per cluster's local rules), compiled for serving
     compiled: tuple[CompiledRules, list[CompiledRules]] = field(init=False, repr=False, compare=False)
+    # packed global-rule bits -> cluster of every bag served so far (see _assign);
+    # not locked, so one model object serves one request at a time
+    known_bags: dict[bytes, int] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.compiled = (compile_rules(self.global_patterns),
@@ -206,7 +210,7 @@ def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
     ckw = _gibbs_train(tokens, mask, cfg.n_clusters, n_words, cfg.alpha, cfg.lda_beta,
                        cfg.gibbs_iterations, rng)
     topics = (ckw + cfg.lda_beta) / (ckw.sum(axis=1) + n_words * cfg.lda_beta)[:, None]
-    return _assign(topics, cfg, bits), topics
+    return _assign(topics, cfg, bits, {}), topics
 
 
 def _unified_matrix(global_bits, assignments, x, local_rules, n_global, n_local):
@@ -269,27 +273,41 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
     )
 
 
-def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
+def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
+            known: dict[bytes, int]) -> np.ndarray:
     """Fold rows of 0/1 rule bits into the frozen topics by a deterministic per-row EM.
 
     With ``A = topics.T`` and ``theta`` starting uniform, each of
     ``fold_in_iterations`` steps sets ``theta <- (alpha + theta * sum_w
     bits_w A[w] / (theta . A[w])) / (count + K alpha)``; the cluster is
     ``argmax theta``. Every operation is element-wise or a reduction inside
-    one row, so a row's cluster does not depend on the rest of the batch.
-    Rows share few rule bags, so a batch is keyed by the packed bytes of
-    each row, the EM runs once per distinct bag, and the clusters are
-    scattered back: the same clusters, bit for bit, as folding in every
-    row. A one-row call skips the keying. An empty bag keeps the uniform
-    ``theta`` and goes to cluster 0.
+    one row, so a row's cluster depends on its rule bag alone. Each row is
+    keyed by its packed bits, the EM runs once on the first row of each bag
+    missing from ``known``, those clusters are stored in ``known`` and every
+    row reads its cluster from there: the same clusters, bit for bit, as
+    folding in every row. A loaded model passes its own ``known_bags``, so
+    it folds each distinct bag in once and remembers its cluster; the memory
+    holds at most ``_KNOWN_BAGS`` bags, is cleared when a store would pass
+    that, and is never saved. An empty bag keeps the uniform ``theta`` and
+    goes to cluster 0.
     """
     bits = np.asarray(global_bits)
-    if len(bits) < 2:
-        return _fold_in(topics, cfg, bits)
-    keys = np.packbits(bits != 0, axis=1)
-    keys = np.ascontiguousarray(keys).view(np.dtype((np.void, keys.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return _fold_in(topics, cfg, bits[first])[inverse]
+    packed = np.packbits(bits != 0, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0].tolist()
+    new: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        if key not in known:
+            new.setdefault(key, i)
+    lookup = known
+    if new:
+        found = dict(zip(new, _fold_in(topics, cfg, bits[list(new.values())]).tolist()))
+        if len(known) + len(found) > _KNOWN_BAGS:
+            # this call still reads every bag; the memory starts over
+            lookup = known | found
+            known.clear()
+        if len(found) <= _KNOWN_BAGS:
+            known.update(found)
+    return np.fromiter(map(lookup.__getitem__, keys), dtype=np.int64, count=len(keys))
 
 
 def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
@@ -315,7 +333,7 @@ def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -
 
 def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     """Fold new instances into the trained clusters."""
-    return _assign(m.topics, m.config, rule_matrix(m.compiled[0], ds.x))
+    return _assign(m.topics, m.config, rule_matrix(m.compiled[0], ds.x), m.known_bags)
 
 
 def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
@@ -323,8 +341,9 @@ def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     _check_compatible(m, ds)
     global_rules, local_rules = m.compiled
     global_bits = rule_matrix(global_rules, ds.x)
-    unified = _unified_matrix(global_bits, _assign(m.topics, m.config, global_bits), ds.x,
-                              local_rules, m.config.n_global, m.config.n_local)
+    clusters = _assign(m.topics, m.config, global_bits, m.known_bags)
+    unified = _unified_matrix(global_bits, clusters, ds.x, local_rules,
+                              m.config.n_global, m.config.n_local)
     return glm_predictions(m.glm, unified, m.label_bounds)
 
 

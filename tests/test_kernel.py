@@ -5,13 +5,19 @@ rule list and input, and both must equal the per-row reference kept here:
 the scalar ``matches`` loop followed by ``w @ bits + b``, the formula the
 serving path applied row by row before it was vectorised. Stratified
 models must give every row the same bits alone, in the full batch and in
-any subset or permutation of it.
+any subset or permutation of it, whatever bags the model already
+remembers.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dppred import stratify
 from dppred.data import Dataset, subset
 from dppred.glm import GlmModel, predict_proba, sigmoid
 from dppred.model import DppredModel, predict, predict_one, predict_probabilities
@@ -175,13 +181,38 @@ strat_cases = st.tuples(
 @given(strat_cases, st.integers(0, 2**32 - 1))
 def test_stratified_rows_alone_or_in_any_subset_match_the_batch(case, pick):
     m, ds = random_stratified_model(*case)
-    batch = predict_stratified(m, ds)
-    clusters = assign_clusters(m, ds)
-    assert clusters[-1] == 0                    # the empty bag
     gen = np.random.default_rng(pick)
     rows = gen.permutation(ds.n)[:int(gen.integers(1, ds.n + 1))]
     part = subset(ds, rows)
+    # the model remembers every bag it serves: the subset first meets a
+    # cold memory, then one that the full batch has filled
+    part_before = predict_stratified(m, part)
+    batch = predict_stratified(m, ds)
+    clusters = assign_clusters(m, ds)
+    assert clusters[-1] == 0                    # the empty bag
+    assert part_before.tobytes() == batch[rows].tobytes()
     assert predict_stratified(m, part).tobytes() == batch[rows].tobytes()
     assert assign_clusters(m, part).tolist() == clusters[rows].tolist()
-    alone = [predict_stratified(m, subset(ds, [i])) for i in range(ds.n)]
-    assert np.concatenate(alone).tobytes() == batch.tobytes()
+    cold = [predict_stratified(replace(m), subset(ds, [i])) for i in range(ds.n)]
+    warm = [predict_stratified(m, subset(ds, [i])) for i in range(ds.n)]
+    assert np.concatenate(cold).tobytes() == batch.tobytes()
+    assert np.concatenate(warm).tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("seed", range(6))
+def test_capped_memory_serves_the_bits_of_a_cold_model(cap, seed):
+    m, ds = random_stratified_model(seed, n=30, d=4, n_global=8, n_clusters=3, kind="linear",
+                                    iterations=7)
+    assert len(np.unique(rule_matrix(m.compiled[0], ds.x), axis=0)) > cap
+    want = predict_stratified(replace(m), ds)
+    order = np.random.default_rng(seed).permutation(ds.n)
+    with mock.patch.object(stratify, "_KNOWN_BAGS", cap):
+        assert predict_stratified(m, ds).tobytes() == want.tobytes()
+        assert len(m.known_bags) <= cap
+        for i in order:
+            assert predict_stratified(m, subset(ds, [i])).tobytes() == want[i:i + 1].tobytes()
+            assert len(m.known_bags) <= cap
+        # a full memory meets a batch of remembered and new bags
+        assert predict_stratified(m, ds).tobytes() == want.tobytes()
+        assert len(m.known_bags) <= cap

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dppred.data import minmax_normalize_labels
+from dppred.data import minmax_normalize_labels, subset
 from dppred.model import HyperParams, load, predict, refit_on_patterns, save, train
 from dppred.stratify import (
     StratifyConfig,
@@ -97,6 +97,27 @@ def test_round_trip_is_byte_identical(model_files, tmp_path):
         again = tmp_path / f"{name}.again"
         (save_stratified if name == "stratified" else save)(loader(path), again)
         assert again.read_text(encoding="utf-8") == text
+
+
+def test_served_bags_never_reach_the_file(model_files, tmp_path):
+    kinds, _ = model_files
+    _, _, text, te = kinds["stratified"]
+    path = tmp_path / "strat.model"
+    path.write_text(text, encoding="utf-8")
+    m = load_stratified(path)
+    assert m.known_bags == {}
+    predict_stratified(m, te)
+    for i in (3, 0, 3):
+        predict_stratified(m, subset(te, [i]))
+    assert m.known_bags
+    again = tmp_path / "strat.again"
+    save_stratified(m, again)
+    assert again.read_bytes() == path.read_bytes()
+    loaded = load_stratified(again)
+    assert loaded.known_bags == {}
+    shown = repr(m)
+    assert "known_bags" not in shown
+    assert not any(repr(key) in shown for key in m.known_bags)
 
 
 def edit(model_files, tmp_path, kind, old, new):

@@ -149,12 +149,14 @@ class TestFoldIn:
     def test_batch_matches_row_at_a_time_reference(self, batch):
         topics, cfg, bits, block_rows = batch
         want = reference_fold_in(topics, cfg, bits)
+        known = {}
         with mock.patch.object(stratify, "_FOLD_IN_CELLS", block_rows * topics.size):
-            got = _assign(topics, cfg, bits)
+            got = _assign(topics, cfg, bits, known)
             perm = np.random.default_rng(len(bits)).permutation(len(bits))
-            shuffled = _assign(topics, cfg, bits[perm])
+            shuffled = _assign(topics, cfg, bits[perm], {})
         assert got.tolist() == want
         assert shuffled.tolist() == [want[i] for i in perm]
+        assert _assign(topics, cfg, bits[perm], known).tolist() == [want[i] for i in perm]
         assert all(c == 0 for c, row in zip(got, bits) if not row.any())
 
     def test_empty_bag_goes_to_cluster_zero(self):
@@ -164,16 +166,33 @@ class TestFoldIn:
         empty = np.zeros((1, bits.shape[1]), dtype=np.uint8)
         for batch in (empty, np.vstack([bits, empty]), np.vstack([empty, bits, empty]), empty):
             empty_rows = ~batch.any(axis=1)
-            assert _assign(topics, cfg, batch)[empty_rows].tolist() == [0] * int(empty_rows.sum())
+            assert _assign(topics, cfg, batch, {})[empty_rows].tolist() == [0] * int(empty_rows.sum())
+
+    def test_empty_bag_goes_to_cluster_zero_on_a_miss_and_on_a_hit(self):
+        bits = disjoint_block_bits(seed=909)
+        cfg = StratifyConfig(n_clusters=3, gibbs_iterations=50, seed=7)
+        _, topics = cluster_patients(bits, cfg)
+        empty = np.zeros((1, bits.shape[1]), dtype=np.uint8)
+        known = {}
+        assert _assign(topics, cfg, empty, known).tolist() == [0]
+        assert list(known.values()) == [0]
+        with mock.patch.object(stratify, "_fold_in", side_effect=AssertionError("folded in again")):
+            assert _assign(topics, cfg, empty, known).tolist() == [0]
+        assert len(known) == 1
+
+    def test_no_rows_give_an_empty_int64_array(self):
+        topics = np.full((2, 5), 0.2)
+        got = _assign(topics, StratifyConfig(n_clusters=2), np.zeros((0, 5), dtype=bool), {})
+        assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_row_blocks_give_the_same_clusters(self, monkeypatch):
         bits = disjoint_block_bits(seed=909)
         cfg = StratifyConfig(n_clusters=3, gibbs_iterations=50, seed=7)
         _, topics = cluster_patients(bits, cfg)
-        whole = _assign(topics, cfg, bits)
+        whole = _assign(topics, cfg, bits, {})
         # 80 rows in blocks of 7, the last one short
         monkeypatch.setattr(stratify, "_FOLD_IN_CELLS", 7 * topics.size)
-        assert _assign(topics, cfg, bits).tolist() == whole.tolist()
+        assert _assign(topics, cfg, bits, {}).tolist() == whole.tolist()
 
 
 @pytest.mark.parametrize("name", ["lda_alpha", "lda_beta"])
