@@ -90,9 +90,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--global-patterns", type=int, default=30)
     p.add_argument("--local-patterns", type=int, default=10)
     p.add_argument("--groups", type=int, default=3)
-    p.add_argument("--lda-alpha", type=float, default=None)
-    p.add_argument("--lda-beta", type=float, default=0.1)
-    p.add_argument("--gibbs-iterations", type=int, default=500)
+    p.add_argument("--lda-alpha", type=float, default=None,
+                   help="Dirichlet prior on each row's topic mix in LDA training and the "
+                        "fold-in (default: 1 / --groups)")
+    p.add_argument("--lda-beta", type=float, default=0.1,
+                   help="Dirichlet prior on each topic's rule distribution (default: 0.1)")
+    p.add_argument("--gibbs-iterations", type=int, default=500,
+                   help="collapsed Gibbs sweeps that fit the topics; the second half is "
+                        "averaged (default: 500)")
     p.add_argument("--fold-in-iterations", type=int, default=50,
                    help="steps of the deterministic EM fold-in that assigns each training and "
                         "predicted row to a cluster: a row gets the same cluster alone or in any "
@@ -260,7 +265,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stratify_train(args) -> int:
-    for flag in ("global_patterns", "local_patterns", "groups"):
+    for flag in ("global_patterns", "local_patterns", "groups", "gibbs_iterations",
+                 "fold_in_iterations"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     for flag in ("lda_alpha", "lda_beta"):

@@ -71,7 +71,7 @@ class StratifyConfig:
     n_global: int = 30        # rules mined on all instances
     n_local: int = 10         # rules mined inside each cluster
     n_clusters: int = 3
-    lda_alpha: float | None = None  # default 50 / n_clusters
+    lda_alpha: float | None = None  # default 1 / n_clusters
     lda_beta: float = 0.1
     gibbs_iterations: int = 500
     fold_in_iterations: int = 50   # EM steps folding a new row into the topics
@@ -125,75 +125,91 @@ class StratifiedModel:
         return TASK_REGRESSION if self.glm.task == TASK_LINEAR else TASK_CLASSIFICATION
 
 
-def _bits_to_tokens(bits: np.ndarray, rng):
-    """Satisfied-rule ids per instance in shuffled order, padded to a rectangle.
+def _bits_to_tokens(bits: np.ndarray, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Satisfied-rule ids per instance in shuffled order, laid out slot-major.
 
-    The shuffle keeps tokens of one rule out of a shared slot, where the
-    slot-blocked sampler would update them in lockstep.
+    Row by row, each instance holding more than one rule shuffles its rule
+    ids with one ``rng.permutation``; the j-th id after the shuffle is the
+    instance's token in slot j. Returns, for each slot, the instances holding
+    a token there in ascending order and their rule ids. Slot j's instances
+    are those with more than j rules, so every slot is non-empty, except the
+    one slot returned when no instance holds a rule. The shuffle keeps tokens
+    of one rule out of a shared slot, where the slot-blocked sampler would
+    update them in lockstep.
     """
     bits = np.asarray(bits)
-    n = bits.shape[0]
-    counts = bits.sum(axis=1).astype(np.int64)
-    width = int(counts.max()) if n else 0
-    tokens = np.zeros((n, max(width, 1)), dtype=np.int64)
-    mask = np.zeros((n, max(width, 1)), dtype=bool)
-    for i in range(n):
-        ids = np.flatnonzero(bits[i])
-        if len(ids) > 1:
-            ids = ids[rng.permutation(len(ids))]
-        tokens[i, :len(ids)] = ids
-        mask[i, :len(ids)] = True
-    return tokens, mask
+    rows, words = np.nonzero(bits)
+    counts = np.bincount(rows, minlength=bits.shape[0])
+    starts = np.cumsum(counts) - counts
+    shuffled = counts > 1
+    for a, c in zip(starts[shuffled].tolist(), counts[shuffled].tolist()):
+        words[a:a + c] = words[a:a + c][rng.permutation(c)]
+    slot = np.arange(len(rows)) - starts[rows]
+    width = max(int(counts.max(initial=0)), 1)
+    return [rows[slot == j] for j in range(width)], [words[slot == j] for j in range(width)]
 
 
-def _gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
+def _gibbs_train(docs, words, n_docs, n_topics, n_words, alpha, beta, iterations, rng):
     """Collapsed Gibbs over rule tokens, swept slot by slot.
 
+    ``docs`` and ``words`` are the slot-major tokens of ``_bits_to_tokens``.
     All documents update a slot simultaneously: document-topic counts stay
-    exact per document, topic-word counts refresh after each slot pass.
-    Returns the topic-word counts averaged over the second half of the
-    sweeps, so short bags are not at the mercy of their final draw.
-    """
-    n, width = tokens.shape
-    z = rng.integers(0, n_topics, size=(n, width))
-    valid_docs, _ = np.nonzero(mask)
+    exact per document, topic-word counts refresh after each slot pass. The
+    draws, in order: ``rng.integers`` for the initial topics of an
+    (n_docs, slots) grid, of which each token takes its own cell; then per
+    sweep one ``rng.permutation`` of the slots and one ``rng.random`` over
+    all tokens, which the slots consume in permuted order, each slot's
+    documents in ascending order. A token's new topic is the number of
+    running sums of ``(ckw + beta) / (ck + W beta) * (cd + alpha)``, taken
+    in topic order, below its uniform times the last sum.
 
-    ckw = np.zeros((n_topics, n_words))
-    np.add.at(ckw, (z[mask], tokens[mask]), 1.0)
-    cd = np.zeros((n, n_topics))
-    np.add.at(cd, (valid_docs, z[mask]), 1.0)
-    ck = ckw.sum(axis=1)
+    Counts are integers kept topic-major, topic-word (K, W) and doc-topic
+    (K, n), and each token is stored as its flat index into both, so a slot
+    pass moves its tokens out and back in with one ``np.bincount`` and one
+    fancy-indexed update each. Returns the topic-word counts averaged over
+    the second half of the sweeps, so short bags are not at the mercy of
+    their final draw.
+    """
+    n_cells = n_topics * n_words
+    grid = rng.integers(0, n_topics, size=(n_docs, len(docs)))
+    word_at = [grid[d, j] * n_words + w for j, (d, w) in enumerate(zip(docs, words))]
+    doc_at = [grid[d, j] * n_docs + d for j, d in enumerate(docs)]
+    ckw = np.bincount(np.concatenate(word_at), minlength=n_cells)
+    cd = np.bincount(np.concatenate(doc_at), minlength=n_topics * n_docs)
+    topic_word = ckw.reshape(n_topics, n_words)
+    doc_topic = cd.reshape(n_topics, n_docs)
+    n_tokens = sum(len(d) for d in docs)
+    norm = n_words * beta
 
     burn_in = iterations // 2
     ckw_acc = np.zeros_like(ckw)
 
     for sweep in range(iterations):
-        for j in rng.permutation(width):
-            act = mask[:, j]
-            if not act.any():
-                continue
-            docs = np.flatnonzero(act)
-            words = tokens[docs, j]
-            old = z[docs, j]
-            np.add.at(ckw, (old, words), -1.0)
-            np.add.at(ck, old, -1.0)
-            cd[docs, old] -= 1.0
+        order = rng.permutation(len(docs)).tolist()
+        uniform = rng.random(n_tokens)
+        start = 0
+        for j in order:
+            d, w = docs[j], words[j]
+            ckw -= np.bincount(word_at[j], minlength=n_cells)
+            cd[doc_at[j]] -= 1
 
-            word_part = (ckw[:, words].T + beta) / (ck + n_words * beta)[None, :]
-            probs = word_part * (cd[docs] + alpha)
-            cum = np.cumsum(probs, axis=1)
-            draws = rng.random(len(docs)) * cum[:, -1]
-            new = (cum < draws[:, None]).sum(axis=1)
+            word_part = (topic_word + beta) / (topic_word.sum(axis=1) + norm)[:, None]
+            probs = word_part.take(w, axis=1) * (doc_topic.take(d, axis=1) + alpha)
+            for k in range(1, n_topics):
+                probs[k] += probs[k - 1]
+            end = start + len(d)
+            new = (probs < uniform[start:end] * probs[-1]).sum(axis=0)
+            start = end
 
-            z[docs, j] = new
-            np.add.at(ckw, (new, words), 1.0)
-            np.add.at(ck, new, 1.0)
-            cd[docs, new] += 1.0
+            word_at[j] = new * n_words + w
+            doc_at[j] = new * n_docs + d
+            ckw += np.bincount(word_at[j], minlength=n_cells)
+            cd[doc_at[j]] += 1
         if sweep >= burn_in:
             ckw_acc += ckw
 
     # sweep range always reaches burn_in, so at least one sample was taken
-    return ckw_acc / (iterations - burn_in)
+    return (ckw_acc / (iterations - burn_in)).reshape(n_topics, n_words)
 
 
 def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
@@ -206,9 +222,9 @@ def cluster_patients(global_bits: np.ndarray, cfg: StratifyConfig):
     bits = np.asarray(global_bits)
     n_words = bits.shape[1]
     rng = sub_rng(cfg.seed, STREAM_LDA)
-    tokens, mask = _bits_to_tokens(bits, rng)
-    ckw = _gibbs_train(tokens, mask, cfg.n_clusters, n_words, cfg.alpha, cfg.lda_beta,
-                       cfg.gibbs_iterations, rng)
+    docs, words = _bits_to_tokens(bits, rng)
+    ckw = _gibbs_train(docs, words, bits.shape[0], cfg.n_clusters, n_words, cfg.alpha,
+                       cfg.lda_beta, cfg.gibbs_iterations, rng)
     topics = (ckw + cfg.lda_beta) / (ckw.sum(axis=1) + n_words * cfg.lda_beta)[:, None]
     return _assign(topics, cfg, bits, {}), topics
 

@@ -342,12 +342,19 @@ class TestStratifyCommands:
         assert rows[0] == ["variable", "cluster", "frequency"]
         assert any(r[1] == "global" for r in rows[1:])
 
-    @pytest.mark.parametrize("flag", ["--global-patterns", "--local-patterns", "--groups"])
+    @pytest.mark.parametrize("flag", ["--global-patterns", "--local-patterns", "--groups",
+                                      "--gibbs-iterations", "--fold-in-iterations"])
     def test_zero_count_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
                      "--schema", str(subtyped_files["schema"]),
                      "--out", str(tmp_path / "m"), flag, "0"]) == 2
         assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
+
+    def test_zero_count_is_reported_before_the_data_is_read(self, tmp_path, capsys):
+        assert main(["stratify-train", "--data", str(tmp_path / "missing.csv"),
+                     "--schema", str(tmp_path / "missing_schema.csv"),
+                     "--out", str(tmp_path / "m"), "--gibbs-iterations", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "error: --gibbs-iterations must be >= 1"
 
     @pytest.mark.parametrize("flag", ["--lda-alpha", "--lda-beta"])
     def test_zero_prior_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from unittest import mock
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from dppred import stratify
 from dppred.data import minmax_normalize_labels
 from dppred.model import HyperParams, evaluate, refit_on_patterns, predict
+from dppred.model import train as train_flat
+from dppred.patterns import construct_pattern_space
 from dppred.selection import NoRulesError
 from dppred.stratify import (
     StratifyConfig,
@@ -98,6 +101,124 @@ class TestClusterPatients:
         assignments, _ = cluster_patients(bits, cfg)
         assert assignments[5] == 0
         assert assignments[50] == 0
+
+
+# --- the sampler against its row-major form ---------------------------------
+#
+# The sampler as it was before the slot-major layout: padded (n, width)
+# token and mask grids, float counts, one rng.random per slot pass. The
+# slot-major sampler must return the same bits and leave the generator in
+# the same state.
+
+def reference_bits_to_tokens(bits, rng):
+    bits = np.asarray(bits)
+    n = bits.shape[0]
+    counts = bits.sum(axis=1).astype(np.int64)
+    width = int(counts.max()) if n else 0
+    tokens = np.zeros((n, max(width, 1)), dtype=np.int64)
+    mask = np.zeros((n, max(width, 1)), dtype=bool)
+    for i in range(n):
+        ids = np.flatnonzero(bits[i])
+        if len(ids) > 1:
+            ids = ids[rng.permutation(len(ids))]
+        tokens[i, :len(ids)] = ids
+        mask[i, :len(ids)] = True
+    return tokens, mask
+
+
+def reference_gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng):
+    n, width = tokens.shape
+    z = rng.integers(0, n_topics, size=(n, width))
+    valid_docs, _ = np.nonzero(mask)
+
+    ckw = np.zeros((n_topics, n_words))
+    np.add.at(ckw, (z[mask], tokens[mask]), 1.0)
+    cd = np.zeros((n, n_topics))
+    np.add.at(cd, (valid_docs, z[mask]), 1.0)
+    ck = ckw.sum(axis=1)
+
+    burn_in = iterations // 2
+    ckw_acc = np.zeros_like(ckw)
+
+    for sweep in range(iterations):
+        for j in rng.permutation(width):
+            act = mask[:, j]
+            if not act.any():
+                continue
+            docs = np.flatnonzero(act)
+            words = tokens[docs, j]
+            old = z[docs, j]
+            np.add.at(ckw, (old, words), -1.0)
+            np.add.at(ck, old, -1.0)
+            cd[docs, old] -= 1.0
+
+            word_part = (ckw[:, words].T + beta) / (ck + n_words * beta)[None, :]
+            probs = word_part * (cd[docs] + alpha)
+            cum = np.cumsum(probs, axis=1)
+            draws = rng.random(len(docs)) * cum[:, -1]
+            new = (cum < draws[:, None]).sum(axis=1)
+
+            z[docs, j] = new
+            np.add.at(ckw, (new, words), 1.0)
+            np.add.at(ck, new, 1.0)
+            cd[docs, new] += 1.0
+        if sweep >= burn_in:
+            ckw_acc += ckw
+
+    return ckw_acc / (iterations - burn_in)
+
+
+@st.composite
+def sampler_inputs(draw):
+    """(bits, topics, iterations, alpha, beta, seed): bags of 0 to 12 rules,
+    empty rows at times, all of them at times, one row at times."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rules = draw(st.integers(1, 12))
+    n_rows = draw(st.sampled_from([1, 2, 7, 40, 90]))
+    bits = (gen.random((n_rows, n_rules)) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    bits[gen.random(n_rows) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    return (bits, draw(st.integers(1, 5)), draw(st.integers(1, 3)),
+            draw(st.sampled_from([0.05, 1 / 3, 2.0])), draw(st.sampled_from([0.01, 0.1, 1.5])),
+            draw(st.integers(0, 1000)))
+
+
+def _sampled(bits, n_topics, iterations, alpha, beta, seed, reference):
+    rng = np.random.default_rng(seed)
+    n_words = bits.shape[1]
+    if reference:
+        tokens, mask = reference_bits_to_tokens(bits, rng)
+        ckw = reference_gibbs_train(tokens, mask, n_topics, n_words, alpha, beta, iterations, rng)
+    else:
+        docs, words = stratify._bits_to_tokens(bits, rng)
+        ckw = stratify._gibbs_train(docs, words, bits.shape[0], n_topics, n_words, alpha, beta,
+                                    iterations, rng)
+    return ckw.shape, ckw.dtype, ckw.tobytes(), rng.random()
+
+
+class TestSamplerOracle:
+    @given(sampler_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_major_sampler(self, case):
+        assert _sampled(*case, reference=False) == _sampled(*case, reference=True)
+
+    @pytest.mark.parametrize("bits", [
+        np.zeros((6, 4), dtype=np.uint8),                    # no row holds a rule
+        np.zeros((0, 4), dtype=np.uint8),                    # no row at all
+        np.array([[1, 0, 1, 1, 0, 1, 1]], dtype=np.uint8),   # a single row
+        np.ones((3, 12), dtype=np.uint8),                    # the widest bags
+    ])
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_edge_matrices(self, bits, iterations):
+        for n_topics in (1, 4):
+            case = (bits, n_topics, iterations, 0.5, 0.1, 17)
+            assert _sampled(*case, reference=False) == _sampled(*case, reference=True)
+
+    def test_benchmark_sized_bags(self):
+        # 300 rows of up to 12 rules over 30, three topics and 40 sweeps
+        gen = np.random.default_rng(44)
+        bits = (gen.random((300, 30)) < gen.random((300, 1)) * 0.4).astype(np.uint8)
+        case = (bits, 3, 40, 1 / 3, 0.1, 5)
+        assert _sampled(*case, reference=False) == _sampled(*case, reference=True)
 
 
 def reference_fold_in(topics, cfg, bits):
@@ -241,7 +362,6 @@ class TestTrainStratified:
         assert rmse_diff <= 1e-9
 
     def test_stratified_beats_flat_on_subtyped_data(self):
-        from dppred.model import train as train_flat
         tr, te = subtyped_setup(n_train=3500, n_test=1600)
         cfg = StratifyConfig(n_global=30, n_local=10, n_clusters=3,
                              gibbs_iterations=300, seed=3)
@@ -378,3 +498,39 @@ class TestStratifiedPersistence:
         m2 = load_stratified(path)
         assert m2.label_bounds == m.label_bounds
         assert np.array_equal(predict_stratified(m, te), predict_stratified(m2, te))
+
+
+# --- golden clusterings -----------------------------------------------------
+#
+# sha256 of cluster_patients output: every topic cell as float.hex, then the
+# assignments. Pinned before the sampler moved to its slot-major layout, so
+# any change to a draw, its order or a count's arithmetic moves them.
+
+def _golden_bits():
+    sub, _ = generate_subtyped_regression(SynthConfig(n_train=300, n_test=1, seed=5), 3)
+    hp = HyperParams(tree=TreeConfig(n_trees=10, seed=14), k=8, method="forward",
+                     task="regression")
+    return {
+        "planted-blocks": (disjoint_block_bits(seed=31),
+                           StratifyConfig(n_clusters=2, gibbs_iterations=60, seed=5)),
+        "subtyped-global": (construct_pattern_space(sub, train_flat(sub, hp).patterns),
+                            StratifyConfig(n_clusters=3, gibbs_iterations=41, seed=9)),
+    }
+
+
+def clustering_digest(assignments, topics):
+    lines = [" ".join(float(v).hex() for v in row) for row in topics]
+    lines.append(" ".join(str(int(c)) for c in assignments))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+GOLDEN_CLUSTERING_DIGESTS = {
+    "planted-blocks": "755dcec468f83a9506be065d09e6b1892abecc030a9dbec121b23d20d3db2016",
+    "subtyped-global": "7eee8acd10d20f175b29de23ae49395d3678645084a7354a3f84af5479b8dc1c",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CLUSTERING_DIGESTS))
+def test_golden_clustering(case):
+    bits, cfg = _golden_bits()[case]
+    assert clustering_digest(*cluster_patients(bits, cfg)) == GOLDEN_CLUSTERING_DIGESTS[case]
