@@ -23,7 +23,7 @@ from .data import (
     minmax_normalize_labels,
     read_schema_file,
 )
-from .model import HyperParams, TASK_CLASSIFICATION, TASK_REGRESSION
+from .model import HyperParams, TASK_CLASSIFICATION, TASK_REGRESSION, default_k
 from .synth import SynthConfig, write_medical_csv, write_subtyped_csv
 from .tree import TreeConfig
 
@@ -148,13 +148,20 @@ def _load_training_data(args):
     return ds, task, labels
 
 
+_TREE_FLAGS = ("trees", "depth", "min_bag")
+
+
+def _check_counts(args, *flags):
+    """Name the first of ``flags`` that is set below 1; runs before any file is read."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+
+
 def _hyperparams(args, task, k=None):
-    if args.trees < 1 or args.depth < 1 or getattr(args, "min_bag") < 1:
-        raise UsageError("tree parameters must all be >= 1")
     if k is None:
-        k = args.k if args.k is not None else (20 if task == TASK_CLASSIFICATION else 30)
-    if k < 1:
-        raise UsageError("--k must be >= 1")
+        k = args.k if args.k is not None else default_k(task)
     tree = TreeConfig(n_trees=args.trees, max_depth=args.depth,
                       min_bag=args.min_bag, seed=args.seed)
     return HyperParams(tree=tree, k=k, method=args.method, task=task)
@@ -168,6 +175,7 @@ def _print_train_metric(preds, labels, task):
 
 
 def cmd_train(args) -> int:
+    _check_counts(args, *_TREE_FLAGS, "k")
     ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task)
     m = model_mod.train(ds, hp)
@@ -265,10 +273,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stratify_train(args) -> int:
-    for flag in ("global_patterns", "local_patterns", "groups", "gibbs_iterations",
-                 "fold_in_iterations"):
-        if getattr(args, flag) < 1:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    _check_counts(args, "global_patterns", "local_patterns", "groups", "gibbs_iterations",
+                  "fold_in_iterations", *_TREE_FLAGS)
     for flag in ("lda_alpha", "lda_beta"):
         value = getattr(args, flag)
         if value is not None and not 0 < value < math.inf:
@@ -283,9 +289,11 @@ def cmd_stratify_train(args) -> int:
     m = strat_mod.train_stratified(ds, hp, cfg)
     strat_mod.save_stratified(m, args.out)
     print(f"global rules: {len(m.global_patterns)}")
+    # training assigned its rows by this fold-in, which also fills the bag
+    # memory that the train-metric prediction below then serves from
+    sizes = np.bincount(strat_mod.assign_clusters(m, ds), minlength=len(m.cluster_patterns))
     for c, rules in enumerate(m.cluster_patterns):
-        size = int((m.cluster_assignments == c).sum())
-        print(f"cluster {c}: {size} instances, {len(rules)} local rules")
+        print(f"cluster {c}: {sizes[c]} instances, {len(rules)} local rules")
     _print_train_metric(strat_mod.predict_stratified(m, ds), labels, task)
     print(f"model written to {args.out}")
     return 0
@@ -306,6 +314,7 @@ def cmd_importance(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_counts(args, *_TREE_FLAGS, "k")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one integer")
@@ -313,11 +322,11 @@ def cmd_sweep(args) -> int:
         values = [int(v) for v in values]
     except ValueError:
         raise UsageError("--values must be comma-separated integers") from None
+    if min(values) < 1:
+        raise UsageError("--values must be >= 1")
 
     train_ds, task, train_labels = _load_training_data(args)
     test_ds = load_csv(args.test, train_ds.schema, train_ds.label_kind)
-    if args.param == "trees" and min(values) < 1:
-        raise UsageError("tree counts must be >= 1")
     hp = _hyperparams(args, task, k=min(values) if args.param == "k" else None)
 
     key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"

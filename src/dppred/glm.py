@@ -94,6 +94,18 @@ def _class_count(y: np.ndarray) -> int:
     return int(uniq.max()) + 1
 
 
+def _targets(y: np.ndarray, task: str) -> tuple[list[np.ndarray], int]:
+    """The float64 fit targets of ``y`` (one per one-vs-rest class beyond two
+    classes), and the class count (0 for linear)."""
+    if task == TASK_LINEAR:
+        return [y.astype(np.float64)], 0
+    if task != TASK_LOGISTIC:
+        raise ValueError(f"unknown task {task!r}")
+    n_classes = _class_count(y)
+    labels = [1] if n_classes == 2 else range(n_classes)
+    return [(y.astype(np.int64) == c).astype(np.float64) for c in labels], n_classes
+
+
 def lambda_max(Xp, y, task: str) -> float:
     """Smallest penalty making the all-zero weight vector optimal.
 
@@ -105,24 +117,12 @@ def lambda_max(Xp, y, task: str) -> float:
     y = np.asarray(y)
     if Xp.size == 0 or len(y) == 0:
         raise ValueError("lambda_max of an empty problem is undefined")
-    n = len(y)
+    targets, _ = _targets(y, task)
     mu = Xp.mean(axis=0, dtype=np.float64)
-
-    if task == TASK_LINEAR:
-        yf = y.astype(np.float64)
-        g = 2.0 * _centered_rmatvec(Xp, mu, yf.mean() - yf)
-        return float(np.abs(g).max())
-    if task != TASK_LOGISTIC:
-        raise ValueError(f"unknown task {task!r}")
-
-    n_classes = _class_count(y)
-    targets = [1] if n_classes == 2 else range(n_classes)
-    best = 0.0
-    for c in targets:
-        t = (y.astype(np.int64) == c).astype(np.float64)
-        g = _centered_rmatvec(Xp, mu, np.full(n, t.mean()) - t)
-        best = max(best, float(np.abs(g).max()))
-    return best
+    # squared error's gradient is twice the residual's; doubling is exact
+    best = max(float(np.abs(_centered_rmatvec(Xp, mu, np.full(len(y), t.mean()) - t)).max())
+               for t in targets)
+    return 2.0 * best if task == TASK_LINEAR else best
 
 
 def _solve(H: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -263,16 +263,7 @@ def fit_lasso(Xp, y, lam: float, task: str, warm_start: GlmModel | None = None) 
     y = np.asarray(y)
     if Xp.shape[0] != len(y):
         raise ValueError("row count of the feature matrix must match the label count")
-    if task == TASK_LINEAR:
-        targets = [y.astype(np.float64)]
-        n_classes = 0
-    elif task == TASK_LOGISTIC:
-        n_classes = _class_count(y)
-        labels = [1] if n_classes == 2 else range(n_classes)
-        targets = [(y.astype(np.int64) == c).astype(np.float64) for c in labels]
-    else:
-        raise ValueError(f"unknown task {task!r}")
-
+    targets, n_classes = _targets(y, task)
     mu = Xp.mean(axis=0, dtype=np.float64)
     warm_w = None if warm_start is None else np.atleast_2d(warm_start.weights)
     warm_b = None if warm_start is None else np.atleast_1d(warm_start.intercept)

@@ -62,8 +62,12 @@ class HyperParams:
     def for_task(cls, task: str, seed: int = 0, method: str = METHOD_FORWARD) -> "HyperParams":
         """Defaults: T=100, D=6, sigma=10 with k=20 (classification) or
         k=30 (regression)."""
-        k = 20 if task == TASK_CLASSIFICATION else 30
-        return cls(tree=TreeConfig(seed=seed), k=k, method=method, task=task)
+        return cls(tree=TreeConfig(seed=seed), k=default_k(task), method=method, task=task)
+
+
+def default_k(task: str) -> int:
+    """Rules selected when no k is given: 20 for classification, 30 for regression."""
+    return 20 if task == TASK_CLASSIFICATION else 30
 
 
 @dataclass

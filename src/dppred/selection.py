@@ -18,9 +18,9 @@ Hessians and one batched solve, run until the loss changes by at most
 ``_TOL`` relative. A candidate's score is thus its converged refit
 likelihood, one-vs-rest classes summed. Steps start from the incumbent
 with the candidate's weight at zero, which makes the per-round training
-metric non-decreasing by construction. The group counts of a round are
-one matrix product of the work copy with the 0/1 group-membership
-matrix, a block of rows at a time; they are exact integers.
+metric non-decreasing by construction. The set (row, column) pairs of
+the distinct columns are found once, and the group counts of a round are
+one integer ``np.bincount`` over them.
 
 LASSO selection binary-searches the penalty for the largest support of at
 most k rules, warm-starting each fit from the previous one. Each penalized
@@ -52,9 +52,7 @@ _TOL = 1e-5         # relative loss change that ends a candidate's Newton steps
 _MAX_STEPS = 25     # Newton steps per candidate and class in one round
 _SCHUR_EPS = 1e-9
 _CANDIDATE_CELLS = 1 << 16  # cap on block candidates * (groups + Hessian cells) each
-# rows per block of the work copy (no full-size gather of Xp first) and of
-# the grouped counts, whose float32 block sums stay exact below 2**24
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 4096  # rows per block of the float32 copy: no full-size uint8 gather first
 
 
 class NoRulesError(ValueError):
@@ -87,62 +85,68 @@ class SelectionResult:
         """
         if v >= len(self.chosen):
             return self
-        chosen = self.chosen[:v]
-        return SelectionResult(chosen=chosen, trace=self.trace[:v],
-                               model=fit_glm(np.asarray(Xp)[:, chosen].astype(np.float64),
-                                             np.asarray(y), task))
+        return _refit(np.asarray(Xp), np.asarray(y), task, self.chosen[:v], self.trace[:v])
 
 
-def _distinct_columns(Xp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 work copy of the distinct columns of ``Xp``, and their pool indices.
+def _refit(Xp, y, task, chosen, trace) -> SelectionResult:
+    """The selection of pool columns ``chosen``, with the unpenalized GLM on them."""
+    return SelectionResult(chosen=chosen, trace=trace,
+                           model=fit_glm(Xp[:, chosen].astype(np.float64), y, task))
+
+
+def _prologue(Xp, y, k):
+    """Checked ``Xp`` and ``y``, and the pool indices of the distinct columns of ``Xp``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    Xp = np.asarray(Xp)
+    if Xp.shape[1] == 0:
+        raise ValueError("cannot select from an empty pool")
+    return Xp, np.asarray(y), _distinct_columns(Xp)
+
+
+def _distinct_columns(Xp: np.ndarray) -> np.ndarray:
+    """Pool indices of the distinct columns of ``Xp``, in pool order.
 
     A column equal to another on the training rows adds exactly zero
     information, so each distinct content keeps only its lowest pool index.
-    float32 keeps the big candidate matmuls affordable; counts and
-    co-occurrence sums stay exact because entries are 0/1.
     """
     keys = np.ascontiguousarray(Xp.T)
     keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    keep = np.sort(np.unique(keys, return_index=True)[1])
-    del keys  # as large as the pool itself: free it before the copy
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+def _float_copy(Xp, keep):
+    """Float32 copy of the pool columns ``keep``, for the selectors that multiply
+    with it. float32 keeps the big matmuls affordable; co-occurrence sums stay
+    exact because entries are 0/1."""
     Xw = np.empty((Xp.shape[0], len(keep)), dtype=np.float32)
     for start in range(0, Xp.shape[0], _BLOCK_ROWS):
         Xw[start:start + _BLOCK_ROWS] = Xp[start:start + _BLOCK_ROWS, keep]
-    return Xw, keep
+    return Xw
 
 
 def forward_select(Xp, y, k: int, task: str) -> SelectionResult:
     """Greedy one-rule-at-a-time selection maximizing training performance."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    Xp = np.asarray(Xp)
-    y = np.asarray(y)
-    if Xp.shape[1] == 0:
-        raise ValueError("cannot select from an empty pool")
-    Xw, keep = _distinct_columns(Xp)
+    Xp, y, keep = _prologue(Xp, y, k)
     if k > len(keep):
         warnings.warn(f"k={k} exceeds the {len(keep)} distinct columns of the pool; "
                       "selecting the entire pool")
         k = len(keep)
 
     if task == TASK_LINEAR:
-        chosen, trace = _forward_linear(Xw, y.astype(np.float64), k)
+        chosen, trace = _forward_linear(_float_copy(Xp, keep), y.astype(np.float64), k)
     elif task == TASK_LOGISTIC:
-        chosen, trace = _forward_logistic(Xw, y.astype(np.int64), k)
+        chosen, trace = _forward_logistic(Xp[:, keep], y.astype(np.int64), k)
     else:
         raise ValueError(f"unknown task {task!r}")
 
-    chosen = keep[chosen].tolist()
-    trace = [(rnd, int(keep[j]), metric) for rnd, j, metric in trace]
-    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
-    return SelectionResult(chosen=chosen, model=model, trace=trace)
+    return _refit(Xp, y, task, keep[chosen].tolist(),
+                  [(rnd, int(keep[j]), metric) for rnd, j, metric in trace])
 
 
 def _forward_linear(Xw, y, k):
     """Exact least-squares forward selection via rank-one gain updates."""
     n = Xw.shape[0]
-    col_sq = (Xw * Xw).sum(axis=0, dtype=np.float64)
-
     chosen: list[int] = []
     trace: list[tuple] = []
     design = np.ones((n, 1))
@@ -152,6 +156,7 @@ def _forward_linear(Xw, y, k):
     last_metric = -np.inf
     # cross[i] = (design column i)ᵀ X for every candidate column
     cross = [Xw.sum(axis=0, dtype=np.float64)]
+    col_sq = cross[0]  # entries are 0/1
 
     for rnd in range(1, k + 1):
         proj = np.asarray(Xw.T @ resid.astype(Xw.dtype), dtype=np.float64)
@@ -184,27 +189,25 @@ def _forward_linear(Xw, y, k):
     return chosen, trace
 
 
-def _group_rows(Xw, chosen, y):
+def _group_rows(X, rows, cols, chosen, y):
     """Collapse rows to distinct (incumbent bits, label) groups.
 
     Returns each group's incumbent bits, label and size, and the (pool, G)
-    counts of its rows that satisfy each candidate: float32 products of
-    ``Xw`` with the 0/1 group-membership matrix, one block of rows at a
-    time, summed in float64. Every count is an exact integer.
+    counts of its rows that satisfy each candidate, from the set (row,
+    column) pairs ``rows``, ``cols`` of ``X``: one integer ``np.bincount``.
     """
-    key = np.column_stack([Xw[:, chosen], y]).astype(np.int64)
+    key = np.column_stack([X[:, chosen], y]).astype(np.int64)
     uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    m1 = np.zeros((Xw.shape[1], len(uniq)))
-    for start in range(0, len(y), _BLOCK_ROWS):
-        member = inverse[start:start + _BLOCK_ROWS, None] == np.arange(len(uniq))
-        m1 += Xw[start:start + _BLOCK_ROWS].T @ member.astype(np.float32)
-    n_g = np.bincount(inverse, minlength=len(uniq)).astype(np.float64)
-    return uniq[:, :-1].astype(np.float64), uniq[:, -1], n_g, m1
+    G = len(uniq)
+    m1 = np.bincount(cols * G + inverse[rows], minlength=X.shape[1] * G)
+    n_g = np.bincount(inverse, minlength=G).astype(np.float64)
+    return uniq[:, :-1].astype(np.float64), uniq[:, -1], n_g, m1.reshape(-1, G).astype(np.float64)
 
 
-def _forward_logistic(Xw, y, k):
+def _forward_logistic(X, y, k):
     """Grouped exact-refit scoring for every candidate each round."""
-    n, pool = Xw.shape
+    n, pool = X.shape
+    rows, cols = np.nonzero(X)
     n_classes = int(y.max()) + 1
     class_list = [1] if n_classes == 2 else list(range(n_classes))
 
@@ -217,7 +220,7 @@ def _forward_logistic(Xw, y, k):
     last_metric = -np.inf
 
     for rnd in range(1, k + 1):
-        Xg, yg, n_g, m1 = _group_rows(Xw, chosen, y)
+        Xg, yg, n_g, m1 = _group_rows(X, rows, cols, chosen, y)
         m0 = n_g - m1
 
         total_nll = np.zeros(pool)
@@ -312,43 +315,32 @@ def _score_candidates_one_class(Xg, t_g, m1, m0, start):
 
 def lasso_select(Xp, y, k: int, task: str) -> SelectionResult:
     """Binary search on the L1 penalty for the largest support of size <= k; the
-    search stops once the bracket is narrower than ``1e-3 * lambda_max``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    Xp = np.asarray(Xp)
-    y = np.asarray(y)
-    if Xp.shape[1] == 0:
-        raise ValueError("cannot select from an empty pool")
-    Xw, keep = _distinct_columns(Xp)
+    search stops once the bracket is narrower than ``1e-3 * lambda_max``. The
+    chosen rules are the non-empty support of at most k rules at the smallest
+    penalty visited."""
+    Xp, y, keep = _prologue(Xp, y, k)
+    Xw = _float_copy(Xp, keep)
 
     lam_top = lambda_max(Xw, y, task)
     if lam_top <= 0.0:
         raise NoRulesError("no support found: the penalty range is degenerate")
 
     lo, hi = 0.0, 1.05 * lam_top
-    recorded: np.ndarray | None = None
     visited: list[tuple[float, np.ndarray]] = []
     warm = None
 
     while lo + 1e-3 * lam_top < hi:
         lam = (lo + hi) / 2.0
-        fitted = fit_lasso(Xw, y, lam, task, warm_start=warm)
-        warm = fitted
-        sup = support(fitted)
+        warm = fit_lasso(Xw, y, lam, task, warm_start=warm)
+        sup = support(warm)
         visited.append((lam, sup))
         if len(sup) <= k:
-            recorded = sup
             hi = lam
         else:
             lo = lam
 
-    if recorded is None or len(recorded) == 0:
-        nonempty = [(lam, sup) for lam, sup in visited if 0 < len(sup) <= k]
-        if not nonempty:
-            raise NoRulesError("no support found")
-        recorded = min(nonempty, key=lambda item: item[0])[1]
-
-    chosen = keep[recorded].tolist()
-    model = fit_glm(Xp[:, chosen].astype(np.float64), y, task)
-    trace = [(lam, len(sup)) for lam, sup in visited]
-    return SelectionResult(chosen=chosen, model=model, trace=trace)
+    small = [(lam, sup) for lam, sup in visited if 0 < len(sup) <= k]
+    if not small:
+        raise NoRulesError("no support found")
+    chosen = keep[min(small, key=lambda item: item[0])[1]].tolist()
+    return _refit(Xp, y, task, chosen, [(lam, len(sup)) for lam, sup in visited])

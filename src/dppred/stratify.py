@@ -101,7 +101,6 @@ class StratifiedModel:
     topics: np.ndarray                  # (n_clusters, n_global_patterns), rows sum to 1
     cluster_patterns: list[list[Pattern]]
     glm: GlmModel
-    cluster_assignments: np.ndarray
     config: StratifyConfig
     schema: list[ColumnSchema] | None
     feature_names: list[str]
@@ -280,7 +279,6 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
         topics=topics,
         cluster_patterns=cluster_patterns,
         glm=glm,
-        cluster_assignments=assignments,
         config=cfg,
         **_data_fields(ds),
         provenance={**global_model.provenance,
@@ -435,7 +433,6 @@ def load_stratified(path) -> StratifiedModel:
         topics=_read(sections, "topics", _parse_topics, (cfg.n_clusters, len(global_patterns))),
         cluster_patterns=_read(sections, "cluster_patterns", _parse_cluster_rules, cfg, n_features),
         glm=_read(sections, "glm", _parse_glm, cfg.n_global + cfg.n_local),
-        cluster_assignments=np.zeros(0, dtype=np.int64),
         config=cfg,
         provenance=_read(sections, "provenance", _parse_fields),
         **data,

@@ -101,6 +101,27 @@ class TestTrainCommand:
         assert len(rows) == 9
 
 
+@pytest.mark.parametrize("command,flag", [
+    *((command, flag) for command in ("train", "sweep", "stratify-train")
+      for flag in ("--trees", "--depth", "--min-bag")),
+    ("train", "--k"), ("sweep", "--k"), ("sweep", "--values")])
+def test_zero_count_is_reported_before_any_file_is_read(command, flag, tmp_path, capsys):
+    args = [command, "--data", str(tmp_path / "missing.csv"),
+            "--schema", str(tmp_path / "missing_schema.csv"), "--out", str(tmp_path / "out")]
+    if command == "sweep":
+        args += ["--test", str(tmp_path / "missing_test.csv"), "--param", "k", "--values", "5"]
+    assert main(args + [flag, "0"]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
+
+
+def test_default_k_is_the_library_default(subtyped_files, tmp_path):
+    out = tmp_path / "m.model"
+    assert main(["train", "--data", str(subtyped_files["train"]),
+                 "--schema", str(subtyped_files["schema"]),
+                 "--out", str(out), "--trees", "10", "--seed", "2"]) == 0
+    assert model_mod.load(out).provenance["k"] == str(HyperParams.for_task("regression").k)
+
+
 class TestPredictEvaluate:
     def test_predict_then_evaluate(self, medical_files, tmp_path, capsys):
         model = tmp_path / "m.model"
@@ -311,6 +332,15 @@ class TestSweepCommand:
                                                             "regression")["rmse"])
                                     for d in data])
         assert read_csv(out) == want
+
+    @pytest.mark.parametrize("param", ["k", "trees"])
+    def test_zero_value_names_values(self, param, medical_files, tmp_path, capsys):
+        assert main(["sweep", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]),
+                     "--test", str(medical_files["test"]),
+                     "--param", param, "--values", "0,5",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.strip() == "error: --values must be >= 1"
 
     def test_empty_values_usage_error(self, medical_files, tmp_path):
         assert main(["sweep", "--data", str(medical_files["train"]),

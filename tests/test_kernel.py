@@ -100,7 +100,7 @@ def random_stratified_model(seed, n, d, n_global, n_clusters, kind, iterations):
     glm, bounds = random_glm(gen, n_global + n_local, kind)
     ds = dataset(x, "real" if glm.task == "linear" else "class")
     m = StratifiedModel(global_patterns=global_rules, topics=topics, cluster_patterns=cluster_rules,
-                        glm=glm, cluster_assignments=np.zeros(0, dtype=np.int64), config=cfg,
+                        glm=glm, config=cfg,
                         schema=None, feature_names=ds.feature_names,
                         feature_sources=ds.feature_sources, label_kind=ds.label_kind,
                         label_bounds=bounds)

@@ -413,15 +413,20 @@ class TestTrainStratified:
         with pytest.raises(ValueError, match="no support found"):
             train_stratified(tr, small_hp(n_trees=10), cfg)
 
-    def test_fold_in_stability_on_training_data(self):
+    def test_fold_in_stability_on_training_data(self, monkeypatch):
         tr, _ = subtyped_setup(n_train=1800, n_test=20)
         cfg = StratifyConfig(n_global=30, n_local=10, n_clusters=3,
                              gibbs_iterations=300, seed=4)
         hp = HyperParams(tree=TreeConfig(n_trees=100, seed=3), k=30,
                          method="forward", task="regression")
+        clustered = []
+        real_cluster_patients = stratify.cluster_patients
+        monkeypatch.setattr(stratify, "cluster_patients",
+                            lambda *args: clustered.append(real_cluster_patients(*args))
+                            or clustered[-1])
         m = train_stratified(tr, hp, cfg)
         # training assigns each row by the serving fold-in
-        assert np.array_equal(assign_clusters(m, tr), m.cluster_assignments)
+        assert np.array_equal(assign_clusters(m, tr), clustered[0][0])
 
 
 class TestPredictStratified:
