@@ -24,6 +24,7 @@ from .patterns import (
     CompiledRules,
     Condition,
     Pattern,
+    RulePool,
     compile_rules,
     construct_pattern_space,
     extract_patterns,
@@ -154,18 +155,24 @@ def train_sweep(ds: Dataset, hp: HyperParams, param: str, values: list[int]):
 def _check_training_data(ds: Dataset, hp: HyperParams) -> None:
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
+    bad = np.argwhere(~np.isfinite(ds.x))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise ValueError(f"row {row} holds the non-finite value {ds.x[row, col]} "
+                         f"in feature {ds.feature_names[col]!r}")
     _check_labels(ds, hp.task)
 
 
 def _rule_space(ds: Dataset, forest) -> tuple:
-    """The forest's deduplicated rule pool and its rule matrix on ``ds``."""
+    """The forest's deduplicated rule pool, and its rule matrix on ``ds`` built
+    by routing the rows of ``ds`` through the forest."""
     pool = extract_patterns(forest)
     if not pool:
         raise NoRulesError("no patterns generated")
     return pool, construct_pattern_space(ds, pool)
 
 
-def _select(ds: Dataset, hp: HyperParams, pool: list[Pattern], space,
+def _select(ds: Dataset, hp: HyperParams, pool: RulePool, space,
             result: SelectionResult | None = None) -> DppredModel:
     """Select ``hp.k`` rules of the pool, unless ``result`` already holds them,
     and build the model on them."""

@@ -2,16 +2,30 @@
 
 Every split in a tree contributes one candidate rule: the conjunction of
 edge conditions on the path from the root down to that split, closed with
-the split's own >= condition. A rule therefore holds for an instance
-exactly when routing the instance reaches the split and takes its >= side,
-which is what the routing-consistency tests assert. The pool of a forest
-is a plain list of its distinct rules, in the order they first occur.
+the split's own >= condition. Its canonical form keeps the tightest bound
+per (dim, op) and orders the conditions by dim, >= before <. A rule
+therefore holds for an instance exactly when routing the instance reaches
+the split and takes its >= side, which is what the routing-consistency
+tests assert.
+
+``extract_patterns`` flattens a forest once into arrays of its split
+nodes, in forest order and preorder within each tree. Each split's
+canonical rule is keyed, level by level down the trees, as one float
+vector: per feature dimension the largest >= threshold and the negated
+smallest < threshold, -inf where absent. The pool is the distinct keys in
+the order they first occur, and a rule's ``Pattern`` is built only when
+the pool is read. ``construct_pattern_space`` routes the training rows
+through the pool's trees, level by level, and sets the pool column of
+every >= child a row enters, so no condition is evaluated twice.
 
 Serving compiles a selected rule list once (``compile_rules``) and then
 evaluates exactly ``sum(p.m)`` conditions per row (``rule_matrix``);
-``pattern_matrix`` evaluates training pools, ``matches`` is the reference.
+``pattern_matrix`` evaluates a plain rule list, ``matches`` is the
+reference.
 """
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,6 +33,10 @@ import numpy as np
 
 OP_LT = "lt"
 OP_GE = "ge"
+
+# (tree, row) pairs routed together, which bounds the routing state: all
+# 100 trees of 1000 rows, 6 trees of 20k rows
+_ROUTE_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -56,24 +74,6 @@ class Pattern:
         return len(self.conditions)
 
 
-def canonicalize(pattern: Pattern) -> Pattern:
-    """Keep the tightest bound per (dim, op) and order conditions deterministically."""
-    tight: dict[tuple[int, str], float] = {}
-    for c in pattern.conditions:
-        key = (c.dim, c.op)
-        if key not in tight:
-            tight[key] = c.threshold
-        elif c.op == OP_LT:
-            tight[key] = min(tight[key], c.threshold)
-        else:
-            tight[key] = max(tight[key], c.threshold)
-    ordered = tuple(
-        Condition(dim, op, thr)
-        for (dim, op), thr in sorted(tight.items())
-    )
-    return Pattern(ordered)
-
-
 def matches(pattern: Pattern, x: np.ndarray) -> bool:
     """True iff every condition of ``pattern`` holds for the feature vector."""
     d = len(x)
@@ -85,32 +85,135 @@ def matches(pattern: Pattern, x: np.ndarray) -> bool:
     return True
 
 
-def tree_patterns(tree) -> list[tuple[Pattern, object]]:
-    """Per-split rules of one tree, paired with the >=-side child they describe.
+class _Splits(NamedTuple):
+    """The split nodes of a forest, in forest order and preorder within each tree."""
 
-    An instance satisfies the rule iff routing it through the tree visits
-    that child node.
+    dim: np.ndarray        # feature dimension tested
+    threshold: np.ndarray
+    children: np.ndarray   # split index of the < child at 2s, of the >= child at 2s + 1; -1 at a leaf
+    roots: np.ndarray      # split index of the root of every tree that splits
+    column: np.ndarray     # pool column of the split's rule
+
+
+class RulePool(Sequence):
+    """The distinct rules of a forest, in the order they first occur.
+
+    ``pool[j]`` builds the canonical ``Pattern`` of rule j from its key
+    when read. The pool keeps the forest's splits, which
+    ``construct_pattern_space`` routes rows through.
     """
-    out = []
 
-    def walk(node, path):
-        if node.is_leaf:
-            return
-        closing = Condition(node.dim, OP_GE, node.threshold)
-        out.append((canonicalize(Pattern(tuple(path) + (closing,))), node.right))
-        walk(node.left, path + [Condition(node.dim, OP_LT, node.threshold)])
-        walk(node.right, path + [closing])
+    def __init__(self, splits: _Splits, keys: np.ndarray, dims: list[int]):
+        self.splits = splits
+        self.dims = dims     # the feature dimensions the forest splits on, ascending
+        self._keys = keys    # (rules, 2 * len(dims)): per dim, max >= and -min < threshold
 
-    walk(tree.root, [])
-    return out
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, j) -> Pattern:
+        row = self._keys[operator.index(j)]
+        key, dims = row.tolist(), self.dims
+        return Pattern(tuple(
+            Condition(dims[c >> 1], OP_LT, -key[c]) if c & 1 else Condition(dims[c >> 1], OP_GE, key[c])
+            for c in np.flatnonzero(row > -np.inf).tolist()))
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """C-order uint8 (n, len(self)) matrix: row i has a 1 in the column of
+        every >= child it enters when routed through the pool's trees.
+
+        A NaN feature value takes neither side of a split, so its row stops
+        there, and it satisfies no rule through that split, as in
+        ``pattern_matrix``.
+        """
+        sp, n, width = self.splits, x.shape[0], len(self)
+        out = np.zeros(n * width, dtype=np.uint8)
+        xt = np.ascontiguousarray(x.T).ravel()
+        at = sp.dim * n     # offset of each split's feature in the flat x.T
+        chunk = max(1, _ROUTE_PAIRS // max(n, 1))
+        for first in range(0, len(sp.roots), chunk):
+            roots = sp.roots[first:first + chunk]
+            node = np.repeat(roots, n)
+            row = np.tile(np.arange(n), len(roots))
+            while node.size:
+                v = xt[at.take(node) + row]
+                t = sp.threshold.take(node)
+                ge = v >= t
+                # index arrays, not boolean masks: the masks are random, and
+                # taking by index does not branch on them
+                hit = np.flatnonzero(ge)
+                out[row.take(hit) * width + sp.column.take(node.take(hit))] = 1
+                node = sp.children.take(2 * node + ge)
+                live = np.flatnonzero((node >= 0) & (ge | (v < t)))
+                node, row = node.take(live), row.take(live)
+        return out.reshape(n, width)
 
 
-def extract_patterns(forest) -> list[Pattern]:
+def _flatten(forest):
+    """Split arrays of the forest, with each split's parent, depth and side."""
+    dim, threshold, parent, depth, ge_side, roots = [], [], [], [], [], []
+    for tree in forest:
+        if tree.root.is_leaf:
+            continue
+        roots.append(len(dim))
+        stack = [(tree.root, -1, 0, False)]
+        while stack:
+            node, up, level, ge = stack.pop()
+            s = len(dim)
+            dim.append(node.dim)
+            threshold.append(node.threshold)
+            parent.append(up)
+            depth.append(level)
+            ge_side.append(ge)
+            # the left child is popped first: preorder
+            if not node.right.is_leaf:
+                stack.append((node.right, s, level + 1, True))
+            if not node.left.is_leaf:
+                stack.append((node.left, s, level + 1, False))
+    return (np.array(dim, dtype=np.intp), np.array(threshold, dtype=np.float64),
+            np.array(parent, dtype=np.intp), np.array(depth, dtype=np.intp),
+            np.array(ge_side, dtype=bool), np.array(roots, dtype=np.intp))
+
+
+def extract_patterns(forest) -> RulePool:
     """The per-split rules of every tree, deduplicated by canonical form and
     kept in first-occurrence order."""
     if not forest:
         raise ValueError("cannot extract patterns from an empty forest")
-    return list(dict.fromkeys(pattern for tree in forest for pattern, _ in tree_patterns(tree)))
+    dim, threshold, parent, depth, ge_side, roots = _flatten(forest)
+    if not np.isfinite(threshold).all():
+        raise ValueError("a split threshold is not finite")
+    n_splits = len(dim)
+    if n_splits == 0:
+        return RulePool(_Splits(dim, threshold, dim, roots, dim), np.empty((0, 0)), [])
+    dims, slot = np.unique(dim, return_inverse=True)
+    # key entry 2j holds the max >= threshold on the j-th dim split on and
+    # 2j + 1 the max of its negated < thresholds, so every edge tightens its
+    # bound with a maximum. Level by level, each split first gets the bounds
+    # of the path above it: its parent's, tightened by the edge between them.
+    keys = np.full((n_splits, 2 * len(dims)), -np.inf)
+    child = np.flatnonzero(parent >= 0)
+    up = parent[child]
+    edge_at = 2 * slot[up] + ~ge_side[child]
+    edge = np.where(ge_side[child], threshold[up], -threshold[up])
+    for level in range(1, int(depth.max()) + 1):
+        here = depth[child] == level
+        at, c = child[here], edge_at[here]
+        keys[at] = keys[up[here]]
+        keys[at, c] = np.maximum(keys[at, c], edge[here])
+    # then every split closes its rule with its own >= condition
+    every = np.arange(n_splits)
+    keys[every, 2 * slot] = np.maximum(keys[every, 2 * slot], threshold)
+
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    column = np.empty(len(first), dtype=np.intp)
+    column[order] = np.arange(len(first))
+    children = np.full(2 * n_splits, -1)
+    children[2 * up + ge_side[child]] = child
+    splits = _Splits(dim, threshold, children, roots, column[inverse])
+    return RulePool(splits, keys[first[order]], dims.tolist())
 
 
 def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:
@@ -155,12 +258,15 @@ def rule_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
     return np.logical_and.reduceat(hit, rules.starts, axis=1)
 
 
-def construct_pattern_space(ds, patterns: list[Pattern]) -> np.ndarray:
-    for p in patterns:
-        for c in p.conditions:
-            if not 0 <= c.dim < ds.d:
-                raise IndexError(f"condition dimension {c.dim} outside dataset with d={ds.d}")
-    return pattern_matrix(ds.x, patterns)
+def construct_pattern_space(ds, patterns) -> np.ndarray:
+    """Rule matrix of ``ds``: a ``RulePool`` routes its rows through the
+    forest, a plain rule list goes to ``pattern_matrix``; same bits."""
+    routed = isinstance(patterns, RulePool)
+    dims = patterns.dims if routed else [c.dim for p in patterns for c in p.conditions]
+    for dim in dims:
+        if not 0 <= dim < ds.d:
+            raise IndexError(f"condition dimension {dim} outside dataset with d={ds.d}")
+    return patterns.matrix(ds.x) if routed else pattern_matrix(ds.x, patterns)
 
 
 def render_condition(c: Condition, feature_names: list[str]) -> str:

@@ -105,13 +105,16 @@ def _prologue(Xp, y, k):
 
 
 def _distinct_columns(Xp: np.ndarray) -> np.ndarray:
-    """Pool indices of the distinct columns of ``Xp``, in pool order.
+    """Pool indices of the distinct columns of the 0/1 matrix ``Xp``, in pool order.
 
     A column equal to another on the training rows adds exactly zero
     information, so each distinct content keeps only its lowest pool index.
+    A column's key is its bits packed along the rows, an eighth of its
+    bytes; packing is one-to-one because entries are 0/1.
     """
-    keys = np.ascontiguousarray(Xp.T)
-    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    bits = Xp if Xp.dtype.kind in "biu" else Xp != 0   # np.packbits takes no floats
+    keys = np.ascontiguousarray(np.packbits(bits, axis=0).T)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     return np.sort(np.unique(keys, return_index=True)[1])
 
 

@@ -313,13 +313,3 @@ def iter_nodes(root: TreeNode, depth: int = 0):
     if not root.is_leaf:
         yield from iter_nodes(root.left, depth + 1)
         yield from iter_nodes(root.right, depth + 1)
-
-
-def route(root: TreeNode, x: np.ndarray):
-    """Yield the nodes visited when routing ``x`` from the root to a leaf."""
-    node = root
-    while True:
-        yield node
-        if node.is_leaf:
-            return
-        node = node.left if x[node.dim] < node.threshold else node.right

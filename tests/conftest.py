@@ -1,6 +1,26 @@
-"""Shared test plumbing: echo acceptance criterion results after the run."""
+"""Shared test plumbing: echo acceptance criterion results after the run,
+and load the benchmark's modules by path."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def perfbench_module(name: str):
+    """The module ``perfbench/<name>.py``, loaded without writing cache files beside it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def pytest_terminal_summary(terminalreporter):

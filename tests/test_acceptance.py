@@ -24,13 +24,14 @@ from dppred.model import (
     save,
     train,
 )
-from dppred.patterns import matches, tree_patterns
+from dppred.patterns import construct_pattern_space, extract_patterns, matches
 from dppred.stratify import StratifyConfig, cluster_patients, predict_stratified, train_stratified
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
-from dppred.tree import TreeConfig, fit_forest, route
+from dppred.tree import TreeConfig, fit_forest
 
 
 from conftest import ACCEPTANCE_LINES
+from oracles import route, tree_patterns
 
 
 def report(criterion: int, passed: bool, detail: str) -> bool:
@@ -162,6 +163,9 @@ def test_criterion_3_tree_consistency():
     gen = np.random.default_rng(303)
     mismatches = 0
     pairs = 0
+    # the routed rule space of each forest, cell by cell against matches()
+    cells = 0
+    cell_mismatches = 0
     for trial in range(8):
         ds = _random_dataset(gen, classification=trial % 2 == 0)
         ds = Dataset(x=ds.x[:200], y=ds.y[:200], feature_names=ds.feature_names,
@@ -169,14 +173,24 @@ def test_criterion_3_tree_consistency():
                      label_kind=ds.label_kind, label_names=ds.label_names)
         cfg = TreeConfig(n_trees=int(gen.integers(1, 6)), max_depth=4,
                          min_bag=int(gen.integers(2, 12)), seed=int(gen.integers(0, 1000)))
-        for tree in fit_forest(ds, cfg):
+        forest = fit_forest(ds, cfg)
+        for tree in forest:
             for pattern, child in tree_patterns(tree):
                 for i in range(ds.n):
                     visited = any(node is child for node in route(tree.root, ds.x[i]))
                     pairs += 1
                     if matches(pattern, ds.x[i]) != visited:
                         mismatches += 1
-    assert report(3, mismatches == 0, f"{pairs} (pattern, instance) pairs, {mismatches} mismatches")
+        pool = extract_patterns(forest)
+        space = construct_pattern_space(ds, pool)
+        for j, pattern in enumerate(pool):
+            for i in range(ds.n):
+                cells += 1
+                if bool(space[i, j]) != matches(pattern, ds.x[i]):
+                    cell_mismatches += 1
+    assert report(3, mismatches == 0 and cell_mismatches == 0 and cells > 0,
+                  f"{pairs} (pattern, instance) pairs, {mismatches} mismatches; "
+                  f"{cells} rule-space cells, {cell_mismatches} mismatches")
 
 
 # --- criterion 4: gradient correctness -------------------------------------

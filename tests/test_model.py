@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from dppred.model import (
     render_model,
     save,
     train,
+    train_sweep,
 )
 from dppred.patterns import Condition, Pattern
 from dppred.selection import NoRulesError
@@ -54,6 +56,20 @@ class TestTrain:
         tr, _, _ = small_medical(n_train=120, n_test=10)
         with pytest.raises(ValueError, match="labels"):
             train(tr, small_hp(task="regression"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["train", "train_sweep"])
+    def test_non_finite_feature_is_named(self, value, entry):
+        tr, _, _ = small_medical(n_train=600, n_test=10)
+        x = tr.x.copy()
+        x[9, 0] = x[5, 9] = value  # the first bad row is named, not the first bad column
+        bad = dataclasses.replace(tr, x=x)
+        want = f"row 5 holds the non-finite value {value} in feature {tr.feature_names[9]!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            if entry == "train":
+                train(bad, small_hp())
+            else:
+                next(train_sweep(bad, small_hp(), "k", [3]))
 
     def test_deterministic_model_bytes(self, tmp_path):
         tr, _, _ = small_medical(n_train=600, n_test=10)

@@ -1,13 +1,17 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_module
+from dppred import data
 from dppred.data import Dataset
 from dppred.patterns import (
     Condition,
     Pattern,
-    canonicalize,
     compile_rules,
     construct_pattern_space,
     extract_patterns,
@@ -15,10 +19,10 @@ from dppred.patterns import (
     pattern_matrix,
     render_pattern,
     rule_matrix,
-    tree_patterns,
 )
 from dppred.synth import SynthConfig, generate_medical
-from dppred.tree import DecisionTree, TreeConfig, TreeNode, fit_forest, route
+from dppred.tree import DecisionTree, TreeConfig, TreeNode, fit_forest
+from oracles import canonicalize, route, tree_patterns
 
 
 def leaf():
@@ -28,6 +32,13 @@ def leaf():
 def internal(dim, thr, left, right):
     return TreeNode(dim=dim, threshold=thr, left=left, right=right,
                     bag_size=left.bag_size + right.bag_size)
+
+
+def make_ds(x):
+    x = np.asarray(x, dtype=np.float64)
+    return Dataset(x=x, y=np.zeros(len(x)), feature_names=[f"f{j}" for j in range(x.shape[1])],
+                   feature_sources=[f"f{j}" for j in range(x.shape[1])],
+                   binary_dims=np.zeros(x.shape[1], dtype=bool), label_kind="real")
 
 
 class TestConditionAndPattern:
@@ -140,20 +151,14 @@ class TestExtraction:
 
 
 class TestPatternSpace:
-    def make_ds(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        return Dataset(x=x, y=np.zeros(len(x)), feature_names=[f"f{j}" for j in range(x.shape[1])],
-                       feature_sources=[f"f{j}" for j in range(x.shape[1])],
-                       binary_dims=np.zeros(x.shape[1], dtype=bool), label_kind="real")
-
     def test_always_true_pattern_gives_ones(self):
-        ds = self.make_ds(np.random.default_rng(1).random((6, 2)))
+        ds = make_ds(np.random.default_rng(1).random((6, 2)))
         p = Pattern((Condition(0, "ge", -1.0),))
         col = construct_pattern_space(ds, [p])
         assert col.tolist() == [[1]] * 6
 
     def test_unsatisfied_row_is_zero(self):
-        ds = self.make_ds(np.zeros((3, 2)))
+        ds = make_ds(np.zeros((3, 2)))
         pats = [Pattern((Condition(0, "ge", 1.0),)), Pattern((Condition(1, "ge", 2.0),))]
         space = construct_pattern_space(ds, pats)
         assert space.sum() == 0
@@ -161,7 +166,7 @@ class TestPatternSpace:
     def test_matches_brute_force_loop(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, size=(40, 5))
-        ds = self.make_ds(x)
+        ds = make_ds(x)
         pats = [
             Pattern((Condition(0, "ge", 0.5),)),
             canonicalize(Pattern((Condition(1, "lt", 0.7), Condition(2, "ge", 0.2)))),
@@ -175,9 +180,112 @@ class TestPatternSpace:
         assert np.array_equal(rule_matrix(compile_rules(pats), x), space.astype(bool))
 
     def test_dim_out_of_range(self):
-        ds = self.make_ds(np.zeros((2, 2)))
+        ds = make_ds(np.zeros((2, 2)))
         with pytest.raises(IndexError):
             construct_pattern_space(ds, [Pattern((Condition(7, "ge", 0.0),))])
+
+
+# thresholds and feature values share one grid, so rows sit exactly on
+# thresholds; 0.3 lies between grid points and NaN takes neither side
+_GRID = [i / 4 for i in range(-4, 5)]
+_DIMS = 3
+
+
+@st.composite
+def random_trees(draw, depth=0):
+    if depth == 4 or draw(st.integers(0, 3)) == 0:
+        return leaf()
+    return internal(draw(st.integers(0, _DIMS - 1)), draw(st.sampled_from(_GRID)),
+                    draw(random_trees(depth + 1)), draw(random_trees(depth + 1)))
+
+
+@st.composite
+def random_forests(draw):
+    forest = [DecisionTree(root=root) for root in draw(st.lists(random_trees(), min_size=1, max_size=5))]
+    copies = draw(st.lists(st.integers(0, len(forest) - 1), max_size=2))
+    return forest + [forest[t] for t in copies]
+
+
+class TestRoutedPool:
+    @given(random_forests(),
+           st.lists(st.lists(st.sampled_from(_GRID + [0.3, math.nan]), min_size=_DIMS, max_size=_DIMS),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_pool_and_space_equal_the_oracles(self, forest, rows):
+        want = list(dict.fromkeys(canonicalize(p) for tree in forest for p, _ in tree_patterns(tree)))
+        pool = extract_patterns(forest)
+        assert len(pool) == len(want)
+        assert list(pool) == want
+        assert [[c.threshold.hex() for c in p.conditions] for p in pool] == \
+            [[c.threshold.hex() for c in p.conditions] for p in want]
+        ds = make_ds(rows)
+        space = construct_pattern_space(ds, pool)
+        ref = pattern_matrix(ds.x, list(pool))
+        assert space.dtype == ref.dtype == np.uint8 and space.flags.c_contiguous
+        assert space.shape == ref.shape
+        assert space.tobytes() == ref.tobytes()
+
+    def test_leaf_only_forest_gives_an_empty_pool(self):
+        pool = extract_patterns([DecisionTree(root=leaf()), DecisionTree(root=leaf())])
+        assert len(pool) == 0 and list(pool) == []
+        assert construct_pattern_space(make_ds(np.zeros((3, 2))), pool).shape == (3, 0)
+
+    def test_pool_reads_like_a_sequence(self):
+        root = internal(0, 0.5, internal(1, 0.3, leaf(), leaf()), leaf())
+        pool = extract_patterns([DecisionTree(root=root)])
+        assert pool[np.int64(1)] == pool[-1] == Pattern((Condition(0, "lt", 0.5), Condition(1, "ge", 0.3)))
+        with pytest.raises(IndexError):
+            pool[2]
+
+    def test_split_dim_outside_dataset(self):
+        pool = extract_patterns([DecisionTree(root=internal(7, 0.0, leaf(), leaf()))])
+        with pytest.raises(IndexError, match="dimension 7"):
+            construct_pattern_space(make_ds(np.zeros((2, 2))), pool)
+
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="not finite"):
+            extract_patterns([DecisionTree(root=internal(0, threshold, leaf(), leaf()))])
+
+
+# sha256 of the pool (one line per rule, conditions as dim:op:float.hex) and
+# of the rule-space bytes, for the forest of the first dataset of benchmark
+# seed 7; pinned with the condition-by-condition extraction that preceded
+# the routed pool
+GOLDEN_POOLS = {
+    ("medical-forward", 100): (
+        1257, "e887836da8a17e7f166e93b721317843196dd2a6b92bb82250ec90fe2f6b50a5",
+        "9bad19aee6024a8b507d566fcf4771363a391b52eec8fc834b4ccfdc049593fd"),
+    ("subtyped-stratify", 100): (
+        4316, "d995d67defda0f7225657e191fa3acdda0d6cab5fc07608fa532107cfa350054",
+        "18b6ec7aca3c28abc1eddc3c18adee0a44e56458e28fff2d4d5b396bde8b4670"),
+    # the first 40 trees, as ``sweep --param trees`` cuts them
+    ("medical-forward", 40): (
+        505, "7694029c2456309754cdef5db4a479bbd303e74f487becc01f107d53c9232272",
+        "76d3695b05223c41a2cb3b0bb7a4616bac5db8ecdde6e7ef1fdfee03763bf488"),
+}
+
+
+@pytest.mark.parametrize("workload,trees", sorted(GOLDEN_POOLS))
+def test_golden_pool_and_space(workload, trees, tmp_path):
+    wl = perfbench_module("workloads")
+    w = wl.WORKLOADS[workload]
+    seed = wl.data_seed(7, 0)
+    files = wl.Files.under(tmp_path, "d0")
+    wl.write_inputs(w, w.sizes["full"], seed, files)
+    label_task, schema = data.read_schema_file(files.schema)
+    ds = data.load_csv(files.train, schema, label_task)
+    if w.task == "regression":
+        ds = data.minmax_normalize_labels(ds)
+    forest = fit_forest(ds, wl.hyperparams(w, seed).tree)[:trees]
+    pool = extract_patterns(forest)
+    space = construct_pattern_space(ds, pool)
+    text = "\n".join(" ".join(f"{c.dim}:{c.op}:{float(c.threshold).hex()}" for c in p.conditions)
+                     for p in pool)
+    size, pool_digest, space_digest = GOLDEN_POOLS[(workload, trees)]
+    assert len(pool) == size and space.shape == (ds.n, size) and space.flags.c_contiguous
+    assert hashlib.sha256(text.encode()).hexdigest() == pool_digest
+    assert hashlib.sha256(space.tobytes()).hexdigest() == space_digest
 
 
 class TestRendering:

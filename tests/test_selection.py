@@ -286,6 +286,28 @@ def test_group_counts_equal_a_per_group_loop(seed, n_classes, n, pool, n_chosen)
         assert np.array_equal(m1[:, g], Xw[members].sum(axis=0, dtype=np.float64))
 
 
+def _void_key_distinct_columns(Xp):
+    """The distinct-column dedupe with keys over the raw column bytes."""
+    keys = np.ascontiguousarray(Xp.T)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 17), pool=st.integers(1, 12),
+       n_copies=st.integers(0, 6), n_zero=st.integers(0, 3), density=st.sampled_from([0.1, 0.5, 0.9]))
+def test_packed_keys_find_the_raw_distinct_columns(seed, n, pool, n_copies, n_zero, density):
+    # most n are not a multiple of 8, so the last packed byte is padded
+    gen = rng(seed)
+    X = (gen.random((n, pool)) < density).astype(np.uint8)
+    X = np.column_stack([X, np.zeros((n, n_zero), dtype=np.uint8),
+                         X[:, gen.integers(0, pool, size=n_copies)]])
+    X = X[:, gen.permutation(X.shape[1])]
+    want = _void_key_distinct_columns(X)
+    for matrix in (X, X.astype(bool), X.astype(np.float64)):
+        assert np.array_equal(selection._distinct_columns(matrix), want)
+
+
 @pytest.mark.parametrize("kind", ["binary", "multiclass", "linear"])
 def test_count_blocks_do_not_move_bits(kind, monkeypatch):
     # the float32 copy that forward linear and the lasso multiply with is

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -340,6 +342,16 @@ def small_cfg(groups=3, seed=4, n_global=12, n_local=6):
 
 
 class TestTrainStratified:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_is_named(self, value):
+        tr, _ = subtyped_setup(n_train=300, n_test=10)
+        x = tr.x.copy()
+        x[3, 1] = value
+        bad = dataclasses.replace(tr, x=x)
+        want = f"row 3 holds the non-finite value {value} in feature {tr.feature_names[1]!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            train_stratified(bad, small_hp(), small_cfg())
+
     def test_feature_width_is_global_plus_local(self):
         tr, _ = subtyped_setup(n_train=900, n_test=50)
         cfg = small_cfg()

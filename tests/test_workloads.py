@@ -6,30 +6,12 @@ not only in ``perfbench/selftest.py``. Each workload runs once, at its
 ``tiny`` size on one dataset.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+from conftest import perfbench_module
 from dppred.cli import build_parser
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    dont_write = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache files beside the benchmark
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-wl = _load_workloads()
+wl = perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("name", sorted(wl.WORKLOADS))
