@@ -102,6 +102,16 @@ class Dataset:
         return self.x.shape[1]
 
 
+def check_finite_features(ds: Dataset) -> None:
+    """Raise a ValueError naming the first row, and its first feature, that
+    holds a NaN or an infinity."""
+    bad = np.argwhere(~np.isfinite(ds.x))
+    if len(bad):
+        row, col = bad[0].tolist()
+        raise ValueError(f"row {row} holds the non-finite value {ds.x[row, col]} "
+                         f"in feature {ds.feature_names[col]!r}")
+
+
 def read_schema_file(path) -> tuple[str, list[ColumnSchema]]:
     """Parse a schema file: a `label_task,<class|real>` line then `name,kind` lines."""
     label_task = None

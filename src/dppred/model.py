@@ -18,7 +18,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import LABEL_CLASS, LABEL_REAL, ColumnSchema, Dataset, denormalize_labels, encoded_feature_names
+from .data import (
+    LABEL_CLASS,
+    LABEL_REAL,
+    ColumnSchema,
+    Dataset,
+    check_finite_features,
+    denormalize_labels,
+    encoded_feature_names,
+)
 from .glm import TASK_LINEAR, TASK_LOGISTIC, GlmModel, fit_glm, predict_glm, predict_proba
 from .patterns import (
     CompiledRules,
@@ -155,11 +163,7 @@ def train_sweep(ds: Dataset, hp: HyperParams, param: str, values: list[int]):
 def _check_training_data(ds: Dataset, hp: HyperParams) -> None:
     if ds.n == 0:
         raise ValueError("cannot train on an empty dataset")
-    bad = np.argwhere(~np.isfinite(ds.x))
-    if len(bad):
-        row, col = bad[0].tolist()
-        raise ValueError(f"row {row} holds the non-finite value {ds.x[row, col]} "
-                         f"in feature {ds.feature_names[col]!r}")
+    check_finite_features(ds)
     _check_labels(ds, hp.task)
 
 

@@ -150,11 +150,6 @@ _SUBTYPE_MARKER_SLOPE = 3.0
 _SUBTYPE_NOISE_STD = 0.25
 
 
-def subtype_of(x: np.ndarray, n_subtypes: int) -> np.ndarray:
-    """Latent subtype implied by the marker block (not an explicit feature)."""
-    return np.argmax(np.asarray(x)[:, :n_subtypes], axis=1).astype(np.int64)
-
-
 def subtype_thresholds(n_subtypes: int) -> np.ndarray:
     """Per-subtype step locations for each signal feature, spread over (0, 1)."""
     g, j = np.meshgrid(np.arange(n_subtypes), np.arange(len(_SUBTYPE_STEP_COEFS)), indexing="ij")

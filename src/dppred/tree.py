@@ -15,23 +15,30 @@ nodes, and each step takes the next node of every tree that must try a
 split and scores all of them in one batched pass. Tree ``t`` draws only
 from its own generator, ``sub_rng(seed, STREAM_TREE, t)``, in a fixed
 order: the bootstrap, then for each split it tries, in preorder, the
-``choice`` of dims followed by one ``uniform`` per sampled dim that is not
-binary and not constant on the bag. So a tree does not depend on the
-trees grown beside it, and the first v trees of a forest are the forest
-of v trees.
+``choice`` of dims followed by one ``random`` call for the thresholds of
+all sampled dims that are not binary and not constant on the bag, dim
+after dim. A threshold is ``lo + (hi - lo) * u``, which is how
+``uniform(lo, hi)`` maps the same draw, so the thresholds and the
+generator state are those of one ``uniform`` call per dim. So a tree does
+not depend on the trees grown beside it, and the first v trees of a
+forest are the forest of v trees.
 
-A step gathers the sampled dims of its nodes in a (dims, rows) layout,
-compares each node's rows with its own thresholds into one preallocated
-(dims, thresholds, rows) bool mask and counts along the contiguous rows
-with ``np.add.reduceat``. The nodes are scored in batches of at most
-``max(_BATCH_ROWS, n)`` bag rows, so the mask stays the size that one
-bootstrap bag needs however many trees grow together. Class counts are
-exact integers, so classification gains are the same bits however they
-are batched, and classification forests are bit-identical to the earlier
-per-node recursion. A node's regression sums are one product of its
-(dims * thresholds, bag) 0/1 slice of the mask with the (bag, 2) matrix
-[y, y²]; it reads only that node's rows, so regression gains do not
-depend on batching either.
+A step gathers the sampled dims of its nodes in a (dims, rows) layout and
+scores the nodes in batches of at most ``max(_BATCH_ROWS, n)`` bag rows,
+so the preallocated (dims, thresholds, rows) bool mask stays the size
+that one bootstrap bag needs however many trees grow together. The work
+is per batch, not per node: one ``np.less`` per sampled dim compares
+every row with its own node's thresholds, repeated per row; counts are
+``np.add.reduceat`` along the contiguous rows; and the child bags of all
+split nodes come from one stable sort of the batch rows by (node, side).
+Class counts are exact integers, so classification gains are the same
+bits however they are batched, and classification forests are
+bit-identical to the earlier per-node recursion. For real labels the
+batch builds [y, y²] once and copies the mask to floats a window of n rows
+at a time; each node then makes one product of its (dims * thresholds,
+bag) slice of that copy with its rows of [y, y²], and sums its own y and
+y² pairwise. These read only that node's rows, in bag order, so
+regression gains do not depend on batching either.
 """
 
 import math
@@ -40,6 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import check_finite_features
 from .rng import STREAM_TREE, sub_rng
 
 # splits must beat this relative floor so float noise in the moment
@@ -180,7 +188,7 @@ class _Grower:
         variance (real labels) is strictly positive.
         """
         cfg, ds = self.cfg, self.ds
-        sigma, n_thr = cfg.min_bag, cfg.n_threshold_candidates
+        sigma, n_thr, n_dims = cfg.min_bag, cfg.n_threshold_candidates, self.n_dims
         n_nodes = len(bags)
         sizes = np.array([len(bag) for bag in bags])
         starts = np.zeros(n_nodes, dtype=np.intp)
@@ -189,7 +197,7 @@ class _Grower:
         rows = np.concatenate(bags)
         n_rows = len(rows)
 
-        dims = np.array([rng.choice(ds.d, size=self.n_dims, replace=False) for rng in rngs])
+        dims = np.array([rng.choice(ds.d, size=n_dims, replace=False) for rng in rngs])
         at = np.repeat(dims.T * ds.n, sizes, axis=1)
         at += rows
         cols = np.take(self.xt, at)  # (dims, rows)
@@ -197,17 +205,19 @@ class _Grower:
         hi = np.maximum.reduceat(cols, starts, axis=1).T
         binary = ds.binary_dims[dims]
         # NaN thresholds send no row left, so those slots are never usable
-        thresholds = np.full((n_nodes, self.n_dims, n_thr), np.nan)
+        thresholds = np.full((n_nodes, n_dims, n_thr), np.nan)
         thresholds[:, :, 0][binary] = 0.5
-        drawn = (~binary & (lo != hi)).tolist()
-        for k, (rng, lo_k, hi_k) in enumerate(zip(rngs, lo.tolist(), hi.tolist())):
-            for f in range(self.n_dims):
-                if drawn[k][f]:
-                    thresholds[k, f] = rng.uniform(lo_k[f], hi_k[f], size=n_thr)
+        drawn = ~binary & (lo != hi)
+        # one draw call per node: uniform(lo, hi, n) is lo + (hi - lo) * random(n)
+        draws = [rng.random(n) for rng, n in zip(rngs, (drawn.sum(axis=1) * n_thr).tolist()) if n]
+        if draws:
+            u = np.concatenate(draws).reshape(-1, n_thr)
+            thresholds[drawn] = lo[drawn][:, None] + (hi - lo)[drawn][:, None] * u
 
-        mask = self.mask_buf[:self.n_dims * n_thr * n_rows].reshape(self.n_dims, n_thr, n_rows)
-        for k, seg in enumerate(segments):
-            np.less(cols[:, None, seg], thresholds[k, :, :, None], out=mask[:, :, seg])
+        # each row against its own node's thresholds, one dim at a time
+        mask = self.mask_buf[:n_dims * n_thr * n_rows].reshape(n_dims, n_thr, n_rows)
+        for f in range(n_dims):
+            np.less(cols[f], np.repeat(thresholds[:, f].T, sizes, axis=1), out=mask[f])
         flat = mask.reshape(-1, n_rows)
 
         block = max(1, _COUNT_CELLS // n_rows)
@@ -239,7 +249,7 @@ class _Grower:
             imp_r = _entropy_from_counts(right.reshape(self.n_classes, -1), n_right.ravel())
             imp_l, imp_r = imp_l.reshape(n_left.shape), imp_r.reshape(n_left.shape)
         else:
-            s1, s2, tot1, tot2, parent = self._regression_sums(bags, flat, segments)
+            s1, s2, tot1, tot2, parent = self._regression_sums(rows, flat, segments)
             with np.errstate(divide="ignore", invalid="ignore"):
                 imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
                 imp_r = np.where(
@@ -260,44 +270,75 @@ class _Grower:
         dim = dims[node, f]
         thr = thresholds[node, f, j]
         order = np.lexsort((thr, dim, node))
-        first = order[np.r_[True, node[order][1:] != node[order][:-1]]] if order.size else order
         out = [None] * n_nodes
-        for i in first.tolist():
-            k, fi, ji = node[i], f[i], j[i]
-            goes_left = flat[fi * n_thr + ji, segments[k]]
-            out[k] = _Split(int(dim[i]), float(thr[i]), bags[k][goes_left], bags[k][~goes_left])
+        if not order.size:
+            return out
+        ranked = node[order]
+        first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
+        # the child bags of every split node: one stable sort of the batch
+        # rows by (node, side), the left child first; a key type of 8 or 16
+        # bits lets the sort use radix sort
+        split = node[first]
+        chosen = np.zeros(n_nodes, dtype=np.intp)
+        chosen[split] = f[first] * n_thr + j[first]
+        node_of_row = np.repeat(np.arange(n_nodes, dtype=np.min_scalar_type(2 * n_nodes)), sizes)
+        side = node_of_row * 2
+        side += ~flat[chosen[node_of_row], np.arange(n_rows)]
+        children = rows[np.argsort(side, kind="stable")]
+        ends = np.bincount(side, minlength=2 * n_nodes).cumsum().tolist()
+        for k, d, t in zip(split.tolist(), dim[first].tolist(), thr[first].tolist()):
+            cut = ends[2 * k]
+            # the right bag waits for the whole left subtree: its own copy
+            # lets the batch's array go as soon as the left bags are scored
+            out[k] = _Split(d, t, children[segments[k].start:cut],
+                            children[cut:ends[2 * k + 1]].copy())
         return out
 
-    def _regression_sums(self, bags, flat, segments):
+    def _regression_sums(self, rows, flat, segments):
         """Left sums of y and y² per candidate, bag totals and parent variance.
 
+        ``rows`` are the batch's bag rows, node after node, ``flat`` its
+        (candidates, rows) mask and ``segments`` each node's slice of both.
         A node's sums are one product of its (candidates, bag) 0/1 slice of
         the mask with the (bag, 2) matrix [y, y²]; unusable candidates,
         NaN thresholds included, are rows like any other.
         """
-        n_nodes = len(bags)
-        sums = np.empty((n_nodes, flat.shape[0], 2))
-        tot1 = np.empty((n_nodes, 1, 1))
-        tot2 = np.empty((n_nodes, 1, 1))
-        parent = np.empty(n_nodes)
-        for k, bag in enumerate(bags):
-            y = self.y[bag]
-            yy = y * y
-            n_bag = len(bag)
-            sum_tot, sumsq_tot = float(y.sum()), float(yy.sum())
-            tot1[k], tot2[k] = sum_tot, sumsq_tot
+        y = self.y[rows]
+        yy = y * y
+        moments = np.column_stack([y, yy])
+        # the mask as 0/1 floats, a window of max(n, bag) rows at a time, so
+        # the float copy stays the size that one root bag needs
+        window = slice(0, 0)
+        sums = np.empty((len(segments), flat.shape[0], 2))
+        tot1, tot2, parent = [], [], []
+        for k, seg in enumerate(segments):
+            n_bag = seg.stop - seg.start
+            sum_tot, sumsq_tot = float(y[seg].sum()), float(yy[seg].sum())
+            tot1.append(sum_tot)
+            tot2.append(sumsq_tot)
             # moment form (clipped) keeps parent and children arithmetically
             # consistent so pure bags yield exactly zero gain
-            parent[k] = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
-            sums[k] = flat[:, segments[k]].astype(np.float64) @ np.column_stack([y, yy])
-        shape = (n_nodes, self.n_dims, -1)
-        return sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), tot1, tot2, parent
+            parent.append(max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0))
+            if seg.stop > window.stop:
+                window = slice(seg.start, min(seg.start + max(self.ds.n, n_bag), len(rows)))
+                ones = flat[:, window].astype(np.float64)
+            np.matmul(ones[:, seg.start - window.start:seg.stop - window.start], moments[seg],
+                      out=sums[k])
+        tot1, tot2 = np.array(tot1)[:, None, None], np.array(tot2)[:, None, None]
+        shape = (len(segments), self.n_dims, -1)
+        return (sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), tot1, tot2,
+                np.array(parent))
 
 
 def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:
-    """Grow ``n_trees`` trees, each from its own generator derived from (seed, t)."""
+    """Grow ``n_trees`` trees, each from its own generator derived from (seed, t).
+
+    Raises ValueError on an empty dataset, and on a NaN or infinite feature
+    value, naming its row and feature.
+    """
     if ds.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
+    check_finite_features(ds)
     grower = _Grower(ds, cfg)
     chunk = max(1, _CHUNK_ROWS // ds.n)
     forest = []
@@ -306,10 +347,3 @@ def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:
         forest += grower.grow([sub_rng(cfg.seed, STREAM_TREE, t) for t in trees])
     return forest
 
-
-def iter_nodes(root: TreeNode, depth: int = 0):
-    """Yield (node, depth) over the whole tree, preorder."""
-    yield root, depth
-    if not root.is_leaf:
-        yield from iter_nodes(root.left, depth + 1)
-        yield from iter_nodes(root.right, depth + 1)

@@ -3,8 +3,9 @@
 The library builds a forest's rule pool and its rule matrix by routing
 rows through split arrays. These are the direct, one-node-at-a-time forms
 of the same definitions: the canonical form of a rule, the per-split rules
-of a tree with the >= child each describes, and the path of one instance
-through a tree.
+of a tree with the >= child each describes, the path of one instance
+through a tree and a preorder walk over a tree's nodes. The latent subtype
+of a synthetic subtyped-regression instance is here too: no model sees it.
 """
 
 import numpy as np
@@ -58,3 +59,16 @@ def route(root, x: np.ndarray):
         if node.is_leaf:
             return
         node = node.left if x[node.dim] < node.threshold else node.right
+
+
+def iter_nodes(root, depth: int = 0):
+    """Yield (node, depth) over the whole tree, preorder."""
+    yield root, depth
+    if not root.is_leaf:
+        yield from iter_nodes(root.left, depth + 1)
+        yield from iter_nodes(root.right, depth + 1)
+
+
+def subtype_of(x: np.ndarray, n_subtypes: int) -> np.ndarray:
+    """Latent subtype implied by the marker block (not an explicit feature)."""
+    return np.argmax(np.asarray(x)[:, :n_subtypes], axis=1).astype(np.int64)

@@ -7,8 +7,9 @@ from dppred.synth import (
     generate_medical,
     generate_subtyped_regression,
     medical_rule_labels,
-    subtype_of,
 )
+
+from oracles import subtype_of
 
 
 def small_cfg(**kw):

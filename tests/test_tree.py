@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from dppred.data import Dataset
 from dppred.rng import STREAM_TREE, sub_rng
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
 from dppred import tree as tree_mod
-from dppred.tree import TreeConfig, fit_forest, iter_nodes
+from dppred.tree import TreeConfig, fit_forest
+
+from oracles import iter_nodes
 
 
 def make_ds(x, y, label_kind="class", binary=None):
@@ -50,7 +53,7 @@ class TestImpurity:
     def test_two_point_variance(self):
         ds = make_ds([0.0, 1.0], [0.0, 2.0], label_kind="real")
         grower = tree_mod._Grower(ds, TreeConfig(min_bag=1))
-        parent = grower._regression_sums([np.arange(2)], np.zeros((1, 2), bool), [slice(0, 2)])[-1]
+        parent = grower._regression_sums(np.arange(2), np.zeros((1, 2), bool), [slice(0, 2)])[-1]
         assert parent.tolist() == [1.0]
 
     def test_empty_bag(self):
@@ -183,17 +186,25 @@ def reference_split(bag, ds, cfg, rng):
 
 
 @st.composite
-def split_problems(draw):
-    """Small integer-valued datasets (duplicate values, duplicate columns,
-    binary dims) and several bags, so gains tie across thresholds and dims."""
+def split_problems(draw, real_valued=False):
+    """Small datasets (duplicate values, duplicate columns, binary dims) and
+    several bags, so gains tie across thresholds and dims. Features are the
+    integers 0-4, or with ``real_valued`` signed reals of magnitude 1e-6 to
+    1e8, some repeated, so a threshold drawn between them is rarely exact."""
     n = draw(st.integers(4, 40))
     d = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    levels = draw(st.integers(1, 4))
-    x = rng.integers(0, levels + 1, size=(n, d)).astype(np.float64)
+    if real_valued:
+        values = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(-6, 8, size=n)
+        x = values[rng.integers(0, draw(st.integers(1, n)), size=(n, d))]
+        middle = 0.0
+    else:
+        levels = draw(st.integers(1, 4))
+        x = rng.integers(0, levels + 1, size=(n, d)).astype(np.float64)
+        middle = levels / 2
     binary = rng.random(d) < 0.4
-    x[:, binary] = x[:, binary] > levels / 2
+    x[:, binary] = x[:, binary] > middle
     if d > 1 and draw(st.booleans()):
         x[:, 1], binary[1] = x[:, 0], binary[0]
     kind = draw(st.sampled_from(["class2", "class3", "real", "real-ties"]))
@@ -213,24 +224,37 @@ def split_problems(draw):
     return ds, cfg, bags, seed
 
 
+def check_batch_against_reference(problem):
+    """One batched search over all bags gives each bag the reference split,
+    child bags and generator state."""
+    ds, cfg, bags, seed = problem
+    rngs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+    refs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
+    grower = tree_mod._Grower(ds, cfg)
+    got = grower.best_splits(bags, rngs)
+    for bag, split, rng, ref_rng in zip(bags, got, rngs, refs):
+        want = reference_split(bag, ds, cfg, ref_rng)
+        assert (None if split is None else split[:2]) == want
+        if split is not None:
+            goes_left = ds.x[bag, split.dim] < split.threshold
+            assert np.array_equal(split.left, bag[goes_left])
+            assert np.array_equal(split.right, bag[~goes_left])
+        # the same draws were made: both generators are at the same state
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestBatchedSplitOracle:
     @given(split_problems())
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_reference_per_bag(self, problem):
-        ds, cfg, bags, seed = problem
-        rngs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
-        refs = [np.random.default_rng([seed, b]) for b in range(len(bags))]
-        grower = tree_mod._Grower(ds, cfg)
-        got = grower.best_splits(bags, rngs)
-        for bag, split, rng, ref_rng in zip(bags, got, rngs, refs):
-            want = reference_split(bag, ds, cfg, ref_rng)
-            assert (None if split is None else split[:2]) == want
-            if split is not None:
-                goes_left = ds.x[bag, split.dim] < split.threshold
-                assert np.array_equal(split.left, bag[goes_left])
-                assert np.array_equal(split.right, bag[~goes_left])
-            # the same draws were made: both generators are at the same state
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        check_batch_against_reference(problem)
+
+    @given(split_problems(real_valued=True))
+    @settings(max_examples=100, deadline=None)
+    def test_real_valued_features_match_reference(self, problem):
+        # thresholds drawn over wide, signed ranges: the batched
+        # lo + (hi - lo) * random() must give uniform()'s bits
+        check_batch_against_reference(problem)
 
     @given(split_problems())
     @settings(max_examples=50, deadline=None)
@@ -262,78 +286,21 @@ class TestFitTree:
         ds = make_ds(np.empty((30, 0)), np.arange(30) % 2)
         assert all(t.root.is_leaf for t in fit_forest(ds, TreeConfig(n_trees=3, seed=1)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_is_named(self, value):
+        tr, _, _ = generate_medical(SynthConfig(n_train=100, n_test=10, noise_rate=0, seed=1))
+        x = tr.x.copy()
+        x[9, 0] = x[5, 3] = value  # the first bad row is named, not the first bad column
+        tr.x = x
+        want = f"row 5 holds the non-finite value {value} in feature {tr.feature_names[3]!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            fit_forest(tr, TreeConfig(n_trees=2, seed=1))
+
     def test_pure_regression_labels_give_single_leaf(self):
         ds = make_ds(np.random.default_rng(0).random(50), np.full(50, 0.1),
                      label_kind="real")
         tree = fit_forest(ds, TreeConfig(n_trees=1, seed=3))[0]
         assert tree.root.is_leaf
-
-
-class TestForest:
-    def test_single_tree_matches_derived_seed(self):
-        tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
-        cfg = TreeConfig(n_trees=1, seed=9)
-        forest = fit_forest(tr, cfg)
-        again = tree_mod._Grower(tr, cfg).grow([sub_rng(9, STREAM_TREE, 0)])[0]
-        assert _tree_signature(forest[0].root) == _tree_signature(again.root)
-
-    def test_every_tree_matches_its_derived_seed(self):
-        x, _ = _mixed_features(200, 3)
-        for ds in (make_ds(x, (x[:, 0] > 0.4).astype(int)),
-                   make_ds(x, x[:, 0] + x[:, 4], label_kind="real")):
-            cfg = TreeConfig(n_trees=7, max_depth=4, min_bag=5, seed=31)
-            forest = fit_forest(ds, cfg)
-            for t, tree in enumerate(forest):
-                alone = tree_mod._Grower(ds, cfg).grow([sub_rng(31, STREAM_TREE, t)])[0]
-                assert forest_digest([tree]) == forest_digest([alone])
-
-    @pytest.mark.parametrize("case", ["mixed-3class", "mixed-regression"])
-    @pytest.mark.parametrize("limit,rows", [
-        ("_BATCH_ROWS", 1),      # batches of one bootstrap bag's rows
-        ("_BATCH_ROWS", 500),    # other cuts inside a step
-        ("_CHUNK_ROWS", 1),      # one tree at a time
-        ("_CHUNK_ROWS", 600),    # two trees at a time
-    ])
-    def test_batching_does_not_move_bits(self, case, limit, rows, monkeypatch):
-        ds, cfg = _golden_cases()[case]
-        monkeypatch.setattr(tree_mod, limit, rows)
-        assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
-
-    def test_deterministic_forest(self):
-        tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
-        cfg = TreeConfig(n_trees=5, seed=4)
-        sig_a = [_tree_signature(t.root) for t in fit_forest(tr, cfg)]
-        sig_b = [_tree_signature(t.root) for t in fit_forest(tr, cfg)]
-        assert sig_a == sig_b
-
-    def test_structural_constraints_hold(self):
-        tr, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=10, noise_rate=0.001, seed=1))
-        cfg = TreeConfig(n_trees=100, max_depth=6, min_bag=10, seed=7)
-        forest = fit_forest(tr, cfg)
-        for tree in forest:
-            assert tree.root.bag_size == tr.n
-            for node, depth in iter_nodes(tree.root):
-                assert depth <= cfg.max_depth
-                assert node.bag_size >= cfg.min_bag
-                if not node.is_leaf:
-                    assert node.left.bag_size + node.right.bag_size == node.bag_size
-                    assert node.left.bag_size >= cfg.min_bag
-                    assert node.right.bag_size >= cfg.min_bag
-
-    def test_nonleaf_count_bound(self):
-        tr, _, _ = generate_medical(SynthConfig(n_train=500, n_test=10, noise_rate=0, seed=1))
-        cfg = TreeConfig(n_trees=20, max_depth=4, min_bag=10, seed=7)
-        bound = min(2 ** cfg.max_depth, -(-tr.n // cfg.min_bag)) - 1
-        for tree in fit_forest(tr, cfg):
-            internal = sum(1 for n, _ in iter_nodes(tree.root) if not n.is_leaf)
-            assert internal <= bound
-
-
-def _tree_signature(node):
-    if node.is_leaf:
-        return ("leaf", node.bag_size)
-    return ("node", node.dim, node.threshold,
-            _tree_signature(node.left), _tree_signature(node.right))
 
 
 # --- golden forests ---------------------------------------------------------
@@ -400,3 +367,71 @@ GOLDEN_FOREST_DIGESTS = {
 def test_golden_forest(case):
     ds, cfg = _golden_cases()[case]
     assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
+
+
+class TestForest:
+    def test_single_tree_matches_derived_seed(self):
+        tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
+        cfg = TreeConfig(n_trees=1, seed=9)
+        forest = fit_forest(tr, cfg)
+        again = tree_mod._Grower(tr, cfg).grow([sub_rng(9, STREAM_TREE, 0)])[0]
+        assert _tree_signature(forest[0].root) == _tree_signature(again.root)
+
+    def test_every_tree_matches_its_derived_seed(self):
+        x, _ = _mixed_features(200, 3)
+        for ds in (make_ds(x, (x[:, 0] > 0.4).astype(int)),
+                   make_ds(x, x[:, 0] + x[:, 4], label_kind="real")):
+            cfg = TreeConfig(n_trees=7, max_depth=4, min_bag=5, seed=31)
+            forest = fit_forest(ds, cfg)
+            for t, tree in enumerate(forest):
+                alone = tree_mod._Grower(ds, cfg).grow([sub_rng(31, STREAM_TREE, t)])[0]
+                assert forest_digest([tree]) == forest_digest([alone])
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_FOREST_DIGESTS))
+    @pytest.mark.parametrize("limit,rows", [
+        ("_BATCH_ROWS", 1),      # batches of one bootstrap bag's rows
+        ("_BATCH_ROWS", 500),    # other cuts inside a step
+        ("_BATCH_ROWS", 1 << 13),  # above 8 trees of 400 rows: one batch per step
+        ("_CHUNK_ROWS", 1),      # one tree at a time
+        ("_CHUNK_ROWS", 600),    # two trees at a time
+    ])
+    def test_batching_does_not_move_bits(self, case, limit, rows, monkeypatch):
+        ds, cfg = _golden_cases()[case]
+        monkeypatch.setattr(tree_mod, limit, rows)
+        assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
+
+    def test_deterministic_forest(self):
+        tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
+        cfg = TreeConfig(n_trees=5, seed=4)
+        sig_a = [_tree_signature(t.root) for t in fit_forest(tr, cfg)]
+        sig_b = [_tree_signature(t.root) for t in fit_forest(tr, cfg)]
+        assert sig_a == sig_b
+
+    def test_structural_constraints_hold(self):
+        tr, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=10, noise_rate=0.001, seed=1))
+        cfg = TreeConfig(n_trees=100, max_depth=6, min_bag=10, seed=7)
+        forest = fit_forest(tr, cfg)
+        for tree in forest:
+            assert tree.root.bag_size == tr.n
+            for node, depth in iter_nodes(tree.root):
+                assert depth <= cfg.max_depth
+                assert node.bag_size >= cfg.min_bag
+                if not node.is_leaf:
+                    assert node.left.bag_size + node.right.bag_size == node.bag_size
+                    assert node.left.bag_size >= cfg.min_bag
+                    assert node.right.bag_size >= cfg.min_bag
+
+    def test_nonleaf_count_bound(self):
+        tr, _, _ = generate_medical(SynthConfig(n_train=500, n_test=10, noise_rate=0, seed=1))
+        cfg = TreeConfig(n_trees=20, max_depth=4, min_bag=10, seed=7)
+        bound = min(2 ** cfg.max_depth, -(-tr.n // cfg.min_bag)) - 1
+        for tree in fit_forest(tr, cfg):
+            internal = sum(1 for n, _ in iter_nodes(tree.root) if not n.is_leaf)
+            assert internal <= bound
+
+
+def _tree_signature(node):
+    if node.is_leaf:
+        return ("leaf", node.bag_size)
+    return ("node", node.dim, node.threshold,
+            _tree_signature(node.left), _tree_signature(node.right))
