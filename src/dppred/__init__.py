@@ -25,7 +25,7 @@ from .model import (
     save,
     train,
 )
-from .patterns import Condition, Pattern, construct_pattern_space, extract_patterns, matches
+from .patterns import Condition, Pattern, construct_pattern_space, extract_patterns
 from .selection import SelectionResult, forward_select, lasso_select
 from .stratify import (
     StratifiedModel,
@@ -43,8 +43,7 @@ __all__ = [
     "GlmModel", "fit_glm", "fit_lasso", "lambda_max", "predict_glm",
     "DppredModel", "HyperParams", "evaluate", "load", "predict", "predict_one",
     "save", "train",
-    "Condition", "Pattern", "construct_pattern_space",
-    "extract_patterns", "matches",
+    "Condition", "Pattern", "construct_pattern_space", "extract_patterns",
     "SelectionResult", "forward_select", "lasso_select",
     "StratifiedModel", "StratifyConfig", "cluster_patients",
     "predict_stratified", "train_stratified",

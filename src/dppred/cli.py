@@ -244,6 +244,8 @@ def _read_predictions(path, classes: list[str] | None) -> list:
 def cmd_evaluate(args) -> int:
     label_task, schema = read_schema_file(args.schema)
     ds = load_labels(args.data, schema, label_task)
+    if ds.n == 0:
+        raise ValueError(f"{args.data}: there are no rows to evaluate")
     pred_cells = _read_predictions(args.predictions, ds.label_names)
     if len(pred_cells) != ds.n:
         raise ValueError(f"{args.predictions}: prediction count {len(pred_cells)} "

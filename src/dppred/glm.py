@@ -35,11 +35,6 @@ class GlmModel:
     classes: int = 0             # class count for logistic, 0 for linear
     objective_trace: np.ndarray | None = field(default=None, repr=False)
 
-    @property
-    def n_dims(self) -> int:
-        w = np.atleast_2d(self.weights)
-        return w.shape[1]
-
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows: 1 / (1 + e) for z >= 0, e / (1 + e) below
@@ -59,26 +54,6 @@ def _rmatvec(X: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _centered_rmatvec(X: np.ndarray, mu: np.ndarray, r: np.ndarray) -> np.ndarray:
     """X_cᵀ r / n for the column-centered X, without materializing it."""
     return (_rmatvec(X, r) - mu * r.sum()) / len(r)
-
-
-def linear_loss(X, y, w, b):
-    """Mean squared error and its gradient."""
-    X = np.asarray(X, dtype=np.float64)
-    r = X @ w + b - y
-    n = len(y)
-    f = float(r @ r) / n
-    return f, (2.0 / n) * (X.T @ r), 2.0 * float(r.mean())
-
-
-def logistic_loss(X, t, w, b):
-    """Mean cross entropy (natural log) and its gradient, targets in {0,1}."""
-    X = np.asarray(X, dtype=np.float64)
-    z = X @ w + b
-    n = len(t)
-    f = float(np.logaddexp(0.0, z).sum() - t @ z) / n
-    p = sigmoid(z)
-    r = p - t
-    return f, (X.T @ r) / n, float(r.mean())
 
 
 def _logit(p: float) -> float:

@@ -27,7 +27,7 @@ from .data import (
     denormalize_labels,
     encoded_feature_names,
 )
-from .glm import TASK_LINEAR, TASK_LOGISTIC, GlmModel, fit_glm, predict_glm, predict_proba
+from .glm import TASK_LINEAR, TASK_LOGISTIC, GlmModel, predict_glm, predict_proba
 from .patterns import (
     CompiledRules,
     Condition,
@@ -193,20 +193,6 @@ def _select(ds: Dataset, hp: HyperParams, pool: RulePool, space,
     )
 
 
-def refit_on_patterns(ds: Dataset, rules: list[Pattern], task: str,
-                      provenance: dict | None = None) -> DppredModel:
-    """Build a model from an explicit rule list (no mining, just the GLM fit)."""
-    _check_labels(ds, task)
-    space = construct_pattern_space(ds, rules)
-    glm = fit_glm(space.astype(np.float64), ds.y, _glm_task(task))
-    return DppredModel(
-        patterns=list(rules),
-        glm=glm,
-        **_data_fields(ds),
-        provenance=provenance or {"task": task, "method": "refit", "k": len(rules)},
-    )
-
-
 def _check_compatible(m, ds: Dataset) -> None:
     if list(ds.feature_names) != list(m.feature_names):
         raise ValueError("schema mismatch: dataset features do not match the model's schema")
@@ -250,6 +236,8 @@ def evaluate(preds: np.ndarray, truth: np.ndarray, task: str) -> dict:
     truth = np.asarray(truth)
     if len(preds) != len(truth):
         raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(truth)} truths")
+    if len(truth) == 0:
+        raise ValueError("cannot evaluate: there are no rows")
     if task == TASK_CLASSIFICATION:
         return {"accuracy": float((preds.astype(np.int64) == truth.astype(np.int64)).mean())}
     if task == TASK_REGRESSION:

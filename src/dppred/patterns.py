@@ -18,10 +18,12 @@ the pool is read. ``construct_pattern_space`` routes the training rows
 through the pool's trees, level by level, and sets the pool column of
 every >= child a row enters, so no condition is evaluated twice.
 
-Serving compiles a selected rule list once (``compile_rules``) and then
-evaluates exactly ``sum(p.m)`` conditions per row (``rule_matrix``);
-``pattern_matrix`` evaluates a plain rule list, ``matches`` is the
-reference.
+Every other rule list goes through one compiled kernel: it is compiled
+once (``compile_rules``) and then evaluated with exactly ``sum(p.m)``
+condition tests per row (``rule_matrix``). Serving uses it, and so do the
+stratified global bits in training (``pattern_matrix``). The one-rule,
+one-row reference the tests compare both evaluators against is
+``matches`` in ``tests/oracles.py``.
 """
 
 import operator
@@ -53,11 +55,6 @@ class Condition:
         if self.dim < 0:
             raise ValueError(f"negative condition dimension {self.dim}")
 
-    def holds(self, value: float) -> bool:
-        if self.op == OP_LT:
-            return value < self.threshold
-        return value >= self.threshold
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -72,17 +69,6 @@ class Pattern:
     @property
     def m(self) -> int:
         return len(self.conditions)
-
-
-def matches(pattern: Pattern, x: np.ndarray) -> bool:
-    """True iff every condition of ``pattern`` holds for the feature vector."""
-    d = len(x)
-    for c in pattern.conditions:
-        if not 0 <= c.dim < d:
-            raise IndexError(f"condition dimension {c.dim} outside feature vector of length {d}")
-        if not c.holds(x[c.dim]):
-            return False
-    return True
 
 
 class _Splits(NamedTuple):
@@ -122,9 +108,10 @@ class RulePool(Sequence):
         """C-order uint8 (n, len(self)) matrix: row i has a 1 in the column of
         every >= child it enters when routed through the pool's trees.
 
-        A NaN feature value takes neither side of a split, so its row stops
-        there, and it satisfies no rule through that split, as in
-        ``pattern_matrix``.
+        This routed form serves training pools only; a plain rule list goes
+        through the compiled kernel (``pattern_matrix``). A NaN feature value
+        takes neither side of a split, so its row stops there, and it
+        satisfies no rule through that split, as with the compiled kernel.
         """
         sp, n, width = self.splits, x.shape[0], len(self)
         out = np.zeros(n * width, dtype=np.uint8)
@@ -216,19 +203,6 @@ def extract_patterns(forest) -> RulePool:
     return RulePool(splits, keys[first[order]], dims.tolist())
 
 
-def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:
-    """Binary matrix whose (i, j) entry says instance i satisfies pattern j."""
-    n = x.shape[0]
-    out = np.zeros((n, len(patterns)), dtype=np.uint8)
-    for j, p in enumerate(patterns):
-        mask = np.ones(n, dtype=bool)
-        for c in p.conditions:
-            col = x[:, c.dim]
-            mask &= (col < c.threshold) if c.op == OP_LT else (col >= c.threshold)
-        out[:, j] = mask
-    return out
-
-
 class CompiledRules(NamedTuple):
     """A rule list flattened to one entry per condition, rule after rule."""
 
@@ -258,9 +232,14 @@ def rule_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
     return np.logical_and.reduceat(hit, rules.starts, axis=1)
 
 
+def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:
+    """uint8 (n, k) matrix whose (i, j) entry says instance i satisfies pattern j."""
+    return rule_matrix(compile_rules(patterns), x).view(np.uint8)
+
+
 def construct_pattern_space(ds, patterns) -> np.ndarray:
-    """Rule matrix of ``ds``: a ``RulePool`` routes its rows through the
-    forest, a plain rule list goes to ``pattern_matrix``; same bits."""
+    """uint8 rule matrix of ``ds``: a ``RulePool`` routes its rows through
+    the forest, a plain rule list goes through the compiled kernel; same bits."""
     routed = isinstance(patterns, RulePool)
     dims = patterns.dims if routed else [c.dim for p in patterns for c in p.conditions]
     for dim in dims:

@@ -1,16 +1,35 @@
 """Reference implementations that the tests compare the library against.
 
 The library builds a forest's rule pool and its rule matrix by routing
-rows through split arrays. These are the direct, one-node-at-a-time forms
-of the same definitions: the canonical form of a rule, the per-split rules
-of a tree with the >= child each describes, the path of one instance
-through a tree and a preorder walk over a tree's nodes. The latent subtype
-of a synthetic subtyped-regression instance is here too: no model sees it.
+rows through split arrays, and evaluates every other rule list with one
+compiled kernel. These are the direct, one-node-at-a-time forms of the
+same definitions: whether one instance satisfies one rule, the canonical
+form of a rule, the per-split rules of a tree with the >= child each
+describes, the path of one instance through a tree and a preorder walk
+over a tree's nodes. The GLM losses with their gradients, and a model
+refitted on an explicit rule list without mining, are the references of
+the gradient checks and of the flat baseline of stratification. The
+latent subtype of a synthetic subtyped-regression instance is here too:
+no model sees it.
 """
 
 import numpy as np
 
-from dppred.patterns import OP_GE, OP_LT, Condition, Pattern
+from dppred.glm import fit_glm, sigmoid
+from dppred.model import DppredModel, _check_labels, _data_fields, _glm_task
+from dppred.patterns import OP_GE, OP_LT, Condition, Pattern, construct_pattern_space
+
+
+def matches(pattern: Pattern, x: np.ndarray) -> bool:
+    """True iff every condition of ``pattern`` holds for the feature vector."""
+    d = len(x)
+    for c in pattern.conditions:
+        if not 0 <= c.dim < d:
+            raise IndexError(f"condition dimension {c.dim} outside feature vector of length {d}")
+        holds = x[c.dim] < c.threshold if c.op == OP_LT else x[c.dim] >= c.threshold
+        if not holds:
+            return False
+    return True
 
 
 def canonicalize(pattern: Pattern) -> Pattern:
@@ -72,3 +91,37 @@ def iter_nodes(root, depth: int = 0):
 def subtype_of(x: np.ndarray, n_subtypes: int) -> np.ndarray:
     """Latent subtype implied by the marker block (not an explicit feature)."""
     return np.argmax(np.asarray(x)[:, :n_subtypes], axis=1).astype(np.int64)
+
+
+def linear_loss(X, y, w, b):
+    """Mean squared error and its gradient."""
+    X = np.asarray(X, dtype=np.float64)
+    r = X @ w + b - y
+    n = len(y)
+    f = float(r @ r) / n
+    return f, (2.0 / n) * (X.T @ r), 2.0 * float(r.mean())
+
+
+def logistic_loss(X, t, w, b):
+    """Mean cross entropy (natural log) and its gradient, targets in {0,1}."""
+    X = np.asarray(X, dtype=np.float64)
+    z = X @ w + b
+    n = len(t)
+    f = float(np.logaddexp(0.0, z).sum() - t @ z) / n
+    p = sigmoid(z)
+    r = p - t
+    return f, (X.T @ r) / n, float(r.mean())
+
+
+def refit_on_patterns(ds, rules: list[Pattern], task: str,
+                      provenance: dict | None = None) -> DppredModel:
+    """Build a model from an explicit rule list (no mining, just the GLM fit)."""
+    _check_labels(ds, task)
+    space = construct_pattern_space(ds, rules)
+    glm = fit_glm(space.astype(np.float64), ds.y, _glm_task(task))
+    return DppredModel(
+        patterns=list(rules),
+        glm=glm,
+        **_data_fields(ds),
+        provenance=provenance or {"task": task, "method": "refit", "k": len(rules)},
+    )

@@ -13,25 +13,24 @@ import numpy as np
 import pytest
 
 from dppred.data import Dataset, load_csv, read_schema_file
-from dppred.glm import fit_lasso, lambda_max, linear_loss, logistic_loss, support
+from dppred.glm import fit_lasso, lambda_max, support
 from dppred.model import (
     HyperParams,
     evaluate,
     load,
     predict,
     predict_one,
-    refit_on_patterns,
     save,
     train,
 )
-from dppred.patterns import construct_pattern_space, extract_patterns, matches
+from dppred.patterns import construct_pattern_space, extract_patterns
 from dppred.stratify import StratifyConfig, cluster_patients, predict_stratified, train_stratified
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
 from dppred.tree import TreeConfig, fit_forest
 
 
 from conftest import ACCEPTANCE_LINES
-from oracles import route, tree_patterns
+from oracles import linear_loss, logistic_loss, matches, refit_on_patterns, route, tree_patterns
 
 
 def report(criterion: int, passed: bool, detail: str) -> bool:

@@ -158,6 +158,19 @@ class TestPredictEvaluate:
                      "--schema", str(medical_files["schema"])]) == 0
         assert capsys.readouterr().out == "accuracy: 0.500000\n"
 
+    @pytest.mark.parametrize("files", ["medical_files", "subtyped_files"])
+    def test_evaluate_header_only_data(self, files, request, tmp_path, capsys):
+        # once a division by zero for classes and "rmse: nan" for real labels
+        paths = request.getfixturevalue(files)
+        data = tmp_path / "header.csv"
+        data.write_text(paths["test"].read_text().split("\n")[0] + "\n")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("row_index,prediction\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(data),
+                     "--schema", str(paths["schema"])]) == 1
+        assert capsys.readouterr().err.strip() == f"error: {data}: there are no rows to evaluate"
+
     def test_regression_predictions_numeric(self, subtyped_files, tmp_path):
         model = tmp_path / "m.model"
         assert main(["train", "--data", str(subtyped_files["train"]),
@@ -341,6 +354,19 @@ class TestSweepCommand:
                      "--param", param, "--values", "0,5",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert capsys.readouterr().err.strip() == "error: --values must be >= 1"
+
+    def test_header_only_test_file(self, medical_files, tmp_path, capsys):
+        # once a nan test_metric, two numpy warnings and exit code 0
+        test = tmp_path / "header.csv"
+        test.write_text(medical_files["test"].read_text().split("\n")[0] + "\n")
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]), "--test", str(test),
+                     "--param", "k", "--values", "2", "--trees", "5", "--seed", "2",
+                     "--out", str(out)]) == 1
+        assert "there are no rows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_values_usage_error(self, medical_files, tmp_path):
         assert main(["sweep", "--data", str(medical_files["train"]),

@@ -8,13 +8,12 @@ from dppred.glm import (
     fit_glm,
     fit_lasso,
     lambda_max,
-    linear_loss,
-    logistic_loss,
     predict_glm,
     predict_proba,
     sigmoid,
     support,
 )
+from oracles import linear_loss, logistic_loss
 
 
 def rng(seed=0):

@@ -21,8 +21,9 @@ from dppred import stratify
 from dppred.data import Dataset, subset
 from dppred.glm import GlmModel, predict_proba, sigmoid
 from dppred.model import DppredModel, predict, predict_one, predict_probabilities
-from dppred.patterns import Condition, Pattern, matches, rule_matrix
+from dppred.patterns import Condition, Pattern, rule_matrix
 from dppred.stratify import StratifiedModel, StratifyConfig, assign_clusters, predict_stratified
+from oracles import matches
 
 # thresholds come from the same grid as most cells, so ties at >= and < occur
 GRID = np.array([-1.0, 0.0, 0.25, 0.5, 1.0])

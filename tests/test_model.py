@@ -12,7 +12,6 @@ from dppred.model import (
     load,
     predict,
     predict_one,
-    refit_on_patterns,
     render_model,
     save,
     train,
@@ -22,6 +21,7 @@ from dppred.patterns import Condition, Pattern
 from dppred.selection import NoRulesError
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import TreeConfig
+from oracles import refit_on_patterns
 
 
 def small_medical(n_train=1500, n_test=700, seed=5):
@@ -161,6 +161,12 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             evaluate(np.zeros(3), np.zeros(4), "classification")
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_no_rows(self, task):
+        # once a NaN accuracy or RMSE, with numpy's empty-mean warnings
+        with pytest.raises(ValueError, match="no rows"):
+            evaluate(np.zeros(0), np.zeros(0), task)
 
 
 class TestPersistence:

@@ -1,6 +1,7 @@
 """Model files: both kinds share one section codec, and a damaged file fails
 at load time with a ValueError that names the damaged section."""
 
+import hashlib
 import re
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dppred.data import minmax_normalize_labels, subset
-from dppred.model import HyperParams, load, predict, refit_on_patterns, save, train
+from dppred.model import HyperParams, load, predict, save, train
 from dppred.stratify import (
     StratifyConfig,
     load_stratified,
@@ -20,6 +21,7 @@ from dppred.stratify import (
 )
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
 from dppred.tree import TreeConfig
+from oracles import refit_on_patterns
 
 NAMES_A_SECTION = re.compile(r"section '\w+'|header")
 
@@ -192,3 +194,44 @@ def load_from_text(text, tmp_path):
     path.write_text(text, encoding="utf-8")
     return load(path)
 
+
+
+# --- golden model files -----------------------------------------------------
+#
+# sha256 of a saved model file, then of the bytes of its predictions on the
+# test rows. They cover what the golden forest, pool, selection and
+# clustering digests do not: the file codec, the refit and unified GLMs, the
+# local rules and serving. Pinned before the stratified global bits moved to
+# the compiled rule kernel.
+
+def _golden_model(case):
+    if case == "stratified":
+        tr, te = generate_subtyped_regression(SynthConfig(n_train=500, n_test=200, seed=7), 3)
+        m = train_stratified(
+            minmax_normalize_labels(tr),
+            HyperParams(tree=TreeConfig(n_trees=10, seed=3), k=8, task="regression"),
+            StratifyConfig(n_global=8, n_local=4, n_clusters=3, gibbs_iterations=50, seed=5))
+        return m, save_stratified, predict_stratified, te
+    tr, te, _ = generate_medical(SynthConfig(n_train=500, n_test=200, noise_rate=0.001, seed=7))
+    m = train(tr, HyperParams(tree=TreeConfig(n_trees=10, seed=3), k=8, method=case))
+    return m, save, predict, te
+
+
+GOLDEN_MODEL_FILES = {
+    "forward": ("9c86a611b0a98c515058fb0df09f1929325d0a9e3fdf8777803fe45f18b2ef83",
+                "57509ffe00e59e3a18b3df942db195963e21cc1d5c0e842dfac367aae375e9cb"),
+    "lasso": ("9f3b09fb4759a2b736af90b1d288246818e60e9f081f40ee1b6a9588dd3990a3",
+              "779a5f9a1e1021585c00c9d3f18178f363fd81e23a7d381c4e7e45975ab3948e"),
+    "stratified": ("19e457a00bb8c5aa3c7c28d123b3fbea2d2a0aae63e257a70c75dd1fe9fbdba2",
+                   "f41e652667ea4389f2a03a1a554ccbaa0440396297769f1cc43b612076c5d636"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_MODEL_FILES))
+def test_golden_model_file(case, tmp_path):
+    m, writer, predictor, te = _golden_model(case)
+    path = tmp_path / f"{case}.model"
+    writer(m, path)
+    file_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    preds_digest = hashlib.sha256(predictor(m, te).tobytes()).hexdigest()
+    assert (file_digest, preds_digest) == GOLDEN_MODEL_FILES[case]

@@ -15,14 +15,13 @@ from dppred.patterns import (
     compile_rules,
     construct_pattern_space,
     extract_patterns,
-    matches,
     pattern_matrix,
     render_pattern,
     rule_matrix,
 )
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import DecisionTree, TreeConfig, TreeNode, fit_forest
-from oracles import canonicalize, route, tree_patterns
+from oracles import canonicalize, matches, route, tree_patterns
 
 
 def leaf():
@@ -220,6 +219,10 @@ class TestRoutedPool:
             [[c.threshold.hex() for c in p.conditions] for p in want]
         ds = make_ds(rows)
         space = construct_pattern_space(ds, pool)
+        # pattern_matrix is the compiled kernel, not an independent loop, so
+        # every cell is also checked against the one-rule, one-row oracle
+        assert [[bool(v) for v in row] for row in space] == \
+            [[bool(matches(p, x)) for p in pool] for x in ds.x]
         ref = pattern_matrix(ds.x, list(pool))
         assert space.dtype == ref.dtype == np.uint8 and space.flags.c_contiguous
         assert space.shape == ref.shape

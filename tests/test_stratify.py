@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from dppred import stratify
 from dppred.data import minmax_normalize_labels
-from dppred.model import HyperParams, evaluate, refit_on_patterns, predict
+from dppred.model import HyperParams, evaluate, predict
 from dppred.model import train as train_flat
 from dppred.patterns import construct_pattern_space
 from dppred.selection import NoRulesError
@@ -29,6 +29,7 @@ from dppred.stratify import (
 )
 from dppred.synth import SynthConfig, generate_medical, generate_subtyped_regression
 from dppred.tree import TreeConfig
+from oracles import refit_on_patterns
 
 
 def adjusted_rand_index(a, b):
@@ -356,7 +357,7 @@ class TestTrainStratified:
         tr, _ = subtyped_setup(n_train=900, n_test=50)
         cfg = small_cfg()
         m = train_stratified(tr, small_hp(), cfg)
-        assert m.glm.n_dims == cfg.n_global + cfg.n_local
+        assert np.atleast_2d(m.glm.weights).shape[1] == cfg.n_global + cfg.n_local
         assert len(m.cluster_patterns) == cfg.n_clusters
         assert all(len(rules) <= cfg.n_local for rules in m.cluster_patterns)
 

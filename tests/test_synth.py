@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dppred.patterns import matches, pattern_matrix
+from dppred.patterns import pattern_matrix
 from dppred.synth import (
     SynthConfig,
     generate_medical,
@@ -9,7 +9,7 @@ from dppred.synth import (
     medical_rule_labels,
 )
 
-from oracles import subtype_of
+from oracles import matches, subtype_of
 
 
 def small_cfg(**kw):
