@@ -17,6 +17,7 @@ from . import stratify as strat_mod
 from .data import (
     LABEL_CLASS,
     LABEL_REAL,
+    MISSING_TOKENS,
     _parse_number,
     load_csv,
     load_labels,
@@ -213,12 +214,23 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_predictions(path, classes: list[str] | None) -> list:
-    """Prediction cells of a ``row_index,prediction[,probability]`` file: names
-    from ``classes`` (the class labels of the evaluated data; a schema file
-    lists none), or numbers when it is None; a malformed row raises a
-    ValueError naming it."""
+    """Prediction cells of a ``row_index,prediction[,probability]`` file: class
+    names when ``classes`` (the class labels of the evaluated data) is given,
+    or numbers when it is None. A class name the data lacks is kept: it can
+    only be a miss, since a schema file lists no classes and a file need not
+    hold every class. A malformed row, a missing cell, or a number against
+    class labels that are names raises a ValueError naming the row."""
     cells = []
+    names_only = classes is not None and not any(map(_is_number, classes))
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:2] != ["row_index", "prediction"]:
@@ -234,10 +246,13 @@ def _read_predictions(path, classes: list[str] | None) -> list:
                     cells.append(_parse_number(row[1], reader.line_num, "prediction"))
                 except ValueError as err:
                     raise ValueError(f"{path}, {err}") from None
-            elif row[1] in classes:
-                cells.append(row[1])
+            elif row[1] in MISSING_TOKENS:
+                raise ValueError(f"{where}: missing prediction {row[1]!r}")
+            elif names_only and _is_number(row[1]):
+                raise ValueError(f"{where}: prediction {row[1]!r} is a number, "
+                                 "but the class labels of the data are names")
             else:
-                raise ValueError(f"{where}: prediction {row[1]!r} is not a class label of the data")
+                cells.append(row[1])
     return cells
 
 

@@ -8,7 +8,9 @@ form of a rule, the per-split rules of a tree with the >= child each
 describes, the path of one instance through a tree and a preorder walk
 over a tree's nodes. The GLM losses with their gradients, and a model
 refitted on an explicit rule list without mining, are the references of
-the gradient checks and of the flat baseline of stratification. The
+the gradient checks and of the flat baseline of stratification. Forward
+selection's (incumbent bits, label) groups are regrouped from scratch
+with ``np.unique`` here; the library refines them round by round. The
 latent subtype of a synthetic subtyped-regression instance is here too:
 no model sees it.
 """
@@ -91,6 +93,21 @@ def iter_nodes(root, depth: int = 0):
 def subtype_of(x: np.ndarray, n_subtypes: int) -> np.ndarray:
     """Latent subtype implied by the marker block (not an explicit feature)."""
     return np.argmax(np.asarray(x)[:, :n_subtypes], axis=1).astype(np.int64)
+
+
+def group_rows(X, rows, cols, chosen, y):
+    """Collapse rows to distinct (incumbent bits, label) groups.
+
+    Returns each group's incumbent bits, label and size, and the (pool, G)
+    counts of its rows that satisfy each candidate, from the set (row,
+    column) pairs ``rows``, ``cols`` of ``X``: one integer ``np.bincount``.
+    """
+    key = np.column_stack([X[:, chosen], y]).astype(np.int64)
+    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
+    G = len(uniq)
+    m1 = np.bincount(cols * G + inverse[rows], minlength=X.shape[1] * G)
+    n_g = np.bincount(inverse, minlength=G).astype(np.float64)
+    return uniq[:, :-1].astype(np.float64), uniq[:, -1], n_g, m1.reshape(-1, G).astype(np.float64)
 
 
 def linear_loss(X, y, w, b):

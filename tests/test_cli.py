@@ -158,6 +158,28 @@ class TestPredictEvaluate:
                      "--schema", str(medical_files["schema"])]) == 0
         assert capsys.readouterr().out == "accuracy: 0.500000\n"
 
+    def test_evaluate_counts_a_class_the_file_lacks_as_a_miss(self, tmp_path, capsys):
+        # a schema file lists no classes, so evaluate knows only the classes
+        # of the file it reads; a valid prediction of another class is a miss
+        train, test, schema = (tmp_path / f"{name}.csv" for name in ("train", "test", "schema"))
+        assert main(["synth", "--kind", "medical", "--n-train", "50", "--n-test", "50",
+                     "--seed", "1", "--out-train", str(train), "--out-test", str(test),
+                     "--out-schema", str(schema)]) == 0
+        header, *rows = test.read_text().splitlines()
+        test.write_text("\n".join([header] + [r for r in rows if r.endswith(",no")][:2]) + "\n")
+        preds = tmp_path / "preds.csv"
+        for cells, out in [("yes,no", "accuracy: 0.500000\n"), ("maybe,no", "accuracy: 0.500000\n")]:
+            first, second = cells.split(",")
+            preds.write_text(f"row_index,prediction\n0,{first}\n1,{second}\n")
+            capsys.readouterr()
+            assert main(["evaluate", "--predictions", str(preds), "--data", str(test),
+                         "--schema", str(schema)]) == 0
+            assert capsys.readouterr().out == out
+        preds.write_text("row_index,prediction\n0,no\n1,\n")  # an empty cell still fails
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(test),
+                     "--schema", str(schema)]) == 1
+        assert capsys.readouterr().err == f"error: {preds}, row 3: missing prediction ''\n"
+
     @pytest.mark.parametrize("files", ["medical_files", "subtyped_files"])
     def test_evaluate_header_only_data(self, files, request, tmp_path, capsys):
         # once a division by zero for classes and "rmse: nan" for real labels

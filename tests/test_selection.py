@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dppred import selection
 from dppred.glm import fit_glm, lambda_max, support
 from dppred.selection import NoRulesError, forward_select, lasso_select
-from oracles import logistic_loss
+from oracles import group_rows, logistic_loss
 
 
 def rng(seed=0):
@@ -278,13 +278,84 @@ def test_group_counts_equal_a_per_group_loop(seed, n_classes, n, pool, n_chosen)
     Xw = gen.integers(0, 2, size=(n, pool)).astype(np.uint8)
     y = gen.integers(0, n_classes, size=n)
     chosen = gen.choice(pool, size=min(n_chosen, pool), replace=False).tolist()
-    Xg, yg, n_g, m1 = selection._group_rows(Xw, *np.nonzero(Xw), chosen, y)
+    Xg, yg, n_g, m1 = group_rows(Xw, *np.nonzero(Xw), chosen, y)
     assert m1.shape == (pool, len(yg)) and m1.dtype == np.float64
     assert n_g.sum() == n  # groups are disjoint and cover every row
     for g in range(len(yg)):
         members = np.all(Xw[:, chosen] == Xg[g], axis=1) & (y == yg[g])
         assert n_g[g] == members.sum()
         assert np.array_equal(m1[:, g], Xw[members].sum(axis=0, dtype=np.float64))
+
+
+def _refined_groups(X, y, n_classes, winners):
+    """The library's groups after each winner of ``winners``, as ``group_rows`` returns them."""
+    gid, bits = np.zeros(len(y), dtype=np.int64), np.zeros((1, 0))
+    for s in range(len(winners) + 1):
+        owner, yg, n_g, m1 = selection._label_groups(gid, len(bits), y, n_classes,
+                                                     *np.nonzero(X), X.shape[1])
+        yield bits[owner], yg, n_g, m1
+        if s < len(winners):
+            gid, bits = selection._refine(gid, bits, X[:, winners[s]] != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.sampled_from([2, 3]),
+       n=st.integers(1, 60), pool=st.integers(1, 10), n_rounds=st.integers(1, 6))
+def test_refined_groups_equal_regrouping(seed, n_classes, n, pool, n_rounds):
+    gen = rng(seed)
+    X = gen.integers(0, 2, size=(n, pool)).astype(np.uint8)
+    # a copy of the first winner, an all-zero and an all-one column: each is
+    # constant inside every group once the first winner is chosen, so no group splits
+    X = np.column_stack([X, X[:, 0], np.zeros(n, np.uint8), np.ones(n, np.uint8)])
+    y = gen.integers(0, n_classes, size=n)
+    winners = [0, pool, pool + 1, pool + 2] + gen.choice(X.shape[1], size=n_rounds).tolist()
+    for s, got in enumerate(_refined_groups(X, y, n_classes, winners)):
+        want = group_rows(X, *np.nonzero(X), winners[:s], y)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["binary", "multiclass"]),
+       n=st.integers(20, 80), pool=st.integers(2, 6), n_chosen=st.integers(0, 3),
+       planted=st.booleans())
+def test_screening_bounds_never_exceed_a_refit(seed, kind, n, pool, n_chosen, planted):
+    # no candidate's exact refit loss is below its saturated bound
+    gen = rng(seed)
+    base = gen.integers(0, 2, size=(n, pool)).astype(np.uint8)
+    X = np.column_stack([base, base[:, 0], 1 - base[:, 1]])  # a duplicate, a complement
+    _, y = _labels(gen, base, kind)
+    if planted:  # labels a function of the pool: some refits separate the rows
+        y = base[:, -1] + (kind == "multiclass") * base[:, 0].astype(np.int64)
+    n_classes = 2 if kind == "binary" else 3
+    assume(len(np.unique(y)) == n_classes)
+    chosen = gen.choice(pool, size=min(n_chosen, pool), replace=False).tolist()
+    *_, (Xg, yg, n_g, m1) = _refined_groups(X, y, n_classes, chosen)
+    owner = np.unique(Xg, axis=0, return_inverse=True)[1].ravel()
+    targets = np.flatnonzero(yg >= (n_classes == 2))
+    xlogx = np.arange(n + 1) * np.log(np.maximum(np.arange(n + 1), 1))
+    bound = selection._saturated_bounds(m1, n_g, owner, targets, xlogx)
+    assert np.all(bound >= 0.0)
+    for j in range(X.shape[1]):
+        assert bound[j] <= _refit_nll(X, y, chosen + [j]) * (1 + 1e-9) + 1e-9, j
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_first_step_is_the_candidate_newton_step(seed):
+    gen = rng(seed)
+    G, s = int(gen.integers(4, 30)), int(gen.integers(0, 4))
+    phi = np.column_stack([np.ones(G), gen.integers(0, 2, size=(G, s))])
+    assert np.linalg.matrix_rank(phi) == s + 1  # well conditioned: no incumbent repeats another
+    t_g = gen.integers(0, 2, size=G).astype(np.float64)
+    n_g = gen.integers(2, 20, size=G).astype(np.float64)
+    a1 = np.floor(gen.random((12, G)) * (n_g + 1))
+    start = gen.normal(size=s + 1)
+    sign = 2.0 * t_g - 1.0
+    outer = (phi[:, :, None] * phi[:, None, :]).reshape(G, -1)
+    theta = np.tile(np.append(start, 0.0), (len(a1), 1))
+    want = selection._newton_steps(phi, outer, sign, theta, a1, n_g - a1)
+    got = selection._first_steps(phi, sign, n_g, start, a1)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
 
 
 def _void_key_distinct_columns(Xp):
@@ -356,8 +427,8 @@ def _digest(res):
 
 # pinned from a known-good run; a bit moved in any selection changes them
 GOLDEN_SELECTIONS = {
-    ("forward", "binary"): "09c29a9fc224f8fb:358a9c0a449b7e38:86d026c1c809bb54",
-    ("forward", "multiclass"): "5a7c1625b641cd7d:24eec8c4c548e1b8:a0b199ddc595dcd4",
+    ("forward", "binary"): "2522827914f53167:941e322027b559f7:8939facd15383402",
+    ("forward", "multiclass"): "5a7c1625b641cd7d:ec70f48f91287ef7:a0b199ddc595dcd4",
     ("forward", "linear"): "d272800b7e7fa048:3a6e8078437585a9:5252fa4cbb8ae9dc",
     ("lasso", "binary"): "06d1d2ea1a4c7f54:8cae424e8a9411d0",
     ("lasso", "multiclass"): "d7d117752fb657fa:71b9fc13388fdb00",
