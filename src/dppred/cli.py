@@ -16,7 +16,6 @@ from . import model as model_mod
 from . import stratify as strat_mod
 from .data import (
     LABEL_CLASS,
-    LABEL_REAL,
     MISSING_TOKENS,
     _parse_number,
     load_csv,
@@ -24,7 +23,8 @@ from .data import (
     minmax_normalize_labels,
     read_schema_file,
 )
-from .model import HyperParams, TASK_CLASSIFICATION, TASK_REGRESSION, default_k
+from .model import METHODS, HyperParams, TASK_CLASSIFICATION, TASK_REGRESSION, default_k
+from .stratify import StratifyConfig
 from .synth import SynthConfig, write_medical_csv, write_subtyped_csv
 from .tree import TreeConfig
 
@@ -38,10 +38,10 @@ def _add_common(p):
 
 
 def _add_tree_flags(p):
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--min-bag", type=int, default=10)
-    p.add_argument("--method", choices=["forward", "lasso"], default="forward")
+    p.add_argument("--trees", type=int, default=TreeConfig.n_trees)
+    p.add_argument("--depth", type=int, default=TreeConfig.max_depth)
+    p.add_argument("--min-bag", type=int, default=TreeConfig.min_bag)
+    p.add_argument("--method", choices=METHODS, default=HyperParams.method)
     p.add_argument("--no-normalize-labels", action="store_true",
                    help="keep regression labels on their original scale")
 
@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic benchmark data")
     p.add_argument("--kind", choices=["medical", "subtyped"], default="medical")
-    p.add_argument("--n-train", type=int, default=100_000)
-    p.add_argument("--n-test", type=int, default=50_000)
-    p.add_argument("--noise", type=float, default=0.001)
+    p.add_argument("--n-train", type=int, default=SynthConfig.n_train)
+    p.add_argument("--n-test", type=int, default=SynthConfig.n_test)
+    p.add_argument("--noise", type=float, default=SynthConfig.noise_rate)
     p.add_argument("--groups", type=int, default=3)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
@@ -88,21 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--global-patterns", type=int, default=30)
-    p.add_argument("--local-patterns", type=int, default=10)
-    p.add_argument("--groups", type=int, default=3)
-    p.add_argument("--lda-alpha", type=float, default=None,
+    p.add_argument("--global-patterns", type=int, default=StratifyConfig.n_global)
+    p.add_argument("--local-patterns", type=int, default=StratifyConfig.n_local)
+    p.add_argument("--groups", type=int, default=StratifyConfig.n_clusters)
+    p.add_argument("--lda-alpha", type=float, default=StratifyConfig.lda_alpha,
                    help="Dirichlet prior on each row's topic mix in LDA training and the "
                         "fold-in (default: 1 / --groups)")
-    p.add_argument("--lda-beta", type=float, default=0.1,
-                   help="Dirichlet prior on each topic's rule distribution (default: 0.1)")
-    p.add_argument("--gibbs-iterations", type=int, default=500,
+    p.add_argument("--lda-beta", type=float, default=StratifyConfig.lda_beta,
+                   help="Dirichlet prior on each topic's rule distribution (default: %(default)s)")
+    p.add_argument("--gibbs-iterations", type=int, default=StratifyConfig.gibbs_iterations,
                    help="collapsed Gibbs sweeps that fit the topics; the second half is "
-                        "averaged (default: 500)")
-    p.add_argument("--fold-in-iterations", type=int, default=50,
+                        "averaged (default: %(default)s)")
+    p.add_argument("--fold-in-iterations", type=int, default=StratifyConfig.fold_in_iterations,
                    help="steps of the deterministic EM fold-in that assigns each training and "
                         "predicted row to a cluster: a row gets the same cluster alone or in any "
-                        "batch, and a row satisfying no global rule goes to cluster 0")
+                        "batch, and a row satisfying no global rule goes to cluster 0 "
+                        "(default: %(default)s)")
     _add_tree_flags(p)
     _add_common(p)
 
@@ -298,7 +299,7 @@ def cmd_stratify_train(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
     ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task, k=args.global_patterns)
-    cfg = strat_mod.StratifyConfig(
+    cfg = StratifyConfig(
         n_global=args.global_patterns, n_local=args.local_patterns,
         n_clusters=args.groups, lda_alpha=args.lda_alpha, lda_beta=args.lda_beta,
         gibbs_iterations=args.gibbs_iterations,
@@ -332,6 +333,8 @@ def cmd_importance(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_counts(args, *_TREE_FLAGS, "k")
+    if args.param == "k" and args.k is not None:
+        raise UsageError("--k cannot be used with --param k: --values sets k")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise UsageError("--values must list at least one integer")

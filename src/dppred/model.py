@@ -47,6 +47,7 @@ TASK_REGRESSION = "regression"
 
 METHOD_FORWARD = "forward"
 METHOD_LASSO = "lasso"
+METHODS = (METHOD_FORWARD, METHOD_LASSO)
 
 FORMAT_VERSION = 1
 _HEADER = "dppred model format"
@@ -62,16 +63,10 @@ class HyperParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.method not in (METHOD_FORWARD, METHOD_LASSO):
+        if self.method not in METHODS:
             raise ValueError(f"unknown selection method {self.method!r}")
         if self.task not in (TASK_CLASSIFICATION, TASK_REGRESSION):
             raise ValueError(f"unknown task {self.task!r}")
-
-    @classmethod
-    def for_task(cls, task: str, seed: int = 0, method: str = METHOD_FORWARD) -> "HyperParams":
-        """Defaults: T=100, D=6, sigma=10 with k=20 (classification) or
-        k=30 (regression)."""
-        return cls(tree=TreeConfig(seed=seed), k=default_k(task), method=method, task=task)
 
 
 def default_k(task: str) -> int:
@@ -79,9 +74,12 @@ def default_k(task: str) -> int:
     return 20 if task == TASK_CLASSIFICATION else 30
 
 
-@dataclass
-class DppredModel:
-    patterns: list[Pattern]
+@dataclass(kw_only=True)
+class _ModelCore:
+    """What a plain and a stratified model share: the GLM that scores its
+    rule bits, the schema and label fields of its training data, and the
+    settings it was trained with."""
+
     glm: GlmModel
     schema: list[ColumnSchema] | None
     feature_names: list[str]
@@ -90,15 +88,20 @@ class DppredModel:
     label_names: list[str] | None = None
     label_bounds: tuple[float, float] | None = None
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def task(self) -> str:
+        return TASK_CLASSIFICATION if self.glm.task == TASK_LOGISTIC else TASK_REGRESSION
+
+
+@dataclass
+class DppredModel(_ModelCore):
+    patterns: list[Pattern]
     selection: SelectionResult | None = field(default=None, repr=False)
     compiled: CompiledRules = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.compiled = compile_rules(self.patterns)
-
-    @property
-    def task(self) -> str:
-        return TASK_CLASSIFICATION if self.glm.task == TASK_LOGISTIC else TASK_REGRESSION
 
     @property
     def k(self) -> int:

@@ -16,7 +16,9 @@ smallest < threshold, -inf where absent. The pool is the distinct keys in
 the order they first occur, and a rule's ``Pattern`` is built only when
 the pool is read. ``construct_pattern_space`` routes the training rows
 through the pool's trees, level by level, and sets the pool column of
-every >= child a row enters, so no condition is evaluated twice.
+every >= child a row enters, so no condition is evaluated twice. Every
+split of one rule sends the same rows to its >= child, so only the rule's
+first split writes its column.
 
 Every other rule list goes through one compiled kernel: it is compiled
 once (``compile_rules``) and then evaluated with exactly ``sum(p.m)``
@@ -78,7 +80,7 @@ class _Splits(NamedTuple):
     threshold: np.ndarray
     children: np.ndarray   # split index of the < child at 2s, of the >= child at 2s + 1; -1 at a leaf
     roots: np.ndarray      # split index of the root of every tree that splits
-    column: np.ndarray     # pool column of the split's rule
+    column: np.ndarray     # pool column of the split's rule at its first split, else -1
 
 
 class RulePool(Sequence):
@@ -128,8 +130,9 @@ class RulePool(Sequence):
                 ge = v >= t
                 # index arrays, not boolean masks: the masks are random, and
                 # taking by index does not branch on them
-                hit = np.flatnonzero(ge)
-                out[row.take(hit) * width + sp.column.take(node.take(hit))] = 1
+                col = sp.column.take(node)
+                hit = np.flatnonzero(ge & (col >= 0))
+                out[row.take(hit) * width + col.take(hit)] = 1
                 node = sp.children.take(2 * node + ge)
                 live = np.flatnonzero((node >= 0) & (ge | (v < t)))
                 node, row = node.take(live), row.take(live)
@@ -193,14 +196,13 @@ def extract_patterns(forest) -> RulePool:
     keys[every, 2 * slot] = np.maximum(keys[every, 2 * slot], threshold)
 
     rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    column = np.empty(len(first), dtype=np.intp)
-    column[order] = np.arange(len(first))
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    column = np.full(n_splits, -1)
+    column[first] = np.arange(len(first))
     children = np.full(2 * n_splits, -1)
     children[2 * up + ge_side[child]] = child
-    splits = _Splits(dim, threshold, children, roots, column[inverse])
-    return RulePool(splits, keys[first[order]], dims.tolist())
+    splits = _Splits(dim, threshold, children, roots, column)
+    return RulePool(splits, keys[first], dims.tolist())
 
 
 class CompiledRules(NamedTuple):

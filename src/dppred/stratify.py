@@ -26,12 +26,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import ColumnSchema, Dataset, subset
-from .glm import TASK_LINEAR, GlmModel, fit_glm
+from .data import Dataset, subset
+from .glm import fit_glm
 from .model import (
-    TASK_CLASSIFICATION,
-    TASK_REGRESSION,
     HyperParams,
+    _ModelCore,
     _check_compatible,
     _data_fields,
     _data_lines,
@@ -96,19 +95,11 @@ class StratifyConfig:
 
 
 @dataclass
-class StratifiedModel:
+class StratifiedModel(_ModelCore):
     global_patterns: list[Pattern]
     topics: np.ndarray                  # (n_clusters, n_global_patterns), rows sum to 1
     cluster_patterns: list[list[Pattern]]
-    glm: GlmModel
     config: StratifyConfig
-    schema: list[ColumnSchema] | None
-    feature_names: list[str]
-    feature_sources: list[str]
-    label_kind: str
-    label_names: list[str] | None = None
-    label_bounds: tuple[float, float] | None = None
-    provenance: dict = field(default_factory=dict)
     # (global rules, one entry per cluster's local rules), compiled for serving
     compiled: tuple[CompiledRules, list[CompiledRules]] = field(init=False, repr=False, compare=False)
     # packed global-rule bits -> cluster of every bag served so far (see _assign);
@@ -118,10 +109,6 @@ class StratifiedModel:
     def __post_init__(self):
         self.compiled = (compile_rules(self.global_patterns),
                          [compile_rules(rules) for rules in self.cluster_patterns])
-
-    @property
-    def task(self) -> str:
-        return TASK_REGRESSION if self.glm.task == TASK_LINEAR else TASK_CLASSIFICATION
 
 
 def _bits_to_tokens(bits: np.ndarray, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -281,9 +268,7 @@ def train_stratified(ds: Dataset, hp: HyperParams, cfg: StratifyConfig) -> Strat
         glm=glm,
         config=cfg,
         **_data_fields(ds),
-        provenance={**global_model.provenance,
-                    "n_global": cfg.n_global, "n_local": cfg.n_local,
-                    "n_clusters": cfg.n_clusters, "lda_seed": cfg.seed},
+        provenance=global_model.provenance,
     )
 
 

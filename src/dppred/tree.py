@@ -7,7 +7,7 @@ samples with a hard depth cap and a minimum bag size on both sides of
 every split, so any root-to-node path covers enough training instances to
 be worth keeping as a candidate rule. Splits pick the best of a few
 randomly sampled (feature, threshold) pairs rather than scanning
-exhaustively.
+exhaustively: ⌈√d⌉ features, each with ``_THRESHOLDS`` thresholds.
 
 Growth is lockstep: the trees of a forest grow together, in chunks of at
 most ``_CHUNK_ROWS`` bootstrap rows, each keeping a stack of pending
@@ -64,6 +64,10 @@ _COUNT_CELLS = 1 << 16
 # trees grown together hold at most this many bootstrap rows, which bounds
 # the pending bags they keep: 100 trees of 1000 rows, 6 of 20k rows
 _CHUNK_ROWS = 1 << 17
+# thresholds sampled per feature: 16 keep split boundaries sharp enough
+# that the pool contains near-exact copies of generating rules; 4 is too
+# coarse
+_THRESHOLDS = 16
 
 
 @dataclass
@@ -71,10 +75,6 @@ class TreeConfig:
     n_trees: int = 100
     max_depth: int = 6
     min_bag: int = 10
-    n_feature_candidates: int | None = None  # None: ceil(sqrt(d))
-    # 16 samples per feature keep split boundaries sharp enough that the
-    # pool contains near-exact copies of generating rules; 4 is too coarse
-    n_threshold_candidates: int = 16
     seed: int = 0
 
     def __post_init__(self):
@@ -84,10 +84,6 @@ class TreeConfig:
             raise ValueError("max_depth must be >= 1")
         if self.min_bag < 1:
             raise ValueError("min_bag must be >= 1")
-        if self.n_feature_candidates is not None and self.n_feature_candidates < 1:
-            raise ValueError("n_feature_candidates must be >= 1")
-        if self.n_threshold_candidates < 1:
-            raise ValueError("n_threshold_candidates must be >= 1")
 
 
 @dataclass
@@ -131,9 +127,9 @@ class _Grower:
         self.ds, self.cfg = ds, cfg
         self.classify = ds.label_kind == "class"
         self.xt = np.ascontiguousarray(ds.x.T)
-        self.n_dims = min(cfg.n_feature_candidates or math.ceil(math.sqrt(ds.d)), ds.d)
+        self.n_dims = math.ceil(math.sqrt(ds.d))
         self.batch_rows = max(_BATCH_ROWS, ds.n)
-        cells = self.n_dims * cfg.n_threshold_candidates * self.batch_rows
+        cells = self.n_dims * _THRESHOLDS * self.batch_rows
         self.mask_buf = np.empty(cells, dtype=bool)
         if self.classify:
             self.y = ds.y.astype(np.int64)
@@ -187,8 +183,8 @@ class _Grower:
         rows and the size-weighted drop in label entropy (classes) or
         variance (real labels) is strictly positive.
         """
-        cfg, ds = self.cfg, self.ds
-        sigma, n_thr, n_dims = cfg.min_bag, cfg.n_threshold_candidates, self.n_dims
+        ds = self.ds
+        sigma, n_thr, n_dims = self.cfg.min_bag, _THRESHOLDS, self.n_dims
         n_nodes = len(bags)
         sizes = np.array([len(bag) for bag in bags])
         starts = np.zeros(n_nodes, dtype=np.intp)

@@ -12,14 +12,29 @@ the gradient checks and of the flat baseline of stratification. Forward
 selection's (incumbent bits, label) groups are regrouped from scratch
 with ``np.unique`` here; the library refines them round by round. The
 latent subtype of a synthetic subtyped-regression instance is here too:
-no model sees it.
+no model sees it. So are the paper's default hyperparameters per task.
 """
 
 import numpy as np
 
 from dppred.glm import fit_glm, sigmoid
-from dppred.model import DppredModel, _check_labels, _data_fields, _glm_task
+from dppred.model import (
+    METHOD_FORWARD,
+    DppredModel,
+    HyperParams,
+    _check_labels,
+    _data_fields,
+    _glm_task,
+    default_k,
+)
 from dppred.patterns import OP_GE, OP_LT, Condition, Pattern, construct_pattern_space
+from dppred.tree import TreeConfig
+
+
+def for_task(task: str, seed: int = 0, method: str = METHOD_FORWARD) -> HyperParams:
+    """Defaults: T=100, D=6, sigma=10 with k=20 (classification) or
+    k=30 (regression)."""
+    return HyperParams(tree=TreeConfig(seed=seed), k=default_k(task), method=method, task=task)
 
 
 def matches(pattern: Pattern, x: np.ndarray) -> bool:

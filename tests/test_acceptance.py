@@ -30,7 +30,15 @@ from dppred.tree import TreeConfig, fit_forest
 
 
 from conftest import ACCEPTANCE_LINES
-from oracles import linear_loss, logistic_loss, matches, refit_on_patterns, route, tree_patterns
+from oracles import (
+    for_task,
+    linear_loss,
+    logistic_loss,
+    matches,
+    refit_on_patterns,
+    route,
+    tree_patterns,
+)
 
 
 def report(criterion: int, passed: bool, detail: str) -> bool:
@@ -101,7 +109,7 @@ def test_criterion_1_synthetic_recovery():
 
     results = {}
     for method in ("forward", "lasso"):
-        hp = HyperParams.for_task("classification", seed=13, method=method)
+        hp = for_task("classification", seed=13, method=method)
         assert (hp.tree.n_trees, hp.tree.max_depth, hp.tree.min_bag, hp.k) == (100, 6, 10, 20)
         m = train(tr, hp)
         acc = evaluate(predict(m, te), te.y, "classification")["accuracy"]
@@ -452,7 +460,7 @@ def test_criterion_10_uci_soft_check():
         label_task, schema = read_schema_file(UCI_DIR / f"{name}_schema.csv")
         tr = load_csv(UCI_DIR / f"{name}_train.csv", schema, label_task)
         te = load_csv(UCI_DIR / f"{name}_test.csv", tr.schema, label_task)
-        hp = HyperParams.for_task("classification", seed=1, method="forward")
+        hp = for_task("classification", seed=1, method="forward")
         m = train(tr, hp)
         acc = evaluate(predict(m, te), te.y, "classification")["accuracy"] * 100
         delta = acc - UCI_TABLE[name]

@@ -7,6 +7,7 @@ from dppred.cli import main
 from dppred.data import load_csv, read_schema_file
 from dppred.model import HyperParams
 from dppred.tree import TreeConfig
+from oracles import for_task
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +115,21 @@ def test_zero_count_is_reported_before_any_file_is_read(command, flag, tmp_path,
     assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
 
 
+def test_sweep_over_k_rejects_k_before_any_file_is_read(tmp_path, capsys):
+    assert main(["sweep", "--data", str(tmp_path / "missing.csv"),
+                 "--schema", str(tmp_path / "missing_schema.csv"),
+                 "--test", str(tmp_path / "missing_test.csv"), "--out", str(tmp_path / "out"),
+                 "--param", "k", "--values", "5", "--k", "3"]) == 2
+    assert (capsys.readouterr().err.strip()
+            == "error: --k cannot be used with --param k: --values sets k")
+
+
 def test_default_k_is_the_library_default(subtyped_files, tmp_path):
     out = tmp_path / "m.model"
     assert main(["train", "--data", str(subtyped_files["train"]),
                  "--schema", str(subtyped_files["schema"]),
                  "--out", str(out), "--trees", "10", "--seed", "2"]) == 0
-    assert model_mod.load(out).provenance["k"] == str(HyperParams.for_task("regression").k)
+    assert model_mod.load(out).provenance["k"] == str(for_task("regression").k)
 
 
 class TestPredictEvaluate:

@@ -2,6 +2,7 @@
 at load time with a ValueError that names the damaged section."""
 
 import hashlib
+import json
 import re
 from dataclasses import replace
 
@@ -202,7 +203,9 @@ def load_from_text(text, tmp_path):
 # test rows. They cover what the golden forest, pool, selection and
 # clustering digests do not: the file codec, the refit and unified GLMs, the
 # local rules and serving. Pinned before the stratified global bits moved to
-# the compiled rule kernel.
+# the compiled rule kernel; the file digests were re-pinned when [provenance]
+# lost the split-search counts and, in stratified files, its copies of
+# [config] settings.
 
 def _golden_model(case):
     if case == "stratified":
@@ -218,11 +221,11 @@ def _golden_model(case):
 
 
 GOLDEN_MODEL_FILES = {
-    "forward": ("9c86a611b0a98c515058fb0df09f1929325d0a9e3fdf8777803fe45f18b2ef83",
+    "forward": ("f191e60dc499a61c366b8103cb241b0f75a5f7b1c9a76df2bcec38dfc785e0fd",
                 "57509ffe00e59e3a18b3df942db195963e21cc1d5c0e842dfac367aae375e9cb"),
-    "lasso": ("9f3b09fb4759a2b736af90b1d288246818e60e9f081f40ee1b6a9588dd3990a3",
+    "lasso": ("0628355806761e938b1ba9cf987b7c64ab4a6a1320270549ea071dc86e87c530",
               "779a5f9a1e1021585c00c9d3f18178f363fd81e23a7d381c4e7e45975ab3948e"),
-    "stratified": ("19e457a00bb8c5aa3c7c28d123b3fbea2d2a0aae63e257a70c75dd1fe9fbdba2",
+    "stratified": ("370f302bcc081b8fe360c56bb37064753f615419717122818de10b65d7e4f8ae",
                    "f41e652667ea4389f2a03a1a554ccbaa0440396297769f1cc43b612076c5d636"),
 }
 
@@ -235,3 +238,20 @@ def test_golden_model_file(case, tmp_path):
     file_digest = hashlib.sha256(path.read_bytes()).hexdigest()
     preds_digest = hashlib.sha256(predictor(m, te).tobytes()).hexdigest()
     assert (file_digest, preds_digest) == GOLDEN_MODEL_FILES[case]
+
+
+def test_stratified_provenance_repeats_no_config_setting(tmp_path):
+    """[config] holds the stratification settings and [provenance] only how
+    the global rules were trained, as in a plain model file. The one name in
+    both is ``seed``: the tree seed there (3 here) and the LDA seed in
+    [config] (5 here)."""
+    m, *_ = _golden_model("stratified")
+    path = tmp_path / "stratified.model"
+    save_stratified(m, path)
+    text = path.read_text(encoding="utf-8")
+    head, rest = text.split("[provenance]\n", 1)[1].split("[config]\n", 1)
+    provenance = dict(ln.split("=", 1) for ln in head.splitlines())
+    config = json.loads(rest.splitlines()[0])
+    assert set(provenance) == {"n_trees", "max_depth", "min_bag", "seed", "k", "method", "task"}
+    assert set(config) & set(provenance) == {"seed"}
+    assert (provenance["seed"], config["seed"]) == ("3", 5)

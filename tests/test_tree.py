@@ -107,9 +107,10 @@ def reference_split(bag, ds, cfg, rng):
     """The per-node, per-dim split search that lockstep growth replaced:
     (dim, threshold) of the best split, or None.
 
-    Same draws in the same order (``choice`` of the dims, then ``uniform``
-    per non-binary dim whose range on the bag is not zero) and the same
-    arithmetic; the best candidate is the minimum of (-gain, dim, threshold).
+    Same draws in the same order (``choice`` of ⌈√d⌉ dims, then ``uniform``
+    of 16 thresholds per non-binary dim whose range on the bag is not
+    zero) and the same arithmetic; the best candidate is the minimum of
+    (-gain, dim, threshold).
     Regression sums are the grower's: one product per node of the
     (dims * thresholds, bag) 0/1 matrix, slots without a threshold all
     zero, with [y, y²].
@@ -120,8 +121,8 @@ def reference_split(bag, ds, cfg, rng):
         return None
     classify = ds.label_kind == "class"
     y = ds.y[bag]
-    n_feats = cfg.n_feature_candidates or math.ceil(math.sqrt(ds.d))
-    dims = rng.choice(ds.d, size=min(n_feats, ds.d), replace=False)
+    dims = rng.choice(ds.d, size=math.ceil(math.sqrt(ds.d)), replace=False)
+    n_thr = 16
     if classify:
         y_int = y.astype(np.int64)
         onehot = (y_int[:, None] == np.arange(int(y_int.max()) + 1)[None, :]).astype(np.float64)
@@ -133,7 +134,7 @@ def reference_split(bag, ds, cfg, rng):
         sumsq_tot = float((y * y).sum())
         parent = max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0)
 
-    grid = np.full((len(dims), cfg.n_threshold_candidates), np.nan)
+    grid = np.full((len(dims), n_thr), np.nan)
     for i, dim in enumerate(dims):
         xcol = ds.x[bag, dim]
         if ds.binary_dims[dim]:
@@ -141,7 +142,7 @@ def reference_split(bag, ds, cfg, rng):
         else:
             lo, hi = float(xcol.min()), float(xcol.max())
             if lo != hi:
-                grid[i] = rng.uniform(lo, hi, size=cfg.n_threshold_candidates)
+                grid[i] = rng.uniform(lo, hi, size=n_thr)
     slots = ds.x[bag][:, dims].T[:, None, :] < grid[:, :, None]  # NaN: all zero
     if not classify:
         sums = (slots.reshape(-1, n_bag).astype(np.float64) @ np.column_stack([y, y * y])
@@ -216,9 +217,7 @@ def split_problems(draw, real_valued=False):
     else:
         ds = make_ds(x, rng.integers(0, 2 if kind == "class2" else 3, size=n), binary=binary)
         ds.label_names = ["a", "b", "c"][:int(ds.y.max()) + 1]
-    cfg = TreeConfig(min_bag=draw(st.integers(1, 4)),
-                     n_feature_candidates=draw(st.one_of(st.none(), st.integers(1, d))),
-                     n_threshold_candidates=draw(st.integers(1, 5)))
+    cfg = TreeConfig(min_bag=draw(st.integers(1, 4)))
     sizes = draw(st.lists(st.integers(2 * cfg.min_bag, 8 * n), min_size=1, max_size=4))
     bags = [rng.integers(0, n, size=size) for size in sizes]
     return ds, cfg, bags, seed
@@ -309,6 +308,9 @@ class TestFitTree:
 # preceded lockstep growth. A signature lists, tree after tree in preorder,
 # every node's dim, threshold (hex) and bag size, so any change to a draw,
 # a split or a tie-break moves it.
+# mixed-3class, subtyped-regression and min-bag-edge set their own counts
+# of sampled dims or thresholds until the split search fixed them at
+# ⌈√d⌉ dims and 16 thresholds; they were re-pinned then.
 
 def _mixed_features(n, seed):
     """Numeric dims (one with few distinct values, one constant) and dummy dims."""
@@ -336,13 +338,11 @@ def _golden_cases():
     noisy = make_ds(x[:40], ((x[:40, 0] * 4).astype(int) + x[:40, 4].astype(int)) % 2)
     return {
         "medical-2class": (med, TreeConfig(n_trees=8, seed=11)),
-        "mixed-3class": (three, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=12,
-                                           n_threshold_candidates=3)),
+        "mixed-3class": (three, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=12)),
         "mixed-regression": (real, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=13)),
-        "subtyped-regression": (sub, TreeConfig(n_trees=6, seed=14, n_feature_candidates=6)),
+        "subtyped-regression": (sub, TreeConfig(n_trees=6, seed=14)),
         # a 40-row bag splits only 20/20, and no child can split again
-        "min-bag-edge": (edge, TreeConfig(n_trees=6, min_bag=20, seed=15,
-                                          n_feature_candidates=6)),
+        "min-bag-edge": (edge, TreeConfig(n_trees=6, min_bag=20, seed=15)),
         "min-bag-one": (noisy, TreeConfig(n_trees=4, max_depth=8, min_bag=1, seed=16)),
     }
 
@@ -355,11 +355,11 @@ def forest_digest(forest):
 
 GOLDEN_FOREST_DIGESTS = {
     "medical-2class": "177946ac0f4e72d9aa4b79e1495a5c2ae131a73431d2106a1db8fa4a768662b1",
-    "min-bag-edge": "f3b63ab254f983b54c846c69e714698aab8030e8ba90025cd472d02babaf2dc8",
+    "min-bag-edge": "57bc52b5f1e1edae71f49b94c47b80f5619618e53b70b917f4777b3862abcc06",
     "min-bag-one": "c32146b55022def7177f9c646a21dd1263640008e8f1633b64b9c2274d8d8e50",
-    "mixed-3class": "689cefd031a0e0acbe33ab74e11daf18c833137415083a4ba979ec4c54e4e9b2",
+    "mixed-3class": "7ca5069561e97673a591842ec13311d1154ce23590e6eccaf3e3c09cb16f2d1a",
     "mixed-regression": "2092fa781c4f9765c270865c26f920285a6da2d73ae718634f8cc666e3b40f89",
-    "subtyped-regression": "9f75bba103d92bad6b018ba6bc34287a9e7d51f6edcc20f832844e0b788e0442",
+    "subtyped-regression": "6413951d5739801af517f98f0efc54a533cc76ec20ba032e780b40aaca15a9fe",
 }
 
 
