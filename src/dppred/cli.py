@@ -25,7 +25,7 @@ from .data import (
 )
 from .model import METHODS, HyperParams, TASK_CLASSIFICATION, TASK_REGRESSION, default_k
 from .stratify import StratifyConfig
-from .synth import SynthConfig, write_medical_csv, write_subtyped_csv
+from .synth import N_SUBTYPES, SynthConfig, write_medical_csv, write_subtyped_csv
 from .tree import TreeConfig
 
 
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-train", type=int, default=SynthConfig.n_train)
     p.add_argument("--n-test", type=int, default=SynthConfig.n_test)
     p.add_argument("--noise", type=float, default=SynthConfig.noise_rate)
-    p.add_argument("--groups", type=int, default=3)
+    p.add_argument("--groups", type=int, default=None,
+                   help=f"subtypes of --kind subtyped data (default: {N_SUBTYPES})")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
     p.add_argument("--out-schema", required=True)
@@ -278,14 +279,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.kind == "medical" and args.groups is not None:
+        raise UsageError("--groups applies to --kind subtyped only")
+    _check_counts(args, "groups")
     cfg = SynthConfig(n_train=args.n_train, n_test=args.n_test,
                       noise_rate=args.noise, seed=args.seed)
     if args.kind == "medical":
         write_medical_csv(cfg, args.out_train, args.out_test, args.out_schema)
     else:
-        if args.groups < 1:
-            raise UsageError("--groups must be >= 1")
-        write_subtyped_csv(cfg, args.groups, args.out_train, args.out_test, args.out_schema)
+        groups = N_SUBTYPES if args.groups is None else args.groups
+        write_subtyped_csv(cfg, groups, args.out_train, args.out_test, args.out_schema)
     print(f"wrote {args.out_train}, {args.out_test}, {args.out_schema}")
     return 0
 

@@ -7,16 +7,16 @@ then gets its own locally mined rules, and one unified GLM is fitted over
 the global block plus the (cluster-dependent) local block.
 
 Training and prediction both fold each row into the frozen topics with a
-deterministic per-row EM (no random draws), so a row gets the same
-cluster, and the same prediction bits, alone or inside any batch, and a
-training row is served in the cluster it was trained in; a row satisfying
-no global rule keeps the uniform topic mix and goes to cluster 0. Because
-a row's EM depends on its rule bag alone, a loaded model folds each
-distinct bag in once and remembers its cluster; rows share few bags, so
-serving costs about the bags not seen before, not the rows. The memory
-is bounded and never saved. The global and local rules are served by the
-compiled kernel of plain models, the unified block is scored by the same
-GLM kernel, and model files reuse the plain model's section codecs.
+deterministic per-row EM (no random draws) over the row's satisfied rules,
+summed in rule order. So a row gets the same cluster, and the same
+prediction bits, alone or inside any batch, and a training row is served in
+the cluster it was trained in; a row satisfying no global rule keeps the
+uniform topic mix and goes to cluster 0. A row's EM depends on its rule bag
+alone, so a loaded model folds each distinct bag in once and remembers its
+cluster in a bounded memory that is never saved; serving costs about the
+satisfied rules of the bags not seen before. Global and local rules are
+served by the compiled kernel of plain models, the unified block by the
+same GLM kernel, and model files reuse the plain model's section codecs.
 """
 
 import json
@@ -31,6 +31,7 @@ from .glm import fit_glm
 from .model import (
     HyperParams,
     _ModelCore,
+    _STRAT_HEADER,
     _check_compatible,
     _data_fields,
     _data_lines,
@@ -60,8 +61,6 @@ from .patterns import (
 from .rng import STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
 from .selection import NoRulesError
 
-_STRAT_HEADER = "dppred stratified model format"
-_FOLD_IN_CELLS = 1 << 18   # 2 MiB per float64 temporary of the fold-in
 _KNOWN_BAGS = 1 << 16      # bags a model remembers; a key is a few dozen bytes
 
 
@@ -278,17 +277,17 @@ def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
 
     With ``A = topics.T`` and ``theta`` starting uniform, each of
     ``fold_in_iterations`` steps sets ``theta <- (alpha + theta * sum_w
-    bits_w A[w] / (theta . A[w])) / (count + K alpha)``; the cluster is
-    ``argmax theta``. Every operation is element-wise or a reduction inside
-    one row, so a row's cluster depends on its rule bag alone. Each row is
-    keyed by its packed bits, the EM runs once on the first row of each bag
-    missing from ``known``, those clusters are stored in ``known`` and every
-    row reads its cluster from there: the same clusters, bit for bit, as
-    folding in every row. A loaded model passes its own ``known_bags``, so
-    it folds each distinct bag in once and remembers its cluster; the memory
-    holds at most ``_KNOWN_BAGS`` bags, is cleared when a store would pass
-    that, and is never saved. An empty bag keeps the uniform ``theta`` and
-    goes to cluster 0.
+    A[w] / (theta . A[w])) / (count + K alpha)``, summing over the row's
+    satisfied rules w in ascending order; the cluster is ``argmax theta``.
+    Nothing mixes rows, so a row's cluster depends on its rule bag alone.
+    Each row is keyed by its packed bits, the EM (``_fold_in``) runs once on
+    the first row of each bag missing from ``known``, those clusters are
+    stored in ``known`` and every row reads its cluster from there: the same
+    clusters, bit for bit, as folding in every row. A loaded model passes its
+    own ``known_bags``, so it folds each distinct bag in once and remembers
+    its cluster; the memory holds at most ``_KNOWN_BAGS`` bags, is cleared
+    when a store would pass that, and is never saved. An empty bag keeps the
+    uniform ``theta`` and goes to cluster 0.
     """
     bits = np.asarray(global_bits)
     packed = np.packbits(bits != 0, axis=1)
@@ -299,7 +298,8 @@ def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
             new.setdefault(key, i)
     lookup = known
     if new:
-        found = dict(zip(new, _fold_in(topics, cfg, bits[list(new.values())]).tolist()))
+        theta = _fold_in(topics, cfg, bits[list(new.values())])
+        found = dict(zip(new, np.argmax(theta, axis=1).tolist()))
         if len(known) + len(found) > _KNOWN_BAGS:
             # this call still reads every bag; the memory starts over
             lookup = known | found
@@ -310,24 +310,24 @@ def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
 
 
 def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
-    """The per-row EM of ``_assign`` on every row, in blocks that keep each
-    rows x rules x topics temporary near ``_FOLD_IN_CELLS`` cells."""
-    a = topics.T
-    n_topics = a.shape[1]
-    alpha = cfg.alpha
-    bits = np.asarray(global_bits, dtype=np.float64)
-    block = max(1, _FOLD_IN_CELLS // a.size)
-    out = np.empty(bits.shape[0], dtype=np.int64)
-    for start in range(0, bits.shape[0], block):
-        rows = bits[start:start + block]
-        weighted = rows[:, :, None] * a
-        norm = rows.sum(axis=1, keepdims=True) + n_topics * alpha
-        theta = np.full((rows.shape[0], n_topics), 1.0 / n_topics)
-        for _ in range(cfg.fold_in_iterations):
-            mix = (theta[:, None, :] * a).sum(axis=2, keepdims=True)
-            theta = (alpha + theta * (weighted / mix).sum(axis=1)) / norm
-        out[start:start + block] = np.argmax(theta, axis=1)
-    return out
+    """``theta`` of ``_assign``'s EM for all rows, run topic-major over the
+    tokens, the (row, satisfied rule) pairs: each step sums a token's mix over
+    topics in order, then adds every ``A[w] / mix`` into its row with one
+    weighted ``np.bincount``, a row's rules in ascending order. No row blocks."""
+    n_topics, n_rows, alpha = topics.shape[0], global_bits.shape[0], cfg.alpha
+    rows, words = np.nonzero(global_bits)
+    token_a = topics.take(words, axis=1)   # C-order like theta; topics[:, words] is not
+    cells = (np.arange(n_topics)[:, None] * n_rows + rows).ravel()
+    norm = np.bincount(rows, minlength=n_rows) + n_topics * alpha
+    theta = np.full((n_topics, n_rows), 1.0 / n_topics)
+    for _ in range(cfg.fold_in_iterations):
+        prod = theta.take(rows, axis=1) * token_a
+        mix = prod[0]
+        for k in range(1, n_topics):   # not sum(axis=0): pairwise on one token of 8+ topics
+            mix += prod[k]
+        resp = np.bincount(cells, (token_a / mix).ravel(), theta.size)
+        theta = (alpha + theta * resp.reshape(theta.shape)) / norm
+    return theta.T
 
 
 def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:

@@ -148,6 +148,7 @@ _SUBTYPE_STEP_COEFS = np.array([4.0, 2.0, 1.0, 0.5, 0.25])
 _SUBTYPE_BASE_GAP = 6.0
 _SUBTYPE_MARKER_SLOPE = 3.0
 _SUBTYPE_NOISE_STD = 0.25
+N_SUBTYPES = 3   # subtypes that ``dppred synth --kind subtyped`` writes by default
 
 
 def subtype_thresholds(n_subtypes: int) -> np.ndarray:

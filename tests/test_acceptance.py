@@ -102,22 +102,32 @@ def _matches_truth(pattern, rule: int) -> bool:
             and abs(lab[0] - 0.9) <= 0.05 and no_lab_cap)
 
 
-def test_criterion_1_synthetic_recovery():
-    start = time.time()
+def recovery_results(tree_seed: int) -> dict[str, tuple[float, list[bool]]]:
+    """Criterion 1's run at one tree seed: per selection method, the test
+    accuracy and which of truth rules 1-3 some selected rule matches."""
     cfg = SynthConfig(n_train=20_000, n_test=10_000, noise_rate=0.001, seed=42)
     tr, te, _ = generate_medical(cfg)
 
     results = {}
     for method in ("forward", "lasso"):
-        hp = for_task("classification", seed=13, method=method)
+        hp = for_task("classification", seed=tree_seed, method=method)
         assert (hp.tree.n_trees, hp.tree.max_depth, hp.tree.min_bag, hp.k) == (100, 6, 10, 20)
         m = train(tr, hp)
         acc = evaluate(predict(m, te), te.y, "classification")["accuracy"]
         recovered = [any(_matches_truth(p, rule) for p in m.patterns) for rule in (1, 2, 3)]
         results[method] = (acc, recovered)
+    return results
 
+
+def recovery_passes(results) -> bool:
+    return all(acc >= 0.995 and all(rec) for acc, rec in results.values())
+
+
+def test_criterion_1_synthetic_recovery():
+    start = time.time()
+    results = recovery_results(13)
     elapsed = time.time() - start
-    ok = all(acc >= 0.995 and all(rec) for acc, rec in results.values()) and elapsed <= 600
+    ok = recovery_passes(results) and elapsed <= 600
     detail = ", ".join(f"{meth}: acc={acc:.4f} rules={rec}"
                        for meth, (acc, rec) in results.items())
     assert report(1, ok, f"{detail}, runtime {elapsed:.0f}s (limit 600s)")
@@ -374,11 +384,13 @@ def test_criterion_7_bitwise_equalities(tmp_path):
 # --- criterion 8: stratification --------------------------------------------
 
 
-def test_criterion_8_stratification():
+def stratification_results(tree_seed: int) -> tuple[float, float, float]:
+    """Criterion 8's run at one tree seed: the G=1 degeneracy RMSE gap, and
+    the G=3 stratified and flat test RMSEs."""
     # (a) single-cluster degeneracy: stratified predictions equal the flat
     # model refit on the same rule set
     tr, te = generate_subtyped_regression(SynthConfig(n_train=1200, n_test=600, seed=6), 2)
-    hp = HyperParams(tree=TreeConfig(n_trees=40, seed=3), k=12,
+    hp = HyperParams(tree=TreeConfig(n_trees=40, seed=tree_seed), k=12,
                      method="forward", task="regression")
     cfg1 = StratifyConfig(n_global=10, n_local=5, n_clusters=1,
                           gibbs_iterations=80, seed=5)
@@ -392,17 +404,25 @@ def test_criterion_8_stratification():
     # (b) three-subtype data: stratified must not lose to the flat model
     tr3, te3 = generate_subtyped_regression(
         SynthConfig(n_train=5000, n_test=2500, noise_rate=0.0, seed=6), 3)
-    hp3 = HyperParams(tree=TreeConfig(n_trees=100, seed=3), k=30,
+    hp3 = HyperParams(tree=TreeConfig(n_trees=100, seed=tree_seed), k=30,
                       method="forward", task="regression")
     cfg3 = StratifyConfig(n_global=30, n_local=10, n_clusters=3,
                           gibbs_iterations=300, seed=3)
     strat = train_stratified(tr3, hp3, cfg3)
     rmse_strat = evaluate(predict_stratified(strat, te3), te3.y, "regression")["rmse"]
-    flat = train(tr3, HyperParams(tree=TreeConfig(n_trees=100, seed=3), k=40,
+    flat = train(tr3, HyperParams(tree=TreeConfig(n_trees=100, seed=tree_seed), k=40,
                                   method="forward", task="regression"))
     rmse_flat = evaluate(predict(flat, te3), te3.y, "regression")["rmse"]
+    return degeneracy_rmse, rmse_strat, rmse_flat
 
-    ok = degeneracy_rmse <= 1e-9 and rmse_strat <= rmse_flat
+
+def stratification_passes(degeneracy_rmse, rmse_strat, rmse_flat) -> bool:
+    return degeneracy_rmse <= 1e-9 and rmse_strat <= rmse_flat
+
+
+def test_criterion_8_stratification():
+    degeneracy_rmse, rmse_strat, rmse_flat = stratification_results(3)
+    ok = stratification_passes(degeneracy_rmse, rmse_strat, rmse_flat)
     assert report(8, ok, f"G=1 degeneracy RMSE diff {degeneracy_rmse:.2e} (<=1e-9), "
                          f"G=3 stratified {rmse_strat:.4f} vs flat {rmse_flat:.4f}")
 

@@ -6,6 +6,7 @@ from dppred import model as model_mod
 from dppred.cli import main
 from dppred.data import load_csv, read_schema_file
 from dppred.model import HyperParams
+from dppred.synth import N_SUBTYPES, SynthConfig, write_subtyped_csv
 from dppred.tree import TreeConfig
 from oracles import for_task
 
@@ -285,6 +286,29 @@ class TestSynthCommand:
                      "--out-train", str(tmp_path / "a"), "--out-test", str(tmp_path / "b"),
                      "--out-schema", str(tmp_path / "c")]) == 1
 
+    @pytest.mark.parametrize("groups", ["0", "3"])
+    def test_groups_with_medical_data_is_a_usage_error(self, groups, tmp_path, capsys):
+        assert main(["synth", "--kind", "medical", "--groups", groups, "--n-train", "10",
+                     "--n-test", "5", "--out-train", str(tmp_path / "a"),
+                     "--out-test", str(tmp_path / "b"), "--out-schema", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err.strip() == "error: --groups applies to --kind subtyped only"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_groups_is_the_library_default(self, tmp_path):
+        names = ("tr.csv", "te.csv", "s.csv")
+        assert main(["synth", "--kind", "subtyped", "--n-train", "30", "--n-test", "10",
+                     "--seed", "4", "--out-train", str(tmp_path / "tr.csv"),
+                     "--out-test", str(tmp_path / "te.csv"),
+                     "--out-schema", str(tmp_path / "s.csv")]) == 0
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_subtyped_csv(SynthConfig(n_train=30, n_test=10, seed=4), N_SUBTYPES,
+                           *(lib / name for name in names))
+        for name in names:
+            assert (tmp_path / name).read_bytes() == (lib / name).read_bytes()
+        header = read_csv(tmp_path / "tr.csv")[0]
+        assert sum(col.startswith("marker_") for col in header) == N_SUBTYPES == 3
+
 
 class TestSweepCommand:
     def test_k_sweep_metric_not_degrading(self, sweep_files, tmp_path):
@@ -456,6 +480,35 @@ class TestStratifyCommands:
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
                      "--schema", str(subtyped_files["schema"]),
                      "--out", str(tmp_path / "m"), "--seed", "-1"]) == 2
+
+
+@pytest.fixture(scope="module")
+def both_model_kinds(subtyped_files):
+    """A plain and a stratified model file trained on the subtyped fixture."""
+    root = subtyped_files["root"]
+    common = ["--data", str(subtyped_files["train"]), "--schema", str(subtyped_files["schema"]),
+              "--trees", "5", "--seed", "1"]
+    plain, strat = root / "plain.model", root / "strat.model"
+    assert main(["train", "--out", str(plain)] + common) == 0
+    assert main(["stratify-train", "--out", str(strat), "--gibbs-iterations", "10"] + common) == 0
+    return {"plain": plain, "stratified": strat}
+
+
+@pytest.mark.parametrize("command,kind,holds,readers", [
+    ("predict", "stratified", "a stratified model, not a plain model",
+     "dppred stratify-predict or importance"),
+    ("stratify-predict", "plain", "a plain model, not a stratified model", "dppred predict"),
+    ("importance", "plain", "a plain model, not a stratified model", "dppred predict"),
+])
+def test_model_of_the_other_kind_is_named(command, kind, holds, readers, both_model_kinds,
+                                          subtyped_files, tmp_path, capsys):
+    path = both_model_kinds[kind]
+    args = [command, "--model", str(path), "--out", str(tmp_path / "out.csv")]
+    if command != "importance":
+        args += ["--data", str(subtyped_files["test"])]
+    assert main(args) == 1
+    assert capsys.readouterr().err.strip() == f"error: {path} holds {holds}; read it with {readers}"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_threads_flag_is_gone(medical_files, tmp_path):

@@ -225,27 +225,33 @@ class TestSamplerOracle:
 
 
 def reference_fold_in(topics, cfg, bits):
-    """The fold-in EM of ``_assign``'s docstring, one row at a time: no
-    dedupe, no blocks."""
+    """``theta`` of the fold-in EM of ``_assign``'s docstring, one row at a
+    time: no dedupe, each mix summed over topics in order, and each row's
+    satisfied rules added one at a time in ascending order."""
     a = np.asarray(topics, dtype=np.float64).T          # (rules, topics)
     n_topics = a.shape[1]
-    clusters = []
-    for row in np.asarray(bits, dtype=np.float64):
+    thetas = np.empty((len(bits), n_topics))
+    for i, row in enumerate(np.asarray(bits)):
+        words = np.flatnonzero(row)
         theta = np.full(n_topics, 1.0 / n_topics)
         for _ in range(cfg.fold_in_iterations):
-            mix = (theta * a).sum(axis=1)                 # theta . A[w] per rule
-            resp = (row[:, None] * a / mix[:, None]).sum(axis=0)
-            theta = (cfg.alpha + theta * resp) / (row.sum() + n_topics * cfg.alpha)
-        clusters.append(int(np.argmax(theta)))
-    return clusters
+            resp = np.zeros(n_topics)
+            for w in words:
+                mix = 0.0
+                for k in range(n_topics):
+                    mix = mix + theta[k] * a[w, k]
+                resp = resp + a[w] / mix
+            theta = (cfg.alpha + theta * resp) / (len(words) + n_topics * cfg.alpha)
+        thetas[i] = theta
+    return thetas
 
 
 @st.composite
 def fold_in_batches(draw):
-    """(topics, config, bits, block rows): a few distinct bags, the empty
-    one among them at times, repeated and shuffled into a batch."""
+    """(topics, config, bits): a few distinct bags, the empty one among them
+    at times, repeated and shuffled into a batch."""
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_topics = draw(st.integers(1, 4))
+    n_topics = draw(st.integers(1, 10))
     n_rules = draw(st.integers(1, 19))
     topics = gen.random((n_topics, n_rules)) + 0.01
     topics /= topics.sum(axis=1, keepdims=True)
@@ -256,7 +262,7 @@ def fold_in_batches(draw):
     bits = bits.astype(draw(st.sampled_from([bool, np.uint8, np.float64])))
     cfg = StratifyConfig(n_clusters=n_topics, lda_alpha=draw(st.sampled_from([None, 0.05, 1.0])),
                          fold_in_iterations=draw(st.integers(1, 30)))
-    return topics, cfg, bits, draw(st.integers(1, 5))
+    return topics, cfg, bits
 
 
 class TestFoldIn:
@@ -266,22 +272,44 @@ class TestFoldIn:
         assert len(np.unique(bits, axis=0)) < len(bits)
         cfg = StratifyConfig(n_clusters=2, gibbs_iterations=200, seed=2)
         assignments, topics = cluster_patients(bits, cfg)
-        assert assignments.tolist() == reference_fold_in(topics, cfg, bits)
+        want = np.argmax(reference_fold_in(topics, cfg, bits), axis=1)
+        assert assignments.tolist() == want.tolist()
 
     @given(fold_in_batches())
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_row_at_a_time_reference(self, batch):
-        topics, cfg, bits, block_rows = batch
-        want = reference_fold_in(topics, cfg, bits)
+        topics, cfg, bits = batch
+        theta = reference_fold_in(topics, cfg, bits)
+        assert np.array_equal(stratify._fold_in(topics, cfg, bits), theta)
+        want = np.argmax(theta, axis=1).tolist()
         known = {}
-        with mock.patch.object(stratify, "_FOLD_IN_CELLS", block_rows * topics.size):
-            got = _assign(topics, cfg, bits, known)
-            perm = np.random.default_rng(len(bits)).permutation(len(bits))
-            shuffled = _assign(topics, cfg, bits[perm], {})
+        got = _assign(topics, cfg, bits, known)
+        perm = np.random.default_rng(len(bits)).permutation(len(bits))
+        shuffled = _assign(topics, cfg, bits[perm], {})
         assert got.tolist() == want
         assert shuffled.tolist() == [want[i] for i in perm]
         assert _assign(topics, cfg, bits[perm], known).tolist() == [want[i] for i in perm]
         assert all(c == 0 for c, row in zip(got, bits) if not row.any())
+
+    @pytest.mark.parametrize("n_topics", [3, 9])
+    def test_a_row_alone_has_its_theta_in_a_shuffled_batch(self, n_topics):
+        gen = np.random.default_rng(24)
+        n_rules = 30
+        topics = gen.random((n_topics, n_rules)) + 0.01
+        topics /= topics.sum(axis=1, keepdims=True)
+        cfg = StratifyConfig(n_clusters=n_topics, fold_in_iterations=50)
+        bits = gen.random((60, n_rules)) < gen.random((60, 1))
+        bits[:3] = False
+        bits[1] = True
+        bits[2, 7] = True
+        perm = gen.permutation(len(bits))
+        batch = stratify._fold_in(topics, cfg, bits[perm])
+        for i in range(len(bits)):
+            alone = stratify._fold_in(topics, cfg, bits[i:i + 1])
+            assert np.array_equal(alone[0], batch[np.flatnonzero(perm == i)[0]])
+        # the empty bag, the all-rules bag and a one-rule bag
+        assert np.array_equal(stratify._fold_in(topics, cfg, bits[:3]),
+                              reference_fold_in(topics, cfg, bits[:3]))
 
     def test_empty_bag_goes_to_cluster_zero(self):
         bits = disjoint_block_bits(seed=909)
@@ -309,14 +337,14 @@ class TestFoldIn:
         got = _assign(topics, StratifyConfig(n_clusters=2), np.zeros((0, 5), dtype=bool), {})
         assert got.dtype == np.int64 and got.shape == (0,)
 
-    def test_row_blocks_give_the_same_clusters(self, monkeypatch):
+    def test_row_blocks_give_the_same_clusters(self):
         bits = disjoint_block_bits(seed=909)
         cfg = StratifyConfig(n_clusters=3, gibbs_iterations=50, seed=7)
         _, topics = cluster_patients(bits, cfg)
         whole = _assign(topics, cfg, bits, {})
-        # 80 rows in blocks of 7, the last one short
-        monkeypatch.setattr(stratify, "_FOLD_IN_CELLS", 7 * topics.size)
-        assert _assign(topics, cfg, bits, {}).tolist() == whole.tolist()
+        # 80 rows in blocks of 7, the last one short, each folded in alone
+        blocks = [_assign(topics, cfg, bits[a:a + 7], {}) for a in range(0, len(bits), 7)]
+        assert np.concatenate(blocks).tolist() == whole.tolist()
 
 
 @pytest.mark.parametrize("name", ["lda_alpha", "lda_beta"])
