@@ -7,7 +7,7 @@ per tree seed and prints pass or fail with the test accuracy, the truth
 rules recovered and the RMSEs, so that one seed's result is not read as a
 change in quality. Seeds 1-10 take three to five minutes on two cores.
 
-usage: python3 scripts/seed_sweep.py [--seeds 1 2 ...] [--criteria 1 8]
+usage: python3 scripts/seed_sweep.py [--seeds 1 2 ...]
 """
 
 import argparse
@@ -47,10 +47,8 @@ CRITERIA = {1: criterion_1, 8: criterion_8}
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    parser.add_argument("--criteria", type=int, nargs="+", choices=sorted(CRITERIA),
-                        default=sorted(CRITERIA))
     args = parser.parse_args(argv)
-    for criterion in args.criteria:
+    for criterion in CRITERIA:
         passed = []
         for seed in args.seeds:
             start = time.perf_counter()

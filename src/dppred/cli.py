@@ -205,8 +205,17 @@ def _write_predictions(path, m, preds, probs=None):
     print(f"wrote {len(preds)} predictions to {path}")
 
 
+def _load(loader, path, other_readers: str):
+    """The model ``loader`` reads from ``path``; a model of the other kind
+    names the commands that read it."""
+    try:
+        return loader(path)
+    except model_mod.ModelKindError as exc:
+        raise ValueError(f"{exc}; read it with {other_readers}") from None
+
+
 def cmd_predict(args) -> int:
-    m = model_mod.load(args.model)
+    m = _load(model_mod.load, args.model, "dppred stratify-predict or importance")
     ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
     preds = model_mod.predict(m, ds)
     top = None
@@ -321,14 +330,14 @@ def cmd_stratify_train(args) -> int:
 
 
 def cmd_stratify_predict(args) -> int:
-    m = strat_mod.load_stratified(args.model)
+    m = _load(strat_mod.load_stratified, args.model, "dppred predict")
     ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
     _write_predictions(args.out, m, strat_mod.predict_stratified(m, ds))
     return 0
 
 
 def cmd_importance(args) -> int:
-    m = strat_mod.load_stratified(args.model)
+    m = _load(strat_mod.load_stratified, args.model, "dppred predict")
     strat_mod.write_importance_csv(m, args.out)
     print(f"wrote importance report to {args.out}")
     return 0

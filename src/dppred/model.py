@@ -52,9 +52,12 @@ METHODS = (METHOD_FORWARD, METHOD_LASSO)
 FORMAT_VERSION = 1
 _HEADER = "dppred model format"
 _STRAT_HEADER = "dppred stratified model format"
-# the model each header announces, and the commands that read it
-_MODEL_KINDS = {_HEADER: ("a plain model", "dppred predict"),
-                _STRAT_HEADER: ("a stratified model", "dppred stratify-predict or importance")}
+_MODEL_KINDS = {_HEADER: "a plain model", _STRAT_HEADER: "a stratified model"}
+
+
+class ModelKindError(ValueError):
+    """The file holds the other kind of dppred model: plain where a
+    stratified one was asked for, or the reverse."""
 
 
 @dataclass
@@ -288,10 +291,9 @@ def _read_sections(path, header: str) -> dict[str, list[str]]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(header):
-        for other, (kind, readers) in _MODEL_KINDS.items():
-            if lines and other != header and lines[0].startswith(other):
-                raise ValueError(f"{path} holds {kind}, not {_MODEL_KINDS[header][0]}; "
-                                 f"read it with {readers}")
+        other = _STRAT_HEADER if header == _HEADER else _HEADER
+        if lines and lines[0].startswith(other):
+            raise ModelKindError(f"{path} holds {_MODEL_KINDS[other]}, not {_MODEL_KINDS[header]}")
         raise ValueError("not a recognized model file: bad header line")
     try:
         version = int(lines[0][len(header):])

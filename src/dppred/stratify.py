@@ -284,10 +284,9 @@ def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
     the first row of each bag missing from ``known``, those clusters are
     stored in ``known`` and every row reads its cluster from there: the same
     clusters, bit for bit, as folding in every row. A loaded model passes its
-    own ``known_bags``, so it folds each distinct bag in once and remembers
-    its cluster; the memory holds at most ``_KNOWN_BAGS`` bags, is cleared
-    when a store would pass that, and is never saved. An empty bag keeps the
-    uniform ``theta`` and goes to cluster 0.
+    own ``known_bags``, so it folds each distinct bag in once and remembers its
+    cluster in at most ``_KNOWN_BAGS`` bags, cleared when a store would pass
+    that and never saved. An empty bag keeps the uniform ``theta`` (cluster 0).
     """
     bits = np.asarray(global_bits)
     packed = np.packbits(bits != 0, axis=1)
@@ -313,7 +312,8 @@ def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -
     """``theta`` of ``_assign``'s EM for all rows, run topic-major over the
     tokens, the (row, satisfied rule) pairs: each step sums a token's mix over
     topics in order, then adds every ``A[w] / mix`` into its row with one
-    weighted ``np.bincount``, a row's rules in ascending order. No row blocks."""
+    weighted ``np.bincount``, a row's rules in ascending order. No row blocks:
+    a temporary holds topics x tokens floats, 8 x fill x topics bytes a (row, rule)."""
     n_topics, n_rows, alpha = topics.shape[0], global_bits.shape[0], cfg.alpha
     rows, words = np.nonzero(global_bits)
     token_a = topics.take(words, axis=1)   # C-order like theta; topics[:, words] is not

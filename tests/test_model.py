@@ -8,6 +8,7 @@ from dppred.data import Dataset
 from dppred.model import (
     DppredModel,
     HyperParams,
+    ModelKindError,
     evaluate,
     load,
     predict,
@@ -19,6 +20,7 @@ from dppred.model import (
 )
 from dppred.patterns import Condition, Pattern
 from dppred.selection import NoRulesError
+from dppred.stratify import load_stratified
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import TreeConfig
 from oracles import refit_on_patterns
@@ -218,6 +220,18 @@ class TestPersistence:
         bad.write_text("hello world\n")
         with pytest.raises(ValueError, match="not a recognized"):
             load(bad)
+
+    @pytest.mark.parametrize("header,reader,message", [
+        ("dppred stratified model format 1", load, "a stratified model, not a plain model"),
+        ("dppred model format 1", load_stratified, "a plain model, not a stratified model"),
+    ])
+    def test_model_of_the_other_kind_names_the_file_and_kind(self, header, reader, message,
+                                                             tmp_path):
+        path = tmp_path / "other.model"
+        path.write_text(f"{header}\n[end]\n")
+        with pytest.raises(ModelKindError) as err:
+            reader(path)
+        assert str(err.value) == f"{path} holds {message}"
 
     def test_render_lists_every_pattern(self):
         tr, _, _ = small_medical(n_train=400, n_test=10)
