@@ -1,6 +1,8 @@
 """Command-line surface: train, predict, evaluate, synth, stratify, sweep.
 
-Exit codes: 0 success, 2 usage error, 1 runtime failure. All randomness
+Exit codes: 0 success, 2 usage error, 1 runtime failure. Every numeric
+flag is range-checked as it is parsed: a value out of range exits 2 with an
+error naming the flag, before any file is read or written. All randomness
 flows from --seed, so identical invocations produce byte-identical output
 files.
 """
@@ -30,17 +32,39 @@ from .tree import TreeConfig
 
 
 class UsageError(Exception):
-    pass
+    """A rule that ties two flags together; a single flag is checked by its type."""
+
+
+def _ranged(parse, holds, rule, name=None):
+    """An argparse type: ``parse`` the text, then reject a value that fails
+    ``holds``, so argparse exits 2 with "argument --trees: must be >= 1"."""
+    def convert(text):
+        value = parse(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}")
+        return value
+    convert.__name__ = name or parse.__name__
+    return convert
+
+
+# the config classes check the same bounds for library callers
+_count = _ranged(int, lambda v: v >= 1, ">= 1")
+_non_negative = _ranged(int, lambda v: v >= 0, ">= 0")
+_prior = _ranged(float, lambda v: 0 < v < math.inf, "positive and finite")
+_noise = _ranged(float, lambda v: 0 <= v < 0.5, "in [0, 0.5)")
+_counts = _ranged(lambda text: [int(v) for v in text.split(",") if v.strip()],
+                  lambda vs: vs and min(vs) >= 1, "a non-empty list of counts >= 1",
+                  name="int list")
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
 
 
 def _add_tree_flags(p):
-    p.add_argument("--trees", type=int, default=TreeConfig.n_trees)
-    p.add_argument("--depth", type=int, default=TreeConfig.max_depth)
-    p.add_argument("--min-bag", type=int, default=TreeConfig.min_bag)
+    p.add_argument("--trees", type=_count, default=TreeConfig.n_trees)
+    p.add_argument("--depth", type=_count, default=TreeConfig.max_depth)
+    p.add_argument("--min-bag", type=_count, default=TreeConfig.min_bag)
     p.add_argument("--method", choices=METHODS, default=HyperParams.method)
     p.add_argument("--no-normalize-labels", action="store_true",
                    help="keep regression labels on their original scale")
@@ -56,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count, default=None)
     p.add_argument("--trace", default=None, help="write the selection trace CSV here")
     _add_tree_flags(p)
     _add_common(p)
@@ -75,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate synthetic benchmark data")
     p.add_argument("--kind", choices=["medical", "subtyped"], default="medical")
-    p.add_argument("--n-train", type=int, default=SynthConfig.n_train)
-    p.add_argument("--n-test", type=int, default=SynthConfig.n_test)
-    p.add_argument("--noise", type=float, default=SynthConfig.noise_rate)
-    p.add_argument("--groups", type=int, default=None,
+    p.add_argument("--n-train", type=_count, default=SynthConfig.n_train)
+    p.add_argument("--n-test", type=_non_negative, default=SynthConfig.n_test)
+    p.add_argument("--noise", type=_noise, default=SynthConfig.noise_rate)
+    p.add_argument("--groups", type=_count, default=None,
                    help=f"subtypes of --kind subtyped data (default: {N_SUBTYPES})")
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
@@ -89,18 +113,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--global-patterns", type=int, default=StratifyConfig.n_global)
-    p.add_argument("--local-patterns", type=int, default=StratifyConfig.n_local)
-    p.add_argument("--groups", type=int, default=StratifyConfig.n_clusters)
-    p.add_argument("--lda-alpha", type=float, default=StratifyConfig.lda_alpha,
+    p.add_argument("--global-patterns", type=_count, default=StratifyConfig.n_global)
+    p.add_argument("--local-patterns", type=_count, default=StratifyConfig.n_local)
+    p.add_argument("--groups", type=_count, default=StratifyConfig.n_clusters)
+    p.add_argument("--lda-alpha", type=_prior, default=StratifyConfig.lda_alpha,
                    help="Dirichlet prior on each row's topic mix in LDA training and the "
                         "fold-in (default: 1 / --groups)")
-    p.add_argument("--lda-beta", type=float, default=StratifyConfig.lda_beta,
+    p.add_argument("--lda-beta", type=_prior, default=StratifyConfig.lda_beta,
                    help="Dirichlet prior on each topic's rule distribution (default: %(default)s)")
-    p.add_argument("--gibbs-iterations", type=int, default=StratifyConfig.gibbs_iterations,
+    p.add_argument("--gibbs-iterations", type=_count, default=StratifyConfig.gibbs_iterations,
                    help="collapsed Gibbs sweeps that fit the topics; the second half is "
                         "averaged (default: %(default)s)")
-    p.add_argument("--fold-in-iterations", type=int, default=StratifyConfig.fold_in_iterations,
+    p.add_argument("--fold-in-iterations", type=_count, default=StratifyConfig.fold_in_iterations,
                    help="steps of the deterministic EM fold-in that assigns each training and "
                         "predicted row to a cluster: a row gets the same cluster alone or in any "
                         "batch, and a row satisfying no global rule goes to cluster 0 "
@@ -124,9 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--param", choices=["k", "trees"], required=True)
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", type=_counts, required=True, help="comma-separated integers")
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count, default=None)
     _add_tree_flags(p)
     _add_common(p)
 
@@ -151,17 +175,6 @@ def _load_training_data(args):
     return ds, task, labels
 
 
-_TREE_FLAGS = ("trees", "depth", "min_bag")
-
-
-def _check_counts(args, *flags):
-    """Name the first of ``flags`` that is set below 1; runs before any file is read."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
-
-
 def _hyperparams(args, task, k=None):
     if k is None:
         k = args.k if args.k is not None else default_k(task)
@@ -178,7 +191,6 @@ def _print_train_metric(preds, labels, task):
 
 
 def cmd_train(args) -> int:
-    _check_counts(args, *_TREE_FLAGS, "k")
     ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task)
     m = model_mod.train(ds, hp)
@@ -290,7 +302,6 @@ def cmd_evaluate(args) -> int:
 def cmd_synth(args) -> int:
     if args.kind == "medical" and args.groups is not None:
         raise UsageError("--groups applies to --kind subtyped only")
-    _check_counts(args, "groups")
     cfg = SynthConfig(n_train=args.n_train, n_test=args.n_test,
                       noise_rate=args.noise, seed=args.seed)
     if args.kind == "medical":
@@ -303,12 +314,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stratify_train(args) -> int:
-    _check_counts(args, "global_patterns", "local_patterns", "groups", "gibbs_iterations",
-                  "fold_in_iterations", *_TREE_FLAGS)
-    for flag in ("lda_alpha", "lda_beta"):
-        value = getattr(args, flag)
-        if value is not None and not 0 < value < math.inf:
-            raise UsageError(f"--{flag.replace('_', '-')} must be positive and finite")
     ds, task, labels = _load_training_data(args)
     hp = _hyperparams(args, task, k=args.global_patterns)
     cfg = StratifyConfig(
@@ -344,27 +349,17 @@ def cmd_importance(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_counts(args, *_TREE_FLAGS, "k")
     if args.param == "k" and args.k is not None:
         raise UsageError("--k cannot be used with --param k: --values sets k")
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise UsageError("--values must list at least one integer")
-    try:
-        values = [int(v) for v in values]
-    except ValueError:
-        raise UsageError("--values must be comma-separated integers") from None
-    if min(values) < 1:
-        raise UsageError("--values must be >= 1")
 
     train_ds, task, train_labels = _load_training_data(args)
     test_ds = load_csv(args.test, train_ds.schema, train_ds.label_kind)
-    hp = _hyperparams(args, task, k=min(values) if args.param == "k" else None)
+    hp = _hyperparams(args, task, k=min(args.values) if args.param == "k" else None)
 
     key = "accuracy" if task == TASK_CLASSIFICATION else "rmse"
     rows = [(v, *(model_mod.evaluate(model_mod.predict(m, d), labels, task)[key]
                   for d, labels in ((train_ds, train_labels), (test_ds, test_ds.y))))
-            for v, m in model_mod.train_sweep(train_ds, hp, args.param, values)]
+            for v, m in model_mod.train_sweep(train_ds, hp, args.param, args.values)]
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -393,9 +388,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.seed < 0:
-        print("error: --seed must be non-negative", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -1,9 +1,12 @@
+import argparse
+import builtins
 import csv
 import re
 import pytest
 
+from dppred import cli
 from dppred import model as model_mod
-from dppred.cli import main
+from dppred.cli import build_parser, main
 from dppred.data import load_csv, read_schema_file
 from dppred.model import HyperParams
 from dppred.synth import N_SUBTYPES, SynthConfig, write_subtyped_csv
@@ -52,6 +55,14 @@ def subtyped_files(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def argparse_error(capsys):
+    """The error line of a usage error that argparse reports: the last stderr
+    line, after the command's usage."""
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dppred ")
+    return err.strip().splitlines()[-1]
 
 
 class TestTrainCommand:
@@ -113,7 +124,48 @@ def test_zero_count_is_reported_before_any_file_is_read(command, flag, tmp_path,
     if command == "sweep":
         args += ["--test", str(tmp_path / "missing_test.csv"), "--param", "k", "--values", "5"]
     assert main(args + [flag, "0"]) == 2
-    assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
+    rule = "a non-empty list of counts >= 1" if flag == "--values" else ">= 1"
+    assert argparse_error(capsys) == f"dppred {command}: error: argument {flag}: must be {rule}"
+    assert list(tmp_path.iterdir()) == []
+
+
+# an in-range and an out-of-range value for each range-checking flag type
+_RANGE_CASES = {cli._count: ("1", "0"), cli._non_negative: ("0", "-1"),
+                cli._prior: ("1", "0"), cli._noise: ("0", "0.5"), cli._counts: ("1", "1,0")}
+
+
+def _subcommands():
+    """Each command's name and parser."""
+    action, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _typed_flags():
+    """(command, flag) for every option of every command that has a type."""
+    return [(command, action.option_strings[0])
+            for command, parser in sorted(_subcommands().items())
+            for action in parser._actions if action.type is not None]
+
+
+@pytest.mark.parametrize("command,flag", _typed_flags())
+def test_every_typed_flag_is_range_checked_as_it_is_parsed(command, flag, tmp_path, monkeypatch,
+                                                          capsys):
+    # a flag typed plain int or float has no entry in _RANGE_CASES and fails here
+    argv = [command]
+    for action in _subcommands()[command]._actions:
+        name = action.option_strings[0]
+        if action.required:
+            value = (_RANGE_CASES[action.type][0] if action.type is not None
+                     else action.choices[0] if action.choices else str(tmp_path / name[2:]))
+            argv += [name, value]
+        if name == flag:
+            bad = _RANGE_CASES[action.type][1]
+    opened = []
+    monkeypatch.setattr(builtins, "open", lambda *args, **kw: opened.append(args))
+    assert main(argv + [flag, bad]) == 2
+    assert argparse_error(capsys).startswith(f"dppred {command}: error: argument {flag}: must be ")
+    assert opened == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_over_k_rejects_k_before_any_file_is_read(tmp_path, capsys):
@@ -204,6 +256,30 @@ class TestPredictEvaluate:
                      "--schema", str(paths["schema"])]) == 1
         assert capsys.readouterr().err.strip() == f"error: {data}: there are no rows to evaluate"
 
+    def test_evaluate_regression_prints_the_library_rmse(self, subtyped_files, tmp_path, capsys):
+        model, preds = tmp_path / "m.model", tmp_path / "preds.csv"
+        assert main(["train", "--data", str(subtyped_files["train"]),
+                     "--schema", str(subtyped_files["schema"]),
+                     "--out", str(model), "--trees", "10", "--seed", "4", "--k", "8"]) == 0
+        assert main(["predict", "--model", str(model),
+                     "--data", str(subtyped_files["test"]), "--out", str(preds)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(subtyped_files["test"]),
+                     "--schema", str(subtyped_files["schema"])]) == 0
+        m = model_mod.load(model)
+        ds = load_csv(subtyped_files["test"], m.schema, m.label_kind)
+        rmse = model_mod.evaluate(model_mod.predict(m, ds), ds.y, "regression")["rmse"]
+        assert capsys.readouterr().out == f"rmse: {rmse:.6f}\n"
+
+    def test_evaluate_names_both_counts_when_a_row_is_missing(self, subtyped_files, tmp_path,
+                                                              capsys):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(_prediction_lines("0.5", n_rows=599)) + "\n")
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(subtyped_files["test"]),
+                     "--schema", str(subtyped_files["schema"])]) == 1
+        assert (capsys.readouterr().err.strip()
+                == f"error: {preds}: prediction count 599 does not match data rows 600")
+
     def test_regression_predictions_numeric(self, subtyped_files, tmp_path):
         model = tmp_path / "m.model"
         assert main(["train", "--data", str(subtyped_files["train"]),
@@ -281,17 +357,22 @@ class TestSynthCommand:
         assert main(args(d2)) == 0
         assert (d1 / "tr.csv").read_bytes() == (d2 / "tr.csv").read_bytes()
 
-    def test_bad_noise_rate(self, tmp_path):
+    def test_bad_noise_rate(self, tmp_path, capsys):
         assert main(["synth", "--noise", "0.7", "--n-train", "10", "--n-test", "5",
                      "--out-train", str(tmp_path / "a"), "--out-test", str(tmp_path / "b"),
-                     "--out-schema", str(tmp_path / "c")]) == 1
+                     "--out-schema", str(tmp_path / "c")]) == 2
+        assert argparse_error(capsys) == "dppred synth: error: argument --noise: must be in [0, 0.5)"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("groups", ["0", "3"])
     def test_groups_with_medical_data_is_a_usage_error(self, groups, tmp_path, capsys):
         assert main(["synth", "--kind", "medical", "--groups", groups, "--n-train", "10",
                      "--n-test", "5", "--out-train", str(tmp_path / "a"),
                      "--out-test", str(tmp_path / "b"), "--out-schema", str(tmp_path / "c")]) == 2
-        assert capsys.readouterr().err.strip() == "error: --groups applies to --kind subtyped only"
+        # a count below 1 fails its own check first, as it is parsed
+        assert (capsys.readouterr().err.strip().splitlines()[-1]
+                == ("dppred synth: error: argument --groups: must be >= 1" if groups == "0"
+                    else "error: --groups applies to --kind subtyped only"))
         assert list(tmp_path.iterdir()) == []
 
     def test_default_groups_is_the_library_default(self, tmp_path):
@@ -409,7 +490,8 @@ class TestSweepCommand:
                      "--test", str(medical_files["test"]),
                      "--param", param, "--values", "0,5",
                      "--out", str(tmp_path / "s.csv")]) == 2
-        assert capsys.readouterr().err.strip() == "error: --values must be >= 1"
+        assert (argparse_error(capsys) == "dppred sweep: error: argument --values: "
+                                          "must be a non-empty list of counts >= 1")
 
     def test_header_only_test_file(self, medical_files, tmp_path, capsys):
         # once a nan test_metric, two numpy warnings and exit code 0
@@ -460,20 +542,22 @@ class TestStratifyCommands:
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
                      "--schema", str(subtyped_files["schema"]),
                      "--out", str(tmp_path / "m"), flag, "0"]) == 2
-        assert capsys.readouterr().err.strip() == f"error: {flag} must be >= 1"
+        assert argparse_error(capsys) == f"dppred stratify-train: error: argument {flag}: must be >= 1"
 
     def test_zero_count_is_reported_before_the_data_is_read(self, tmp_path, capsys):
         assert main(["stratify-train", "--data", str(tmp_path / "missing.csv"),
                      "--schema", str(tmp_path / "missing_schema.csv"),
                      "--out", str(tmp_path / "m"), "--gibbs-iterations", "0"]) == 2
-        assert capsys.readouterr().err.strip() == "error: --gibbs-iterations must be >= 1"
+        assert (argparse_error(capsys)
+                == "dppred stratify-train: error: argument --gibbs-iterations: must be >= 1")
 
     @pytest.mark.parametrize("flag", ["--lda-alpha", "--lda-beta"])
     def test_zero_prior_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):
         assert main(["stratify-train", "--data", str(subtyped_files["train"]),
                      "--schema", str(subtyped_files["schema"]),
                      "--out", str(tmp_path / "m"), flag, "0"]) == 2
-        assert capsys.readouterr().err.strip() == f"error: {flag} must be positive and finite"
+        assert (argparse_error(capsys)
+                == f"dppred stratify-train: error: argument {flag}: must be positive and finite")
         assert not (tmp_path / "m").exists()
 
     def test_negative_seed_rejected(self, subtyped_files, tmp_path):
