@@ -7,12 +7,10 @@ whose columns are traceable back to their source columns.
 
 Cells are encoded a column at a time (one Python ``float`` per numeric
 cell, one dict lookup per categorical cell, one store per column), which
-gives the bits of a cell-by-cell loop. A bad cell raises a ValueError
-naming its row and column. When a file has several, the one reported is
-the first that a cell-by-cell loop meets: a training load checks numeric
-cells while it fits the medians, column by column, so the first bad cell
-of the first bad column is reported; other bad cells (every bad cell of
-a test load, and bad labels) are reported in row-major order.
+gives the bits of a cell-by-cell loop. A categorical column with no
+category fails first; otherwise a bad cell raises a ValueError naming the
+lowest bad row and, within it, the leftmost bad column. Loads from a file
+prefix every error with its path, and skip a UTF-8 byte-order mark.
 """
 
 import csv
@@ -116,7 +114,7 @@ def read_schema_file(path) -> tuple[str, list[ColumnSchema]]:
     """Parse a schema file: a `label_task,<class|real>` line then `name,kind` lines."""
     label_task = None
     columns = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
@@ -151,8 +149,8 @@ def load_csv(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS,
     medians missing from the schema are learned from this file (training
     load); already-fitted schemas are applied as-is (test load).
     """
-    return encode_categoricals(_read_rows(path, schema), schema, label_task=label_task,
-                               allow_missing_labels=allow_missing_labels)
+    return _encode_file(path, _read_rows(path, schema), schema, label_task=label_task,
+                        allow_missing_labels=allow_missing_labels)
 
 
 def load_labels(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS) -> Dataset:
@@ -162,13 +160,21 @@ def load_labels(path, schema: list[ColumnSchema], label_task: str = LABEL_CLASS)
     if len(label) != 1:
         raise ValueError("schema must declare exactly one label column")
     rows = _read_rows(path, schema)
-    return encode_categoricals([[row[label[0]]] for row in rows], [schema[label[0]]],
-                               label_task=label_task)
+    return _encode_file(path, [[row[label[0]]] for row in rows], [schema[label[0]]],
+                        label_task=label_task)
+
+
+def _encode_file(path, rows: list[list[str]], schema: list[ColumnSchema], **options) -> Dataset:
+    """``encode_categoricals``, its errors prefixed by the path of the file read."""
+    try:
+        return encode_categoricals(rows, schema, **options)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
     """The non-empty rows of a CSV file whose header names the schema columns in order."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -215,8 +221,9 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
     dimensions (one per category, one for missing/unseen); numeric columns
     pass through with missing cells imputed by the fitted median.
 
-    Columns are encoded one at a time; the module docstring gives which
-    bad cell is reported when there are several.
+    Each column is fitted (when the schema lacks its categories or median),
+    parsed and encoded in turn; the module docstring gives which bad cell
+    is reported when there are several.
     """
     label_cols = [i for i, c in enumerate(schema) if c.kind == KIND_LABEL]
     if len(label_cols) != 1:
@@ -227,55 +234,46 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
 
     fitted = [replace(c) for c in schema]
     n = len(rows)
-    columns = [[row[j].strip() for row in rows] for j in range(len(fitted))]
-
-    # Fit pass: learn category sets (first-seen order) and numeric medians.
-    parsed = {}   # column -> its parsed cells, for the encode pass
-    for j, (col, cells) in enumerate(zip(fitted, columns)):
-        if col.kind == KIND_CATEGORICAL and col.categories is None:
-            seen = _first_seen(cells)
-            if not seen:
-                raise ValueError(f"column {col.name!r}: empty category set")
-            col.categories = seen
-        elif col.kind == KIND_NUMERIC and col.median is None:
-            parsed[j] = _numbers(cells, col.name)
-            vals = parsed[j][1]
-            col.median = float(np.median(vals)) if len(vals) else 0.0
-        elif col.kind == KIND_LABEL and label_task == LABEL_CLASS and col.categories is None:
-            col.categories = _first_seen(cells)
-
-    names, sources, binary = encoded_feature_names(fitted)
-    x = np.zeros((n, len(names)), dtype=np.float64)
-    label_col = fitted[label_idx]
-    classes = None
-    if label_task == LABEL_CLASS:
-        classes = {c: i for i, c in enumerate(label_col.categories or [])}
+    blocks = [np.zeros((n, 0))]   # so that labels alone give an (n, 0) matrix
     y = None
     errors: list[_CellError] = []
-    k = 0
-    for j, (col, cells) in enumerate(zip(fitted, columns)):
-        width = {KIND_NUMERIC: 1, KIND_CATEGORICAL: len(col.categories or []) + 1}.get(col.kind, 0)
+    for j, col in enumerate(fitted):
+        cells = [row[j].strip() for row in rows]
         try:
             if col.kind == KIND_NUMERIC:
-                present, vals = parsed.get(j) or _numbers(cells, col.name)
-                x[:, k] = col.median
-                x[present, k] = vals
+                present, vals = _numbers(cells, col.name)
+                if col.median is None:
+                    col.median = float(np.median(vals)) if len(vals) else 0.0
+                block = np.full((n, 1), col.median, dtype=np.float64)
+                block[present, 0] = vals
+                blocks.append(block)
             elif col.kind == KIND_CATEGORICAL:
+                if col.categories is None:
+                    col.categories = _first_seen(cells)
+                    if not col.categories:
+                        raise ValueError(f"column {col.name!r}: empty category set")
                 # missing tokens and unseen values go to the last indicator
                 index = {c: t for t, c in enumerate(col.categories) if c not in MISSING_TOKENS}
-                hot = [index.get(v, width - 1) for v in cells]
-                x[np.arange(n), k + np.array(hot, dtype=np.intp)] = 1.0
+                block = np.zeros((n, len(col.categories) + 1))
+                block[np.arange(n), [index.get(v, -1) for v in cells]] = 1.0
+                blocks.append(block)
             else:
+                classes = None
+                if label_task == LABEL_CLASS:
+                    if col.categories is None:
+                        col.categories = _first_seen(cells)
+                    classes = {c: i for i, c in enumerate(col.categories)}
                 y = _label_values(cells, col.name, classes, allow_missing_labels)
         except _CellError as err:
             errors.append(err)
-        k += width
     if errors:
         # the lowest row; among its bad cells, the first column
         raise min(errors, key=lambda err: err.row)
 
+    names, sources, binary = encoded_feature_names(fitted)
+    label_col = fitted[label_idx]
     return Dataset(
-        x=x,
+        x=np.concatenate(blocks, axis=1),
         y=y,
         feature_names=names,
         feature_sources=sources,

@@ -41,7 +41,8 @@ class SynthConfig:
         if not 0.0 <= self.noise_rate < 0.5:
             raise ValueError("noise_rate must lie in [0, 0.5)")
         if self.n_train < 1 or self.n_test < 0:
-            raise ValueError("dataset sizes must be positive")
+            raise ValueError("n_train must be >= 1 and n_test >= 0, "
+                             f"got n_train={self.n_train}, n_test={self.n_test}")
 
 
 GENDERS = ["male", "female"]

@@ -600,3 +600,47 @@ def test_threads_flag_is_gone(medical_files, tmp_path):
     assert main(["train", "--data", str(medical_files["train"]),
                  "--schema", str(medical_files["schema"]),
                  "--out", str(tmp_path / "m.model"), "--threads", "2"]) == 2
+
+
+def _copy_with_cell(src, dest, row, column, cell):
+    """A copy of the CSV file ``src`` whose data row ``row`` (1-based) holds
+    ``cell`` in ``column``."""
+    header, *rows = src.read_text().splitlines()
+    cells = rows[row - 1].split(",")
+    cells[header.split(",").index(column)] = cell
+    rows[row - 1] = ",".join(cells)
+    dest.write_text("\n".join([header] + rows) + "\n")
+    return dest
+
+
+class TestLoadErrorsNameTheirFile:
+    def test_predict_names_its_data_file(self, both_model_kinds, subtyped_files, tmp_path, capsys):
+        data = _copy_with_cell(subtyped_files["test"], tmp_path / "bad.csv", 2, "signal_0", "xx")
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(both_model_kinds["plain"]), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {data}: row 2, column 'signal_0': cannot parse 'xx' as a number\n")
+        assert not out.exists()
+
+    def test_sweep_names_its_test_file(self, medical_files, tmp_path, capsys):
+        test = _copy_with_cell(medical_files["test"], tmp_path / "m_test.csv", 2, "age", "xx")
+        out = tmp_path / "s.csv"
+        capsys.readouterr()
+        assert main(["sweep", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]), "--test", str(test),
+                     "--param", "k", "--values", "2", "--trees", "5", "--seed", "2",
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {test}: row 2, column 'age': cannot parse 'xx' as a number\n")
+        assert not out.exists()
+
+    def test_evaluate_names_its_data_file(self, medical_files, tmp_path, capsys):
+        data = _copy_with_cell(medical_files["test"], tmp_path / "labels.csv", 3, "disease", "")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(_prediction_lines("yes")) + "\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(preds), "--data", str(data),
+                     "--schema", str(medical_files["schema"])]) == 1
+        assert capsys.readouterr().err == f"error: {data}: row 3: missing label value\n"

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from dppred.data import (
     encode_categoricals,
     encoded_feature_names,
     load_csv,
+    load_labels,
     minmax_normalize_labels,
     read_schema_file,
     write_schema_file,
@@ -109,48 +111,55 @@ class TestLoadCsv:
         ds2 = load_csv(test, ds.schema, label_task="class")
         assert ds2.x[0, 0] == 3.0
 
+    def test_encoding_errors_name_the_file(self, tmp_path):
+        schema = [ColumnSchema("a", "numeric"), ColumnSchema("target", "label")]
+        path = write(tmp_path, "d.csv", "a,target\n1.0,0\noops,1\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2, column 'a': cannot parse"):
+            load_csv(path, schema, label_task="class")
+        path = write(tmp_path, "l.csv", "a,target\n1.0,0\noops,\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: row 2: missing label value$"):
+            load_labels(path, schema, label_task="class")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        texts = {"d.csv": "a,c,target\n1.5,x,no\n?,y,yes\n2,,no\n",
+                 "s.csv": "label_task,class\na,numeric\nc,categorical\ntarget,label\n"}
+        loads = []
+        for prefix, mark in (("", ""), ("bom_", "\ufeff")):
+            data, schema = (write(tmp_path, prefix + name, mark + text) for name, text in texts.items())
+            label_task, columns = read_schema_file(schema)
+            ds = load_csv(data, columns, label_task)
+            loads.append((label_task, ds.schema, ds.x.tobytes(), ds.y.tobytes()))
+        assert (tmp_path / "bom_d.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert loads[0] == loads[1]
+
 
 def reference_encode(rows, schema, label_task=LABEL_CLASS, allow_missing_labels=False):
-    """The encoder as a per-cell loop: one scalar store per cell, one pass over
-    the rows; encode_categoricals must give its bits and its errors."""
+    """The encoder as a per-cell loop: a pass that learns the categories, then
+    one scalar store per cell in row order, the medians filled in last;
+    encode_categoricals must give its bits and its errors."""
     label_idx = [i for i, c in enumerate(schema) if c.kind == KIND_LABEL][0]
     fitted = [replace(c) for c in schema]
     n = len(rows)
 
     for j, col in enumerate(fitted):
-        if col.kind == KIND_CATEGORICAL and col.categories is None:
+        learns = col.kind == KIND_CATEGORICAL or (col.kind == KIND_LABEL and label_task == LABEL_CLASS)
+        if learns and col.categories is None:
             seen = []
             for row in rows:
                 v = row[j].strip()
                 if v not in MISSING_TOKENS and v not in seen:
                     seen.append(v)
-            if not seen:
+            if col.kind == KIND_CATEGORICAL and not seen:
                 raise ValueError(f"column {col.name!r}: empty category set")
-            col.categories = seen
-        elif col.kind == KIND_NUMERIC and col.median is None:
-            vals = []
-            for i, row in enumerate(rows):
-                v = row[j].strip()
-                if v in MISSING_TOKENS:
-                    continue
-                vals.append(_parse_number(v, i + 1, col.name))
-            col.median = float(np.median(vals)) if vals else 0.0
-        elif col.kind == KIND_LABEL and label_task == LABEL_CLASS and col.categories is None:
-            seen = []
-            for row in rows:
-                v = row[j].strip()
-                if v in MISSING_TOKENS:
-                    continue
-                if v not in seen:
-                    seen.append(v)
             col.categories = seen
 
     names, _, _ = encoded_feature_names(fitted)
     x = np.zeros((n, len(names)), dtype=np.float64)
+    missing = np.zeros((n, len(names)), dtype=bool)
     label_col = fitted[label_idx]
     if label_task == LABEL_CLASS:
         y = np.full(n, -1, dtype=np.int64)
-        class_index = {c: i for i, c in enumerate(label_col.categories or [])}
+        class_index = {c: i for i, c in enumerate(label_col.categories)}
     else:
         y = np.full(n, np.nan, dtype=np.float64)
 
@@ -160,7 +169,7 @@ def reference_encode(rows, schema, label_task=LABEL_CLASS, allow_missing_labels=
             v = row[j].strip()
             if col.kind == KIND_NUMERIC:
                 if v in MISSING_TOKENS:
-                    x[i, k] = col.median
+                    missing[i, k] = True
                 else:
                     x[i, k] = _parse_number(v, i + 1, col.name)
                 k += 1
@@ -182,6 +191,15 @@ def reference_encode(rows, schema, label_task=LABEL_CLASS, allow_missing_labels=
                     y[i] = class_index[v]
                 else:
                     y[i] = _parse_number(v, i + 1, col.name)
+
+    # a median is fitted on its column's parsed cells, then fills the missing ones
+    for col in fitted:
+        if col.kind == KIND_NUMERIC:
+            k = names.index(col.name)
+            if col.median is None:
+                vals = x[~missing[:, k], k]
+                col.median = float(np.median(vals)) if len(vals) else 0.0
+            x[missing[:, k], k] = col.median
     return x, y, fitted
 
 
@@ -315,12 +333,20 @@ class TestEncodeCategoricals:
         with pytest.raises(ValueError, match=r"^row 1: unknown class label 'z'"):
             encode_categoricals([rows[3], rows[2]], schema)
 
-    def test_training_load_raises_in_fit_column_order(self):
+    def test_training_load_raises_in_row_order(self):
         schema = [ColumnSchema("t", "label"), ColumnSchema("a", "numeric"), ColumnSchema("b", "numeric")]
         rows = [["", "1", "1"], ["x", "1", "bad"], ["x", "bad", "1"]]
-        # the fit pass reads column a before column b, and both before any label
-        with pytest.raises(ValueError, match=r"^row 3, column 'a'"):
+        # a training load reports the lowest bad row, as a test load does
+        with pytest.raises(ValueError, match=r"^row 1: missing label value"):
             encode_categoricals(rows, schema)
+        with pytest.raises(ValueError, match=r"^row 1, column 'b'"):
+            encode_categoricals(rows[1:], schema)
+
+    def test_empty_category_set_is_reported_before_any_bad_cell(self):
+        schema = [ColumnSchema("a", "numeric"), ColumnSchema("c", "categorical"),
+                  ColumnSchema("t", "label")]
+        with pytest.raises(ValueError, match=r"^column 'c': empty category set"):
+            encode_categoricals([["bad", "", ""], ["1", "?", "x"]], schema)
 
 
 class TestNormalizeLabels:

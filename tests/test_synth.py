@@ -76,6 +76,16 @@ class TestMedical:
         with pytest.raises(ValueError):
             SynthConfig(noise_rate=0.5)
 
+    @pytest.mark.parametrize("n_train,n_test", [(0, 5), (5, -1)])
+    def test_size_bounds_are_stated(self, n_train, n_test):
+        want = f"^n_train must be >= 1 and n_test >= 0, got n_train={n_train}, n_test={n_test}$"
+        with pytest.raises(ValueError, match=want):
+            SynthConfig(n_train=n_train, n_test=n_test)
+
+    def test_empty_test_set_builds(self):
+        _, te, _ = generate_medical(small_cfg(n_train=20, n_test=0))
+        assert te.x.shape == (0, 10)
+
 
 class TestSubtyped:
     def test_deterministic(self):
