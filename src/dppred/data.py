@@ -5,17 +5,27 @@ expanded to per-category indicators plus a missing flag, numeric gaps are
 filled with the training median, and the result is a dense float matrix
 whose columns are traceable back to their source columns.
 
-Cells are encoded a column at a time (one Python ``float`` per numeric
-cell, one dict lookup per categorical cell, one store per column), which
-gives the bits of a cell-by-cell loop. A categorical column with no
-category fails first; otherwise a bad cell raises a ValueError naming the
-lowest bad row and, within it, the leftmost bad column. Loads from a file
-prefix every error with its path, and skip a UTF-8 byte-order mark.
+A file is read whole. Text with no quote, no NUL and no line longer than
+the csv field limit is split at line ends and commas, which gives the
+records ``csv.reader`` gives; any other text goes through ``csv.reader``.
+
+Cells are encoded a column at a time. A numeric or real label column is
+first converted with one ``float`` map, which strips the same whitespace
+as ``str.strip`` and rejects every missing token, and a class label column
+with one dict lookup map; a column where that raises or gives a non-finite
+value goes through the per-cell path, which gives the same bits and names
+every bad cell. A categorical column with no category fails first;
+otherwise a bad cell raises a ValueError naming the lowest bad row and,
+within it, the leftmost bad column. Loads from a file prefix every error
+with its path, and skip a UTF-8 byte-order mark.
 """
 
 import csv
+import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -111,21 +121,29 @@ def check_finite_features(ds: Dataset) -> None:
 
 
 def read_schema_file(path) -> tuple[str, list[ColumnSchema]]:
-    """Parse a schema file: a `label_task,<class|real>` line then `name,kind` lines."""
+    """Parse a schema file: a `label_task,<class|real>` line then `name,kind` lines.
+    Every error is prefixed by the path."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            return _parse_schema(csv.reader(fh))
+        except (ValueError, csv.Error) as err:
+            raise ValueError(f"{path}: {err}") from None
+
+
+def _parse_schema(reader) -> tuple[str, list[ColumnSchema]]:
     label_task = None
     columns = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if row[0].strip() == "label_task":
-                if len(row) != 2 or row[1].strip() not in (LABEL_CLASS, LABEL_REAL):
-                    raise ValueError(f"schema line {lineno}: label_task must be 'class' or 'real'")
-                label_task = row[1].strip()
-                continue
-            if len(row) != 2:
-                raise ValueError(f"schema line {lineno}: expected 'name,kind'")
-            columns.append(ColumnSchema(name=row[0].strip(), kind=row[1].strip()))
+    for lineno, row in enumerate(reader, start=1):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if row[0].strip() == "label_task":
+            if len(row) != 2 or row[1].strip() not in (LABEL_CLASS, LABEL_REAL):
+                raise ValueError(f"schema line {lineno}: label_task must be 'class' or 'real'")
+            label_task = row[1].strip()
+            continue
+        if len(row) != 2:
+            raise ValueError(f"schema line {lineno}: expected 'name,kind'")
+        columns.append(ColumnSchema(name=row[0].strip(), kind=row[1].strip()))
     if label_task is None:
         raise ValueError("schema file is missing the label_task line")
     if sum(c.kind == KIND_LABEL for c in columns) != 1:
@@ -173,24 +191,56 @@ def _encode_file(path, rows: list[list[str]], schema: list[ColumnSchema], **opti
 
 
 def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
-    """The non-empty rows of a CSV file whose header names the schema columns in order."""
+    """The non-empty rows of a CSV file whose header names the schema columns
+    in order. The first bad record raises: a bad header, a row of another
+    length or a record the csv reader cannot read."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        expected = [c.name for c in schema]
-        if [h.strip() for h in header] != expected:
-            raise ValueError(f"{path}: header {header!r} does not match schema columns {expected!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(schema):
+        text = fh.read()
+    records, error = _split_records(text), None
+    if records is None:
+        records, error = _csv_records(path, text)
+    if not records:
+        raise error or ValueError(f"{path}: empty file")
+    header, expected = records[0], [c.name for c in schema]
+    if [h.strip() for h in header] != expected:
+        raise ValueError(f"{path}: header {header!r} does not match schema columns {expected!r}")
+    rows = list(filter(None, records[1:]))
+    if not set(map(len, rows)) <= {len(schema)}:
+        for lineno, row in enumerate(records[1:], start=2):
+            if row and len(row) != len(schema):
                 raise ValueError(f"{path}: line {lineno} has {len(row)} cells, expected {len(schema)}")
-            rows.append(row)
+    if error:
+        raise error
     return rows
+
+
+# the line breaks that str.splitlines splits at and csv.reader does not
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _split_records(text: str) -> list[list[str]] | None:
+    """The records ``csv.reader`` reads from ``text``, each line split at its
+    commas, or None when a quote, a NUL, a line break other than CR LF, CR
+    or LF, or a line longer than the field limit needs the reader itself."""
+    if '"' in text or "\0" in text or any(c in text for c in _OTHER_BREAKS):
+        return None
+    # with newline="", the reader too ends a line at CR LF, CR or LF
+    lines = text.splitlines()
+    if lines and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return [line.split(",") if line else [] for line in lines]
+
+
+def _csv_records(path, text: str) -> tuple[list[list[str]], ValueError | None]:
+    """``csv.reader``'s records of ``text`` and, if one could not be read, the
+    error that names its path and line; the records before it come first."""
+    records = []
+    try:
+        for record in csv.reader(io.StringIO(text, newline="")):
+            records.append(record)
+    except csv.Error as err:
+        return records, ValueError(f"{path}: line {len(records) + 1}: {err}")
+    return records, None
 
 
 def encoded_feature_names(schema: list[ColumnSchema]) -> tuple[list[str], list[str], list[bool]]:
@@ -234,20 +284,21 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
 
     fitted = [replace(c) for c in schema]
     n = len(rows)
+    columns = list(zip(*rows)) or [()] * len(fitted)
     blocks = [np.zeros((n, 0))]   # so that labels alone give an (n, 0) matrix
     y = None
     errors: list[_CellError] = []
-    for j, col in enumerate(fitted):
-        cells = [row[j].strip() for row in rows]
+    for col, column in zip(fitted, columns):
         try:
             if col.kind == KIND_NUMERIC:
-                present, vals = _numbers(cells, col.name)
+                present, vals = _numbers(column, col.name)
                 if col.median is None:
                     col.median = float(np.median(vals)) if len(vals) else 0.0
                 block = np.full((n, 1), col.median, dtype=np.float64)
                 block[present, 0] = vals
                 blocks.append(block)
             elif col.kind == KIND_CATEGORICAL:
+                cells = list(map(str.strip, column))
                 if col.categories is None:
                     col.categories = _first_seen(cells)
                     if not col.categories:
@@ -255,15 +306,15 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
                 # missing tokens and unseen values go to the last indicator
                 index = {c: t for t, c in enumerate(col.categories) if c not in MISSING_TOKENS}
                 block = np.zeros((n, len(col.categories) + 1))
-                block[np.arange(n), [index.get(v, -1) for v in cells]] = 1.0
+                block[np.arange(n), np.fromiter(map(index.get, cells, repeat(-1)), np.intp, n)] = 1.0
                 blocks.append(block)
             else:
                 classes = None
                 if label_task == LABEL_CLASS:
                     if col.categories is None:
-                        col.categories = _first_seen(cells)
+                        col.categories = _first_seen(list(map(str.strip, column)))
                     classes = {c: i for i, c in enumerate(col.categories)}
-                y = _label_values(cells, col.name, classes, allow_missing_labels)
+                y = _label_values(column, col.name, classes, allow_missing_labels)
         except _CellError as err:
             errors.append(err)
     if errors:
@@ -289,33 +340,55 @@ def _first_seen(cells: list[str]) -> list[str]:
     return list(dict.fromkeys(v for v in cells if v not in MISSING_TOKENS))
 
 
-def _numbers(cells: list[str], column: str) -> tuple[np.ndarray, np.ndarray]:
+def _numbers(column: tuple[str, ...], name: str) -> tuple[np.ndarray, np.ndarray]:
     """(mask of the non-missing cells, their Python ``float`` values); the
     first of them that is not a finite number raises, naming its row."""
+    values = _floats(column)
+    if values is not None:
+        return np.ones(len(column), dtype=bool), values
+    cells = [v.strip() for v in column]
     present = np.array([v not in MISSING_TOKENS for v in cells], dtype=bool)
-    try:
-        values = np.array([float(v) for v in cells if v not in MISSING_TOKENS], dtype=np.float64)
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
+    values = _floats([v for v in cells if v not in MISSING_TOKENS])
+    if values is None:
         # _parse_number runs the same float(), so it raises at the first bad cell
         for i in np.flatnonzero(present):
-            _parse_number(cells[i], int(i) + 1, column)
+            _parse_number(cells[i], int(i) + 1, name)
     return present, values
 
 
-def _label_values(cells: list[str], column: str, classes: dict[str, int] | None,
+def _floats(column: Sequence[str]) -> np.ndarray | None:
+    """The cells as float64 in one ``float`` map, or None when a cell is
+    missing, is not a number or is not finite."""
+    try:
+        values = np.fromiter(map(float, column), np.float64, len(column))
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _label_values(column: tuple[str, ...], name: str, classes: dict[str, int] | None,
                   allow_missing: bool) -> np.ndarray:
     """Class indices (``classes`` maps each label to its index) or reals; a
     missing cell gives -1 or NaN when ``allow_missing``, else raises."""
+    if classes is None:
+        values = _floats(column)
+    else:
+        # a missing token is missing even where it names a class
+        lookup = {c: i for c, i in classes.items() if c not in MISSING_TOKENS}
+        try:
+            values = np.fromiter(map(lookup.__getitem__, column), np.int64, len(column))
+        except KeyError:
+            values = None
+    if values is not None:
+        return values
     values = []
-    for i, v in enumerate(cells, start=1):
+    for i, v in enumerate(map(str.strip, column), start=1):
         if v in MISSING_TOKENS:
             if not allow_missing:
                 raise _CellError(i, f"row {i}: missing label value")
             values.append(math.nan if classes is None else -1)
         elif classes is None:
-            values.append(_parse_number(v, i, column))
+            values.append(_parse_number(v, i, name))
         elif v in classes:
             values.append(classes[v])
         else:

@@ -403,6 +403,9 @@ def _parse_condition(token: str, n_features: int) -> Condition:
     cond = Condition(int(dim), op, float.fromhex(thr))
     if cond.dim >= n_features:
         raise ValueError(f"condition dimension {cond.dim} outside the {n_features} features")
+    # training never writes one, and the compiled kernel's < test is exact for finite thresholds
+    if not np.isfinite(cond.threshold):
+        raise ValueError(f"condition {token!r} has a non-finite threshold")
     return cond
 
 

@@ -21,13 +21,16 @@ split of one rule sends the same rows to its >= child, so only the rule's
 first split writes its column.
 
 Every other rule list goes through one compiled kernel: it is compiled
-once (``compile_rules``) and then evaluated with exactly ``sum(p.m)``
-condition tests per row (``rule_matrix``). Serving uses it, and so do the
-stratified global bits in training (``pattern_matrix``). The one-rule,
-one-row reference the tests compare both evaluators against is
-``matches`` in ``tests/oracles.py``.
+once (``compile_rules``) into a grid of k rules by ``width`` tests, width
+being the longest rule's length and each test a ``>=`` comparison, and
+then evaluated with exactly ``k * width`` condition tests per row
+(``rule_matrix``). Serving uses it, and so do the stratified global bits
+in training (``pattern_matrix``). The one-rule, one-row reference the
+tests compare both evaluators against is ``matches`` in
+``tests/oracles.py``.
 """
 
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -206,32 +209,55 @@ def extract_patterns(forest) -> RulePool:
 
 
 class CompiledRules(NamedTuple):
-    """A rule list flattened to one entry per condition, rule after rule."""
+    """A rule list as a (k, width) grid of >= tests, width being the longest
+    rule's length. Each test reads a row of x.T interleaved with -x.T: row
+    2 * dim holds x[:, dim] for a >= condition, row 2 * dim + 1 holds
+    -x[:, dim] for a < condition. A shorter rule repeats its last test."""
 
-    dims: np.ndarray         # feature dimension tested
-    thresholds: np.ndarray
-    ge: np.ndarray           # True for >=, False for <
-    starts: np.ndarray       # offset of each rule's first condition
+    operands: np.ndarray     # (k, width) row of the interleaved matrix each test reads
+    thresholds: np.ndarray   # (k, width, 1), so that it broadcasts over a block's rows
+
+
+# rows per block of rule_matrix, which bounds its temporaries: a block
+# gathers k x width x 1024 float64 values, 1.4 MiB for 30 rules of depth 6
+_BLOCK_ROWS = 1024
 
 
 def compile_rules(patterns: list[Pattern]) -> CompiledRules:
-    conds = [c for p in patterns for c in p.conditions]
-    lengths = np.array([p.m for p in patterns], dtype=np.intp)
-    return CompiledRules(np.array([c.dim for c in conds], dtype=np.intp),
-                         np.array([c.threshold for c in conds], dtype=np.float64),
-                         np.array([c.op == OP_GE for c in conds], dtype=bool),
-                         np.cumsum(lengths) - lengths)
+    """The rules padded to one width; AND is idempotent, so a repeated test
+    leaves a rule's result alone. ``x < t`` becomes ``-x >= -nextafter(t, -inf)``:
+    for finite t the two tests agree on every x, and a NaN fails both."""
+    width = max((p.m for p in patterns), default=0)
+    conds = [c for p in patterns for c in p.conditions + p.conditions[-1:] * (width - p.m)]
+    operands = np.array([2 * c.dim + (c.op == OP_LT) for c in conds], dtype=np.intp)
+    thresholds = np.array([-math.nextafter(c.threshold, -math.inf) if c.op == OP_LT else c.threshold
+                           for c in conds], dtype=np.float64)
+    return CompiledRules(operands.reshape(len(patterns), width),
+                         thresholds.reshape(len(patterns), width, 1))
 
 
 def rule_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
-    """Boolean (n, k) matrix of ``x`` against compiled rules.
+    """Boolean C-order (n, k) matrix of ``x`` against compiled rules.
 
-    A row tests every compiled condition, ``sum(p.m)`` of them, with no
-    early exit; one grouped AND then closes each rule.
+    A row makes k x width >= tests, with no early exit, in blocks of rows.
     """
-    vals = x[:, rules.dims]
-    hit = np.where(rules.ge, vals >= rules.thresholds, vals < rules.thresholds)
-    return np.logical_and.reduceat(hit, rules.starts, axis=1)
+    if len(x) <= _BLOCK_ROWS:
+        # no output buffer: at n = 1 the transpose is already C-order
+        return np.ascontiguousarray(_block_matrix(rules, x).T)
+    out = np.empty((len(x), len(rules.operands)), dtype=bool)
+    for first in range(0, len(x), _BLOCK_ROWS):
+        out[first:first + _BLOCK_ROWS] = _block_matrix(rules, x[first:first + _BLOCK_ROWS]).T
+    return out
+
+
+def _block_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
+    """Boolean (k, n) matrix of a block of rows: one gather, one comparison
+    and one AND over each rule's tests."""
+    xt = x.T
+    signed = np.empty((2 * xt.shape[0], xt.shape[1]))
+    signed[0::2] = xt
+    np.negative(xt, out=signed[1::2])
+    return np.logical_and.reduce(signed.take(rules.operands, axis=0) >= rules.thresholds, axis=1)
 
 
 def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:

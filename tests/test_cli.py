@@ -644,3 +644,27 @@ class TestLoadErrorsNameTheirFile:
         assert main(["evaluate", "--predictions", str(preds), "--data", str(data),
                      "--schema", str(medical_files["schema"])]) == 1
         assert capsys.readouterr().err == f"error: {data}: row 3: missing label value\n"
+
+    def test_predict_names_the_line_of_an_oversized_cell(self, both_model_kinds, subtyped_files,
+                                                          tmp_path, capsys):
+        limit = csv.field_size_limit()
+        data = _copy_with_cell(subtyped_files["test"], tmp_path / "wide.csv", 3, "signal_0",
+                               "1" * 200_000)
+        out = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(both_model_kinds["plain"]), "--data", str(data),
+                     "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == f"error: {data}: line 4: field larger than field limit ({limit})\n")
+        assert not out.exists()
+
+    def test_train_names_its_schema_file(self, medical_files, tmp_path, capsys):
+        schema = tmp_path / "schema.csv"
+        lines = medical_files["schema"].read_text().splitlines()
+        schema.write_text("\n".join(lines[:1] + ["age"] + lines[1:]) + "\n")
+        out = tmp_path / "m.model"
+        capsys.readouterr()
+        assert main(["train", "--data", str(medical_files["train"]), "--schema", str(schema),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {schema}: schema line 2: expected 'name,kind'\n"
+        assert not out.exists()

@@ -164,7 +164,7 @@ def test_batch_equals_scalar_reference(case):
 def test_zero_rules_predict_the_intercept():
     m, ds = random_model(3, n=5, d=2, k=0, kind="linear", nan_share=0.0)
     assert predict(m, ds).tolist() == [m.glm.intercept] * 5
-    assert m.compiled.starts.shape == (0,)
+    assert m.compiled.operands.shape == m.compiled.thresholds.shape[:2] == (0, 0)
 
 
 strat_cases = st.tuples(

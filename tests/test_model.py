@@ -136,14 +136,14 @@ class TestPredict:
             predict_one(m, x)
 
     def test_condition_budget_per_instance(self):
-        # serving evaluates every compiled condition once per row: sum(p.m) <= k * D
+        # serving makes k x width tests per row, width being the longest rule's
+        # length: k x width <= k * D
         tr, _, _ = small_medical(n_train=800, n_test=10)
         hp = small_hp()
         m = train(tr, hp)
-        per_row = sum(p.m for p in m.patterns)
-        assert len(m.compiled.dims) == len(m.compiled.thresholds) == len(m.compiled.ge) == per_row
-        assert len(m.compiled.starts) == m.k
-        assert per_row <= hp.k * hp.tree.max_depth
+        width = max(p.m for p in m.patterns)
+        assert m.compiled.operands.shape == m.compiled.thresholds.shape[:2] == (m.k, width)
+        assert m.k * width <= hp.k * hp.tree.max_depth
 
 
 class TestEvaluate:

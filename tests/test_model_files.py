@@ -160,6 +160,27 @@ def test_condition_dims_outside_features_rejected(model_files, tmp_path, kind, s
         loader(path)
 
 
+@pytest.mark.parametrize("kind, section", [("binary", "patterns"), ("stratified", "global_patterns"),
+                                           ("stratified", "cluster_patterns")])
+@pytest.mark.parametrize("op", ["lt", "ge"])
+@pytest.mark.parametrize("bad", ["-inf", "inf", "nan"])
+def test_non_finite_condition_thresholds_rejected(model_files, tmp_path, kind, section, op, bad):
+    kinds, _ = model_files
+    loader, _, text, _ = kinds[kind]
+    lines = text.split("\n")
+    start = lines.index(f"[{section}]")
+    i = next(j for j in range(start + 2, len(lines))
+             if not lines[j].startswith(("#", "cluster=")))
+    token = lines[i].split()[0]
+    bad_token = f"{token.split(':')[0]}:{op}:{bad}"
+    lines[i] = lines[i].replace(token, bad_token, 1)
+    path = tmp_path / "thresholds.model"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    want = f"section '{section}'.*condition {re.escape(repr(bad_token))} has a non-finite threshold"
+    with pytest.raises(ValueError, match=want):
+        loader(path)
+
+
 @pytest.mark.parametrize("bad", ["0x0.0p+0", "-0x1.0p-4", "nan", "inf"])
 def test_topic_weights_must_be_positive_and_finite(model_files, tmp_path, bad):
     kinds, _ = model_files

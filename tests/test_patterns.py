@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perfbench_module
-from dppred import data
+from dppred import data, patterns
 from dppred.data import Dataset
 from dppred.patterns import (
     Condition,
@@ -64,12 +65,17 @@ class TestConditionAndPattern:
             matches(p, np.zeros(3))
 
     def test_counter_counts_evaluations(self):
-        # the compiled form evaluates each condition of a rule exactly once per row
-        p = Pattern((Condition(0, "ge", 0.5), Condition(1, "ge", 0.5)))
-        rules = compile_rules([p])
-        assert len(rules.dims) == p.m == 2
-        assert list(rules.starts) == [0]
-        assert rule_matrix(rules, np.array([[1.0, 1.0]])).tolist() == [[True]]
+        # the compiled grid makes k x width tests per row: each rule's own
+        # conditions, its last one repeated up to the longest rule's length
+        p = Pattern((Condition(0, "ge", 0.5), Condition(1, "lt", 0.5)))
+        q = Pattern((Condition(1, "ge", 0.5),))
+        rules = compile_rules([p, q])
+        assert rules.operands.shape == rules.thresholds.shape[:2] == (2, max(p.m, q.m))
+        # x[:, dim] sits at row 2 * dim, -x[:, dim] at row 2 * dim + 1
+        assert rules.operands.tolist() == [[0, 3], [2, 2]]
+        assert rules.thresholds[..., 0].tolist() == [[0.5, -math.nextafter(0.5, -math.inf)], [0.5, 0.5]]
+        x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
+        assert rule_matrix(rules, x).tolist() == [[True, False], [False, True], [False, True]]
 
     def test_negative_dim_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -182,6 +188,46 @@ class TestPatternSpace:
         ds = make_ds(np.zeros((2, 2)))
         with pytest.raises(IndexError):
             construct_pattern_space(ds, [Pattern((Condition(7, "ge", 0.0),))])
+
+
+# finite thresholds at the edges of float64: signed zeros, subnormals, the
+# smallest normal, values one ulp apart and the finite extremes; features
+# take these, their neighbours, NaN and both infinities
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, math.nextafter(1.0, 2.0),
+          math.nextafter(1.0, 0.0), -1.0, 1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.one_of(st.sampled_from(_EDGES), st.floats(allow_nan=False, allow_infinity=False))
+_VALUES = st.one_of(_FINITE, _FINITE.map(lambda v: math.nextafter(v, math.inf)),
+                    _FINITE.map(lambda v: math.nextafter(v, -math.inf)),
+                    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def kernel_problems(draw):
+    """(rules, x, rows per block): rules of mixed lengths over d features, and
+    an (n, d) matrix whose cells often sit on or one ulp off a threshold."""
+    d = draw(st.integers(1, 4))
+    conditions = st.builds(Condition, st.integers(0, d - 1), st.sampled_from(["lt", "ge"]), _FINITE)
+    rules = draw(st.lists(st.lists(conditions, min_size=1, max_size=5).map(tuple).map(Pattern),
+                          max_size=6))
+    thresholds = [c.threshold for p in rules for c in p.conditions]
+    near = st.sampled_from(thresholds).flatmap(lambda t: st.sampled_from(
+        [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf), -t]))
+    cell = st.one_of(_VALUES, near) if thresholds else _VALUES
+    n = draw(st.sampled_from([0, 1, 2, 3, 7]))
+    x = np.array(draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n)),
+                 dtype=np.float64).reshape(n, d)
+    return rules, x, draw(st.sampled_from([1, 2, 1024]))
+
+
+class TestCompiledKernel:
+    @given(kernel_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_rule_matrix_equals_the_oracle(self, problem):
+        rules, x, block_rows = problem
+        with mock.patch.object(patterns, "_BLOCK_ROWS", block_rows):
+            got = rule_matrix(compile_rules(rules), x)
+        assert got.dtype == bool and got.shape == (len(x), len(rules)) and got.flags.c_contiguous
+        assert got.tolist() == [[matches(p, row) for p in rules] for row in x]
 
 
 # thresholds and feature values share one grid, so rows sit exactly on
