@@ -5,9 +5,8 @@ expanded to per-category indicators plus a missing flag, numeric gaps are
 filled with the training median, and the result is a dense float matrix
 whose columns are traceable back to their source columns.
 
-A file is read whole. Text with no quote, no NUL and no line longer than
-the csv field limit is split at line ends and commas, which gives the
-records ``csv.reader`` gives; any other text goes through ``csv.reader``.
+A file's records are read by ``csv.reader`` in one bulk step, and their
+lengths are checked in one pass.
 
 Cells are encoded a column at a time. A numeric or real label column is
 first converted with one ``float`` map, which strips the same whitespace
@@ -21,7 +20,6 @@ with its path, and skip a UTF-8 byte-order mark.
 """
 
 import csv
-import io
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -194,11 +192,13 @@ def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
     """The non-empty rows of a CSV file whose header names the schema columns
     in order. The first bad record raises: a bad header, a row of another
     length or a record the csv reader cannot read."""
+    records, error = [], None
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    records, error = _split_records(text), None
-    if records is None:
-        records, error = _csv_records(path, text)
+        try:
+            records.extend(csv.reader(fh))
+        except csv.Error as err:
+            # extend keeps the records read before the bad one
+            error = ValueError(f"{path}: line {len(records) + 1}: {err}")
     if not records:
         raise error or ValueError(f"{path}: empty file")
     header, expected = records[0], [c.name for c in schema]
@@ -212,35 +212,6 @@ def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
     if error:
         raise error
     return rows
-
-
-# the line breaks that str.splitlines splits at and csv.reader does not
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _split_records(text: str) -> list[list[str]] | None:
-    """The records ``csv.reader`` reads from ``text``, each line split at its
-    commas, or None when a quote, a NUL, a line break other than CR LF, CR
-    or LF, or a line longer than the field limit needs the reader itself."""
-    if '"' in text or "\0" in text or any(c in text for c in _OTHER_BREAKS):
-        return None
-    # with newline="", the reader too ends a line at CR LF, CR or LF
-    lines = text.splitlines()
-    if lines and max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return [line.split(",") if line else [] for line in lines]
-
-
-def _csv_records(path, text: str) -> tuple[list[list[str]], ValueError | None]:
-    """``csv.reader``'s records of ``text`` and, if one could not be read, the
-    error that names its path and line; the records before it come first."""
-    records = []
-    try:
-        for record in csv.reader(io.StringIO(text, newline="")):
-            records.append(record)
-    except csv.Error as err:
-        return records, ValueError(f"{path}: line {len(records) + 1}: {err}")
-    return records, None
 
 
 def encoded_feature_names(schema: list[ColumnSchema]) -> tuple[list[str], list[str], list[bool]]:

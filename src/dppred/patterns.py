@@ -210,11 +210,14 @@ def extract_patterns(forest) -> RulePool:
 
 class CompiledRules(NamedTuple):
     """A rule list as a (k, width) grid of >= tests, width being the longest
-    rule's length. Each test reads a row of x.T interleaved with -x.T: row
-    2 * dim holds x[:, dim] for a >= condition, row 2 * dim + 1 holds
-    -x[:, dim] for a < condition. A shorter rule repeats its last test."""
+    rule's length. The tests read the rows of an operand matrix, one row per
+    distinct (dim, op) the rules use: x[:, dim] for a >= condition, then,
+    from row ``first_lt`` on, -x[:, dim] for a < condition. A shorter rule
+    repeats its last test."""
 
-    operands: np.ndarray     # (k, width) row of the interleaved matrix each test reads
+    dims: np.ndarray         # (r,) feature each operand row copies
+    first_lt: int            # operand rows from here on are negated
+    operands: np.ndarray     # (k, width) operand row each test reads
     thresholds: np.ndarray   # (k, width, 1), so that it broadcasts over a block's rows
 
 
@@ -229,35 +232,31 @@ def compile_rules(patterns: list[Pattern]) -> CompiledRules:
     for finite t the two tests agree on every x, and a NaN fails both."""
     width = max((p.m for p in patterns), default=0)
     conds = [c for p in patterns for c in p.conditions + p.conditions[-1:] * (width - p.m)]
-    operands = np.array([2 * c.dim + (c.op == OP_LT) for c in conds], dtype=np.intp)
+    keys = [(c.op == OP_LT, c.dim) for c in conds]
+    rows = {key: row for row, key in enumerate(sorted(set(keys)))}
+    operands = np.array([rows[key] for key in keys], dtype=np.intp)
     thresholds = np.array([-math.nextafter(c.threshold, -math.inf) if c.op == OP_LT else c.threshold
                            for c in conds], dtype=np.float64)
-    return CompiledRules(operands.reshape(len(patterns), width),
+    return CompiledRules(np.array([dim for _, dim in rows], dtype=np.intp),
+                         sum(not lt for lt, _ in rows),
+                         operands.reshape(len(patterns), width),
                          thresholds.reshape(len(patterns), width, 1))
 
 
 def rule_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
     """Boolean C-order (n, k) matrix of ``x`` against compiled rules.
 
-    A row makes k x width >= tests, with no early exit, in blocks of rows.
+    A row makes k x width >= tests, with no early exit, in blocks of rows;
+    each block copies only the features the rules read.
     """
-    if len(x) <= _BLOCK_ROWS:
-        # no output buffer: at n = 1 the transpose is already C-order
-        return np.ascontiguousarray(_block_matrix(rules, x).T)
     out = np.empty((len(x), len(rules.operands)), dtype=bool)
     for first in range(0, len(x), _BLOCK_ROWS):
-        out[first:first + _BLOCK_ROWS] = _block_matrix(rules, x[first:first + _BLOCK_ROWS]).T
+        signed = x[first:first + _BLOCK_ROWS].T.take(rules.dims, axis=0)
+        negated = signed[rules.first_lt:]
+        np.negative(negated, out=negated)
+        hits = signed.take(rules.operands, axis=0) >= rules.thresholds
+        out[first:first + _BLOCK_ROWS] = np.logical_and.reduce(hits, axis=1).T
     return out
-
-
-def _block_matrix(rules: CompiledRules, x: np.ndarray) -> np.ndarray:
-    """Boolean (k, n) matrix of a block of rows: one gather, one comparison
-    and one AND over each rule's tests."""
-    xt = x.T
-    signed = np.empty((2 * xt.shape[0], xt.shape[1]))
-    signed[0::2] = xt
-    np.negative(xt, out=signed[1::2])
-    return np.logical_and.reduce(signed.take(rules.operands, axis=0) >= rules.thresholds, axis=1)
 
 
 def pattern_matrix(x: np.ndarray, patterns: list[Pattern]) -> np.ndarray:

@@ -1,5 +1,4 @@
 import csv
-import io
 import re
 from dataclasses import replace
 
@@ -17,8 +16,6 @@ from dppred.data import (
     ColumnSchema,
     Dataset,
     _parse_number,
-    _read_rows,
-    _split_records,
     denormalize_labels,
     encode_categoricals,
     encoded_feature_names,
@@ -129,6 +126,10 @@ class TestLoadCsv:
         limit = csv.field_size_limit()
         path = write(tmp_path, "d.csv", f"a,target\n1.0,0\n{'1' * (limit + 1)},1\n")
         want = f"{path}: line 3: field larger than field limit ({limit})"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            load_csv(path, schema, label_task="class")
+        path = write(tmp_path, "h.csv", f"{'a' * (limit + 1)},target\n1.0,0\n")
+        want = f"{path}: line 1: field larger than field limit ({limit})"
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             load_csv(path, schema, label_task="class")
         # a bad record before it is reported first, as the reader meets them
@@ -430,67 +431,3 @@ class TestSchemaFile:
         path = write(tmp_path, "s.csv", text)
         with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_schema_file(path)
-
-
-def reference_read_rows(path, schema):
-    """``_read_rows`` as ``csv.reader`` reads the file, record by record: the
-    first bad header, row length or unreadable record raises."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        read = 0
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ValueError(f"{path}: empty file")
-            read = 1
-            expected = [c.name for c in schema]
-            if [h.strip() for h in header] != expected:
-                raise ValueError(f"{path}: header {header!r} does not match schema columns {expected!r}")
-            rows = []
-            for row in reader:
-                read += 1
-                if row and len(row) != len(schema):
-                    raise ValueError(f"{path}: line {read} has {len(row)} cells, expected {len(schema)}")
-                if row:
-                    rows.append(row)
-        except csv.Error as err:
-            raise ValueError(f"{path}: line {read + 1}: {err}") from None
-    return rows
-
-
-# pieces of CSV text: every line end csv.reader knows, quotes, NUL, line
-# breaks that str.splitlines splits at and csv does not, a byte-order mark,
-# whitespace and the missing tokens
-_TEXT_PIECES = st.sampled_from(["a", "b", "1.5", "x y", ",", ",", "\n", "\n", "\r", "\r\n", '"', "\x00",
-                                "\x85", "\u2028", "\x0b", "\x1e", " ", "\t", "?", "NA", "\ufeff"])
-
-
-class TestTokenizer:
-    @given(header=st.sampled_from(["a,b", " a , b", "a", "", "a,b,"]),
-           line_end=st.sampled_from(["\n", "\r", "\r\n", ""]),
-           body=st.lists(_TEXT_PIECES, max_size=40).map("".join),
-           bom=st.booleans(),
-           limit=st.sampled_from([None, 1, 3, 8]))
-    @settings(max_examples=400, deadline=None)
-    def test_split_lines_read_as_csv_reader_reads(self, tmp_path_factory, header, line_end, body, bom,
-                                                  limit):
-        text = ("\ufeff" if bom else "") + header + line_end + body
-        path = tmp_path_factory.mktemp("tokens") / "d.csv"
-        path.write_text(text, encoding="utf-8", newline="")
-        schema = [ColumnSchema("a", KIND_NUMERIC), ColumnSchema("b", KIND_LABEL)]
-        default = csv.field_size_limit()
-        try:
-            if limit is not None:
-                csv.field_size_limit(limit)
-            split = _split_records(text.removeprefix("\ufeff"))
-            if split is not None:
-                assert split == list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
-            outcomes = []
-            for read in (_read_rows, reference_read_rows):
-                try:
-                    outcomes.append(read(path, schema))
-                except ValueError as err:
-                    outcomes.append(str(err))
-        finally:
-            csv.field_size_limit(default)
-        assert outcomes[0] == outcomes[1]

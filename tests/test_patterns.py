@@ -71,8 +71,9 @@ class TestConditionAndPattern:
         q = Pattern((Condition(1, "ge", 0.5),))
         rules = compile_rules([p, q])
         assert rules.operands.shape == rules.thresholds.shape[:2] == (2, max(p.m, q.m))
-        # x[:, dim] sits at row 2 * dim, -x[:, dim] at row 2 * dim + 1
-        assert rules.operands.tolist() == [[0, 3], [2, 2]]
+        # one operand row per (dim, op) used: x[:, 0], x[:, 1], then -x[:, 1]
+        assert rules.dims.tolist() == [0, 1, 1] and rules.first_lt == 2
+        assert rules.operands.tolist() == [[0, 2], [1, 1]]
         assert rules.thresholds[..., 0].tolist() == [[0.5, -math.nextafter(0.5, -math.inf)], [0.5, 0.5]]
         x = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.5]])
         assert rule_matrix(rules, x).tolist() == [[True, False], [False, True], [False, True]]
@@ -224,10 +225,22 @@ class TestCompiledKernel:
     @settings(max_examples=300, deadline=None)
     def test_rule_matrix_equals_the_oracle(self, problem):
         rules, x, block_rows = problem
+        compiled = compile_rules(rules)
+        # one operand row per (dim, op) the rules use, whatever the width of x
+        assert len(compiled.dims) == len({(c.dim, c.op) for p in rules for c in p.conditions})
         with mock.patch.object(patterns, "_BLOCK_ROWS", block_rows):
-            got = rule_matrix(compile_rules(rules), x)
+            got = rule_matrix(compiled, x)
         assert got.dtype == bool and got.shape == (len(x), len(rules)) and got.flags.c_contiguous
         assert got.tolist() == [[matches(p, row) for p in rules] for row in x]
+
+    def test_a_wide_table_copies_only_the_features_read(self):
+        # 500 features, of which the rules read two, one of them on both sides
+        x = np.random.default_rng(3).normal(size=(2100, 500))
+        rules = [Pattern((Condition(7, "ge", 0.0), Condition(400, "lt", 0.5))),
+                 Pattern((Condition(400, "ge", -0.5),))]
+        compiled = compile_rules(rules)
+        assert compiled.dims.tolist() == [7, 400, 400] and compiled.first_lt == 2
+        assert rule_matrix(compiled, x).tolist() == [[matches(p, row) for p in rules] for row in x]
 
 
 # thresholds and feature values share one grid, so rows sit exactly on
