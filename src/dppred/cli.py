@@ -20,6 +20,7 @@ from .data import (
     LABEL_CLASS,
     MISSING_TOKENS,
     _parse_number,
+    decode_errors_name,
     load_csv,
     load_labels,
     minmax_normalize_labels,
@@ -254,7 +255,7 @@ def _read_predictions(path, classes: list[str] | None) -> list:
     class labels that are names raises a ValueError naming the row."""
     cells = []
     names_only = classes is not None and not any(map(_is_number, classes))
-    with open(path, newline="", encoding="utf-8") as fh:
+    with decode_errors_name(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, [])[:2] != ["row_index", "prediction"]:
             raise ValueError(f"{path}, row 1: expected the header row_index,prediction")

@@ -8,20 +8,23 @@ whose columns are traceable back to their source columns.
 A file's records are read by ``csv.reader`` in one bulk step, and their
 lengths are checked in one pass.
 
-Cells are encoded a column at a time. A numeric or real label column is
-first converted with one ``float`` map, which strips the same whitespace
-as ``str.strip`` and rejects every missing token, and a class label column
-with one dict lookup map; a column where that raises or gives a non-finite
-value goes through the per-cell path, which gives the same bits and names
-every bad cell. A categorical column with no category fails first;
-otherwise a bad cell raises a ValueError naming the lowest bad row and,
-within it, the leftmost bad column. Loads from a file prefix every error
-with its path, and skip a UTF-8 byte-order mark.
+Cells are encoded a column at a time. Numeric columns, real labels and
+class labels all go through one converter, ``_cells``: one bulk map over
+the raw column (``float``, which strips what ``str.strip`` strips and
+rejects every missing token, or a lookup of the class index), then one
+over the stripped non-missing cells. Only when both fail, or a label is
+missing where labels are required, does it walk the cells in row order
+and raise the first bad one. A categorical column with no category fails
+first; otherwise the load raises the bad cell of the lowest row and,
+within it, the leftmost column. Loads from a file prefix every error with
+its path, a text that is not UTF-8 included, and skip a UTF-8 byte-order
+mark.
 """
 
 import csv
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 
@@ -188,12 +191,22 @@ def _encode_file(path, rows: list[list[str]], schema: list[ColumnSchema], **opti
         raise ValueError(f"{path}: {err}") from None
 
 
+@contextmanager
+def decode_errors_name(path):
+    """Raise a UnicodeDecodeError met inside the block as a ValueError naming
+    ``path``. Text is decoded a chunk at a time, so no line is claimed."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def _read_rows(path, schema: list[ColumnSchema]) -> list[list[str]]:
     """The non-empty rows of a CSV file whose header names the schema columns
     in order. The first bad record raises: a bad header, a row of another
     length or a record the csv reader cannot read."""
     records, error = [], None
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with decode_errors_name(path), open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             records.extend(csv.reader(fh))
         except csv.Error as err:
@@ -262,7 +275,7 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
     for col, column in zip(fitted, columns):
         try:
             if col.kind == KIND_NUMERIC:
-                present, vals = _numbers(column, col.name)
+                present, vals = _cells(column, col.name, None, True)
                 if col.median is None:
                     col.median = float(np.median(vals)) if len(vals) else 0.0
                 block = np.full((n, 1), col.median, dtype=np.float64)
@@ -284,8 +297,11 @@ def encode_categoricals(rows: list[list[str]], schema: list[ColumnSchema],
                 if label_task == LABEL_CLASS:
                     if col.categories is None:
                         col.categories = _first_seen(list(map(str.strip, column)))
-                    classes = {c: i for i, c in enumerate(col.categories)}
-                y = _label_values(column, col.name, classes, allow_missing_labels)
+                    # a missing token is missing even where it names a class
+                    classes = {c: i for i, c in enumerate(col.categories) if c not in MISSING_TOKENS}
+                present, vals = _cells(column, col.name, classes, allow_missing_labels)
+                y = np.full(n, np.nan if classes is None else -1, dtype=vals.dtype)
+                y[present] = vals
         except _CellError as err:
             errors.append(err)
     if errors:
@@ -311,60 +327,39 @@ def _first_seen(cells: list[str]) -> list[str]:
     return list(dict.fromkeys(v for v in cells if v not in MISSING_TOKENS))
 
 
-def _numbers(column: tuple[str, ...], name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(mask of the non-missing cells, their Python ``float`` values); the
-    first of them that is not a finite number raises, naming its row."""
-    values = _floats(column)
+def _cells(column: Sequence[str], name: str, classes: dict[str, int] | None,
+           missing_ok: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(mask of the non-missing cells, their values): finite floats, or class
+    indices when ``classes`` maps each class label to its index. A missing
+    cell raises unless ``missing_ok``; the first bad cell raises, naming its row."""
+    convert, dtype = (float, np.float64) if classes is None else (classes.__getitem__, np.int64)
+    values = _bulk(convert, dtype, column)
     if values is not None:
         return np.ones(len(column), dtype=bool), values
     cells = [v.strip() for v in column]
     present = np.array([v not in MISSING_TOKENS for v in cells], dtype=bool)
-    values = _floats([v for v in cells if v not in MISSING_TOKENS])
-    if values is None:
-        # _parse_number runs the same float(), so it raises at the first bad cell
-        for i in np.flatnonzero(present):
-            _parse_number(cells[i], int(i) + 1, name)
+    values = _bulk(convert, dtype, [v for v in cells if v not in MISSING_TOKENS])
+    if values is None or not (missing_ok or present.all()):
+        for i, v in enumerate(cells, start=1):
+            if v in MISSING_TOKENS:
+                if not missing_ok:
+                    raise _CellError(i, f"row {i}: missing label value")
+            elif classes is None:
+                # the same float() as the bulk map, so it raises where that failed
+                _parse_number(v, i, name)
+            elif v not in classes:
+                raise _CellError(i, f"row {i}: unknown class label {v!r}")
     return present, values
 
 
-def _floats(column: Sequence[str]) -> np.ndarray | None:
-    """The cells as float64 in one ``float`` map, or None when a cell is
-    missing, is not a number or is not finite."""
+def _bulk(convert, dtype, cells: Sequence[str]) -> np.ndarray | None:
+    """``convert`` mapped over the cells in one step, or None when a cell
+    raises or gives a non-finite value."""
     try:
-        values = np.fromiter(map(float, column), np.float64, len(column))
-    except ValueError:
+        values = np.fromiter(map(convert, cells), dtype, len(cells))
+    except (ValueError, KeyError):
         return None
     return values if np.isfinite(values).all() else None
-
-
-def _label_values(column: tuple[str, ...], name: str, classes: dict[str, int] | None,
-                  allow_missing: bool) -> np.ndarray:
-    """Class indices (``classes`` maps each label to its index) or reals; a
-    missing cell gives -1 or NaN when ``allow_missing``, else raises."""
-    if classes is None:
-        values = _floats(column)
-    else:
-        # a missing token is missing even where it names a class
-        lookup = {c: i for c, i in classes.items() if c not in MISSING_TOKENS}
-        try:
-            values = np.fromiter(map(lookup.__getitem__, column), np.int64, len(column))
-        except KeyError:
-            values = None
-    if values is not None:
-        return values
-    values = []
-    for i, v in enumerate(map(str.strip, column), start=1):
-        if v in MISSING_TOKENS:
-            if not allow_missing:
-                raise _CellError(i, f"row {i}: missing label value")
-            values.append(math.nan if classes is None else -1)
-        elif classes is None:
-            values.append(_parse_number(v, i, name))
-        elif v in classes:
-            values.append(classes[v])
-        else:
-            raise _CellError(i, f"row {i}: unknown class label {v!r}")
-    return np.array(values, dtype=np.float64 if classes is None else np.int64)
 
 
 class _CellError(ValueError):

@@ -24,6 +24,7 @@ from .data import (
     ColumnSchema,
     Dataset,
     check_finite_features,
+    decode_errors_name,
     denormalize_labels,
     encoded_feature_names,
 )
@@ -281,6 +282,14 @@ def _unhex_row(text: str) -> list[float]:
     return [float.fromhex(tok) for tok in text.split()]
 
 
+def _finite_row(text: str, what: str) -> list[float]:
+    """``_unhex_row``, raising when a value is a NaN or an infinity."""
+    values = _unhex_row(text)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} {text!r} holds a non-finite value")
+    return values
+
+
 def _write_model_file(path, header: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([f"{header} {FORMAT_VERSION}", *lines, "[end]"]) + "\n")
@@ -288,7 +297,7 @@ def _write_model_file(path, header: str, lines: list[str]) -> None:
 
 def _read_sections(path, header: str) -> dict[str, list[str]]:
     """The non-empty lines of each [section], after checking header, version and [end]."""
-    with open(path, encoding="utf-8") as fh:
+    with decode_errors_name(path), open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(header):
         other = _STRAT_HEADER if header == _HEADER else _HEADER
@@ -357,8 +366,12 @@ def _data_lines(m) -> list[str]:
 
 def _parse_column(line: str) -> ColumnSchema:
     col = json.loads(line)
+    median = float.fromhex(col["median"]) if col["median"] else None
+    # a NaN median would be imputed into every missing cell
+    if median is not None and not np.isfinite(median):
+        raise ValueError(f"column {col['name']!r}: non-finite median {col['median']!r}")
     return ColumnSchema(name=col["name"], kind=col["kind"], categories=col["categories"],
-                        median=float.fromhex(col["median"]) if col["median"] else None)
+                        median=median)
 
 
 def _parse_schema(lines: list[str]) -> dict:
@@ -379,7 +392,9 @@ def _parse_label(lines: list[str]) -> dict:
                       and all(isinstance(v, str) for v in names)):
         raise ValueError("expects only names= (a list of strings) and bounds=")
     if bounds is not None:
-        lo, hi = _unhex_row(bounds)
+        lo, hi = _finite_row(bounds, "bounds")
+        if not lo < hi:
+            raise ValueError(f"bounds {bounds!r} holds a lower bound not below its upper bound")
         bounds = (lo, hi)
     return {"label_names": names, "label_bounds": bounds}
 
@@ -432,8 +447,8 @@ def _glm_lines(glm: GlmModel) -> list[str]:
 def _parse_glm(lines: list[str], n_dims: int) -> GlmModel:
     vectors = [ln.split(" ", 1) for ln in lines if ln.startswith(("intercept ", "weights "))]
     fields = _parse_fields([ln for ln in lines if not ln.startswith(("intercept ", "weights "))])
-    intercepts = [_unhex_row(v) for key, v in vectors if key == "intercept"]
-    weights = [_unhex_row(v) for key, v in vectors if key == "weights"]
+    intercepts = [_finite_row(v, key) for key, v in vectors if key == "intercept"]
+    weights = [_finite_row(v, key) for key, v in vectors if key == "weights"]
     if "task" not in fields or "classes" not in fields:
         raise ValueError("needs task= and classes= lines")
     task, classes = fields["task"], int(fields["classes"])

@@ -2,11 +2,12 @@
 
 ``generate_medical`` builds the four-feature diagnosis benchmark whose
 labels come from three known threshold rules, so recovered patterns can be
-checked against the generating truth. Its rows are the cells that
-``write_medical_csv`` writes, encoded by ``data.encode_categoricals``, so
+checked against the generating truth. ``generate_subtyped_regression``
+builds regression data with latent subtypes for the stratified pipeline.
+
+Both generators make rows of CSV cells (``repr`` of each float), which the
+``write_*_csv`` writers write and ``data.encode_categoricals`` encodes, so
 in memory and through a CSV file they give the same matrix.
-``generate_subtyped_regression`` builds regression data with latent
-subtypes for the stratified pipeline.
 """
 
 import csv
@@ -23,7 +24,6 @@ from .data import (
     ColumnSchema,
     Dataset,
     encode_categoricals,
-    encoded_feature_names,
     write_schema_file,
 )
 from .patterns import Condition, Pattern
@@ -132,13 +132,18 @@ def generate_medical(cfg: SynthConfig) -> tuple[Dataset, Dataset, list[Pattern]]
 
 def write_medical_csv(cfg: SynthConfig, train_path, test_path, schema_path) -> None:
     """Regenerate the raw rows for ``cfg`` and write CSV + schema files."""
-    schema = medical_schema()
-    for path, rows in zip((train_path, test_path), _medical_rows(cfg)):
+    _write_csv(medical_schema(), _medical_rows(cfg), LABEL_CLASS, train_path, test_path, schema_path)
+
+
+def _write_csv(schema: list[ColumnSchema], splits, label_task: str, train_path, test_path,
+               schema_path) -> None:
+    """Each split's rows under a header of the schema's column names, then the schema file."""
+    for path, rows in zip((train_path, test_path), splits):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow([c.name for c in schema])
             writer.writerows(rows)
-    write_schema_file(schema_path, LABEL_CLASS, schema)
+    write_schema_file(schema_path, label_task, schema)
 
 
 # --- subtyped regression -------------------------------------------------
@@ -158,15 +163,8 @@ def subtype_thresholds(n_subtypes: int) -> np.ndarray:
     return 0.3 + 0.2 * ((g + j) % 3)
 
 
-def generate_subtyped_regression(cfg: SynthConfig, n_subtypes: int) -> tuple[Dataset, Dataset]:
-    """Regression data whose response rule changes with a latent subtype.
-
-    Each subtype elevates its own marker feature (high for members, low
-    otherwise), shifts the response by a subtype base offset, and moves the
-    step thresholds of the shared signal features. Subtype membership is
-    recoverable from the markers but is not itself a feature, so a model
-    that stratifies can localize the per-subtype steps precisely.
-    """
+def _subtyped_rows(cfg: SynthConfig, n_subtypes: int) -> tuple[list[ColumnSchema], tuple[list, list]]:
+    """The schema, then the train and test rows of ``cfg`` as its CSV cells."""
     if n_subtypes < 1:
         raise ValueError("need at least one subtype")
     rng = sub_rng(cfg.seed, STREAM_SYNTH, n_subtypes)
@@ -193,33 +191,24 @@ def generate_subtyped_regression(cfg: SynthConfig, n_subtypes: int) -> tuple[Dat
     schema = [ColumnSchema(f"marker_{g}", KIND_NUMERIC, median=0.2) for g in range(n_subtypes)]
     schema += [ColumnSchema(f"signal_{j}", KIND_NUMERIC, median=0.5) for j in range(n_signals)]
     schema.append(ColumnSchema("response", KIND_LABEL))
-    names, sources, binary = encoded_feature_names(schema)
-    x = np.column_stack([markers, signals])
+    # repr gives the shortest string that parses back to the same float
+    rows = [list(map(repr, row)) for row in np.column_stack([markers, signals, y]).tolist()]
+    return schema, (rows[:cfg.n_train], rows[cfg.n_train:])
 
-    def make(sl):
-        return Dataset(
-            x=x[sl],
-            y=y[sl],
-            feature_names=names,
-            feature_sources=sources,
-            binary_dims=np.array(binary, dtype=bool),
-            label_kind=LABEL_REAL,
-            schema=schema,
-        )
 
-    return make(slice(0, cfg.n_train)), make(slice(cfg.n_train, total))
+def generate_subtyped_regression(cfg: SynthConfig, n_subtypes: int) -> tuple[Dataset, Dataset]:
+    """(train, test): regression data whose response rule changes with a latent subtype.
+
+    Each subtype elevates its own marker feature (high for members, low
+    otherwise), shifts the response by a subtype base offset, and moves the
+    step thresholds of the shared signal features. Subtype membership is
+    recoverable from the markers but is not itself a feature, so a model
+    that stratifies can localize the per-subtype steps precisely.
+    """
+    schema, splits = _subtyped_rows(cfg, n_subtypes)
+    return tuple(encode_categoricals(rows, schema, label_task=LABEL_REAL) for rows in splits)
 
 
 def write_subtyped_csv(cfg: SynthConfig, n_subtypes: int, train_path, test_path, schema_path) -> None:
-    train, test = generate_subtyped_regression(cfg, n_subtypes)
-
-    def dump(path, ds):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([c.name for c in ds.schema])
-            for i in range(ds.n):
-                writer.writerow([repr(float(v)) for v in ds.x[i]] + [repr(float(ds.y[i]))])
-
-    dump(train_path, train)
-    dump(test_path, test)
-    write_schema_file(schema_path, LABEL_REAL, train.schema)
+    """Regenerate the raw rows for ``cfg`` and write CSV + schema files."""
+    _write_csv(*_subtyped_rows(cfg, n_subtypes), LABEL_REAL, train_path, test_path, schema_path)

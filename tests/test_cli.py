@@ -658,6 +658,33 @@ class TestLoadErrorsNameTheirFile:
                 == f"error: {data}: line 4: field larger than field limit ({limit})\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("reader", ["data", "plain model", "stratified model", "predictions"])
+    def test_a_file_that_is_not_utf8_is_named(self, reader, medical_files, both_model_kinds,
+                                              subtyped_files, tmp_path, capsys):
+        # one Latin-1 byte; the text is decoded in chunks, so no line is claimed
+        bad = tmp_path / "latin1.txt"
+        if reader == "data":
+            _copy_with_cell(medical_files["train"], bad, 2, "gender", "m\xe4le")
+            bad.write_bytes(bad.read_text().encode("latin-1"))
+            args = ["train", "--data", str(bad), "--schema", str(medical_files["schema"]),
+                    "--out", str(tmp_path / "out")]
+        elif reader == "predictions":
+            bad.write_bytes(b"row_index,prediction\n0,m\xe4le\n")
+            args = ["evaluate", "--predictions", str(bad), "--data", str(medical_files["test"]),
+                    "--schema", str(medical_files["schema"])]
+        else:
+            kind = reader.split()[0]
+            head, rest = both_model_kinds[kind].read_bytes().split(b"\n", 1)
+            bad.write_bytes(head + b"\n# m\xe4le\n" + rest)
+            args = ["predict" if kind == "plain" else "stratify-predict", "--model", str(bad),
+                    "--data", str(subtyped_files["test"]), "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {re.escape(str(bad))}: 'utf-8' codec can't decode byte 0xe4 "
+                            r"in position \d+: invalid continuation byte\n", err), err
+        assert not (tmp_path / "out").exists()
+
     def test_train_names_its_schema_file(self, medical_files, tmp_path, capsys):
         schema = tmp_path / "schema.csv"
         lines = medical_files["schema"].read_text().splitlines()

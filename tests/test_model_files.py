@@ -181,6 +181,47 @@ def test_non_finite_condition_thresholds_rejected(model_files, tmp_path, kind, s
         loader(path)
 
 
+def _line(model_files, kind, prefix):
+    """The first line of a model file of ``kind`` that starts with ``prefix``."""
+    return next(ln for ln in model_files[0][kind][2].split("\n") if ln.startswith(prefix))
+
+
+# a non-finite weight or intercept once loaded, and prediction wrote nan with exit 0
+@pytest.mark.parametrize("kind", ["binary", "multiclass", "stratified"])
+@pytest.mark.parametrize("field", ["weights", "intercept"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_glm_values_rejected(model_files, tmp_path, kind, field, bad):
+    line = _line(model_files, kind, field + " ")
+    loader, path = edit(model_files, tmp_path, kind, line, " ".join([field, bad] + line.split()[2:]))
+    with pytest.raises(ValueError, match=f"section 'glm': {field} '.*' holds a non-finite value$"):
+        loader(path)
+
+
+# a NaN median would be imputed into every missing cell of the served data
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_median_rejected(model_files, tmp_path, bad):
+    line = _line(model_files, "binary", '{"categories": null, "kind": "numeric"')
+    column = json.loads(line)
+    loader, path = edit(model_files, tmp_path, "binary", line, line.replace(column["median"], bad))
+    want = f"section 'schema': column {column['name']!r}: non-finite median {bad!r}"
+    with pytest.raises(ValueError, match=f"{re.escape(want)}$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("bounds, message", [
+    ("nan 0x1.0p+0", "holds a non-finite value"),
+    ("0x0.0p+0 inf", "holds a non-finite value"),
+    ("-inf 0x1.0p+0", "holds a non-finite value"),
+    ("0x1.0p+0 0x1.0p+0", "holds a lower bound not below its upper bound"),
+    ("0x1.0p+1 0x1.0p+0", "holds a lower bound not below its upper bound"),
+])
+def test_label_bounds_must_be_finite_and_ordered(model_files, tmp_path, bounds, message):
+    line = _line(model_files, "stratified", "bounds=")
+    loader, path = edit(model_files, tmp_path, "stratified", line, f"bounds={bounds}")
+    with pytest.raises(ValueError, match=f"section 'label': bounds {re.escape(repr(bounds))} {message}$"):
+        loader(path)
+
+
 @pytest.mark.parametrize("bad", ["0x0.0p+0", "-0x1.0p-4", "nan", "inf"])
 def test_topic_weights_must_be_positive_and_finite(model_files, tmp_path, bad):
     kinds, _ = model_files

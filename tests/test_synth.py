@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from dppred.data import load_csv, read_schema_file
 from dppred.patterns import pattern_matrix
 from dppred.synth import (
     SynthConfig,
     generate_medical,
     generate_subtyped_regression,
     medical_rule_labels,
+    write_medical_csv,
+    write_subtyped_csv,
 )
 
 from oracles import matches, subtype_of
@@ -117,3 +120,33 @@ class TestSubtyped:
     def test_needs_at_least_one_subtype(self):
         with pytest.raises(ValueError):
             generate_subtyped_regression(small_cfg(), 0)
+
+
+def _same_dataset(a, b):
+    assert a.x.tobytes() == b.x.tobytes() and a.x.shape == b.x.shape
+    assert a.y.dtype == b.y.dtype and a.y.tobytes() == b.y.tobytes()
+    assert a.feature_names == b.feature_names
+    assert a.binary_dims.tolist() == b.binary_dims.tolist()
+    assert a.label_names == b.label_names
+    assert a.schema == b.schema
+
+
+@pytest.mark.parametrize("seed", [1, 6, 13])
+@pytest.mark.parametrize("kind", ["medical", "subtyped-1", "subtyped-3"])
+def test_written_csv_loads_as_the_generated_dataset(kind, seed, tmp_path):
+    """The files a writer writes, loaded against the generated schema, give
+    the generated datasets bit for bit, and the schema file names its columns."""
+    cfg = small_cfg(n_train=300, n_test=120, noise_rate=0.01, seed=seed)
+    paths = [tmp_path / name for name in ("train.csv", "test.csv", "schema.csv")]
+    if kind == "medical":
+        train, test, _ = generate_medical(cfg)
+        write_medical_csv(cfg, *paths)
+    else:
+        groups = int(kind.split("-")[1])
+        train, test = generate_subtyped_regression(cfg, groups)
+        write_subtyped_csv(cfg, groups, *paths)
+    label_task, columns = read_schema_file(paths[2])
+    assert label_task == train.label_kind
+    assert [(c.name, c.kind) for c in columns] == [(c.name, c.kind) for c in train.schema]
+    for path, ds in zip(paths, (train, test)):
+        _same_dataset(load_csv(path, train.schema, label_task), ds)
