@@ -311,6 +311,8 @@ class TestFitTree:
 # mixed-3class, subtyped-regression and min-bag-edge set their own counts
 # of sampled dims or thresholds until the split search fixed them at
 # ⌈√d⌉ dims and 16 thresholds; they were re-pinned then.
+# medical-large and subtyped-large were pinned later, by the lockstep grower,
+# as the first cases whose bags are wider than `_BATCH_ROWS`.
 
 def _mixed_features(n, seed):
     """Numeric dims (one with few distinct values, one constant) and dummy dims."""
@@ -336,6 +338,9 @@ def _golden_cases():
     sub, _ = generate_subtyped_regression(SynthConfig(n_train=300, n_test=1, seed=5), 3)
     edge = make_ds(x[:40], (x[:40, 0] > 0.5).astype(int))
     noisy = make_ds(x[:40], ((x[:40, 0] * 4).astype(int) + x[:40, 4].astype(int)) % 2)
+    # 5,000-row bags, wider than `_BATCH_ROWS`: a batch then holds up to n rows
+    med_large, _, _ = generate_medical(SynthConfig(n_train=5000, n_test=1, noise_rate=0.01, seed=4))
+    sub_large, _ = generate_subtyped_regression(SynthConfig(n_train=5000, n_test=1, seed=6), 3)
     return {
         "medical-2class": (med, TreeConfig(n_trees=8, seed=11)),
         "mixed-3class": (three, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=12)),
@@ -344,6 +349,8 @@ def _golden_cases():
         # a 40-row bag splits only 20/20, and no child can split again
         "min-bag-edge": (edge, TreeConfig(n_trees=6, min_bag=20, seed=15)),
         "min-bag-one": (noisy, TreeConfig(n_trees=4, max_depth=8, min_bag=1, seed=16)),
+        "medical-large": (med_large, TreeConfig(n_trees=3, seed=17)),
+        "subtyped-large": (sub_large, TreeConfig(n_trees=3, seed=18)),
     }
 
 
@@ -354,11 +361,13 @@ def forest_digest(forest):
 
 
 GOLDEN_FOREST_DIGESTS = {
+    "medical-large": "d0a79c3c95e91d69719c8c747390d620c553c8961d01dbc80f4678478a46fbbf",
     "medical-2class": "177946ac0f4e72d9aa4b79e1495a5c2ae131a73431d2106a1db8fa4a768662b1",
     "min-bag-edge": "57bc52b5f1e1edae71f49b94c47b80f5619618e53b70b917f4777b3862abcc06",
     "min-bag-one": "c32146b55022def7177f9c646a21dd1263640008e8f1633b64b9c2274d8d8e50",
     "mixed-3class": "7ca5069561e97673a591842ec13311d1154ce23590e6eccaf3e3c09cb16f2d1a",
     "mixed-regression": "2092fa781c4f9765c270865c26f920285a6da2d73ae718634f8cc666e3b40f89",
+    "subtyped-large": "df971e5a30f63b6eb947cce0ca86785b594f6ed8d160e743b7ea254236196eea",
     "subtyped-regression": "6413951d5739801af517f98f0efc54a533cc76ec20ba032e780b40aaca15a9fe",
 }
 
