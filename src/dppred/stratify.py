@@ -62,6 +62,7 @@ from .rng import STREAM_LDA, STREAM_LOCAL_TREES, derive_seed, sub_rng
 from .selection import NoRulesError
 
 _KNOWN_BAGS = 1 << 16      # bags a model remembers; a key is a few dozen bytes
+_FOLD_IN_CELLS = 1 << 18   # floats in one fold-in temporary, 2 MiB: topics x tokens
 
 
 @dataclass
@@ -309,11 +310,28 @@ def _assign(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray,
 
 
 def _fold_in(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
-    """``theta`` of ``_assign``'s EM for all rows, run topic-major over the
-    tokens, the (row, satisfied rule) pairs: each step sums a token's mix over
-    topics in order, then adds every ``A[w] / mix`` into its row with one
-    weighted ``np.bincount``, a row's rules in ascending order. No row blocks:
-    a temporary holds topics x tokens floats, 8 x fill x topics bytes a (row, rule)."""
+    """``theta`` of ``_assign``'s EM for all rows. Rows never mix, so they are
+    folded in blocks of whole rows whose topics x tokens, the size of each
+    temporary, stay within ``_FOLD_IN_CELLS``; a row with more tokens than
+    that is a block alone."""
+    n_topics = topics.shape[0]
+    tokens = np.cumsum(np.count_nonzero(global_bits, axis=1))
+    theta = np.empty((len(tokens), n_topics))
+    a = 0
+    while a < len(tokens):
+        limit = (int(tokens[a - 1]) if a else 0) + _FOLD_IN_CELLS // n_topics
+        b = max(a + 1, int(np.searchsorted(tokens, limit, side="right")))
+        theta[a:b] = _fold_in_rows(topics, cfg, global_bits[a:b])
+        a = b
+    return theta
+
+
+def _fold_in_rows(topics: np.ndarray, cfg: StratifyConfig, global_bits: np.ndarray) -> np.ndarray:
+    """``theta`` of ``_assign``'s EM for a block of rows, run topic-major over
+    the tokens, the (row, satisfied rule) pairs: each step sums a token's mix
+    over topics in order, then adds every ``A[w] / mix`` into its row with one
+    weighted ``np.bincount``, a row's rules in ascending order. A temporary
+    holds topics x tokens floats."""
     n_topics, n_rows, alpha = topics.shape[0], global_bits.shape[0], cfg.alpha
     rows, words = np.nonzero(global_bits)
     token_a = topics.take(words, axis=1)   # C-order like theta; topics[:, words] is not

@@ -24,21 +24,35 @@ not depend on the trees grown beside it, and the first v trees of a
 forest are the forest of v trees.
 
 A step gathers the sampled dims of its nodes in a (dims, rows) layout and
-scores the nodes in batches of at most ``max(_BATCH_ROWS, n)`` bag rows,
-so the preallocated (dims, thresholds, rows) bool mask stays the size
-that one bootstrap bag needs however many trees grow together. The work
-is per batch, not per node: one ``np.less`` per sampled dim compares
-every row with its own node's thresholds, repeated per row; counts are
-``np.add.reduceat`` along the contiguous rows; and the child bags of all
-split nodes come from one stable sort of the batch rows by (node, side).
-Class counts are exact integers, so classification gains are the same
-bits however they are batched, and classification forests are
-bit-identical to the earlier per-node recursion. For real labels the
-batch builds [y, y²] once and copies the mask to floats a window of n rows
-at a time; each node then makes one product of its (dims * thresholds,
-bag) slice of that copy with its rows of [y, y²], and sums its own y and
-y² pairwise. These read only that node's rows, in bag order, so
-regression gains do not depend on batching either.
+scores the nodes in batches. Only real candidates are compared and counted:
+one, at 0.5, on a binary slot, ``_THRESHOLDS`` on a numeric slot, and none
+on a numeric slot constant on its bag. Each kind is a (candidates, cells)
+bool block in a preallocated buffer, its cells the rows of its (slot,
+node) pairs, slot after slot, compared with their own pair's thresholds
+repeated per row in one ``np.less`` per group of pairs; a slot without a
+candidate keeps the zero left count that a NaN threshold gives, so it is
+never usable. Batches are sized in those cells: the budget is that of
+a dense mask of ``_BATCH_ROWS`` rows, ⌈√d⌉ * ``_THRESHOLDS`` cells a row,
+and a batch holds as many bag rows as the budget gives the most real cells
+a row can need (``_THRESHOLDS`` on each sampled numeric dim, one on each
+other), or ``n`` rows when more. That is 7,710 rows on the medical data (2
+numeric dims of 10) and 4,096 where no dim is binary, and the buffers stay
+the size that one bootstrap bag needs however many trees grow together.
+The work is per batch, not per node: counts are ``np.add.reduceat`` along
+each pair's contiguous cells, entropies are worked out for the usable
+candidates only, and the child bags of all split nodes come from one
+comparison of each row with its node's winning (dim, threshold) and one
+stable sort of the batch rows by (node, side). Class counts are exact
+integers, so classification gains are the same bits however they are
+batched, and classification forests are bit-identical to the earlier
+per-node recursion. For real labels the batch builds [y, y²] once and
+writes a window of max(n, bag) rows at a time as a dense (dims *
+thresholds, rows) 0/1 float matrix, zero where a slot has no threshold;
+each node then makes one product of its (dims * thresholds, bag) slice of
+that matrix with its rows of [y, y²], and sums its own y and y² pairwise.
+These read only that node's rows, in bag order, with the matrix shape and
+strides of the dense mask, so regression gains do not depend on batching
+either.
 """
 
 import math
@@ -54,12 +68,14 @@ from .rng import STREAM_TREE, sub_rng
 # arithmetic never splits an (effectively) pure bag
 _GAIN_EPS = 1e-12
 
-# bag rows scored per batched split search, or the training rows when more:
-# a step's nodes are cut into batches of at most this many rows, which
-# keeps the (dims, thresholds, rows) bool mask that a whole bootstrap bag
-# needs anyway from growing with the number of trees
+# rows of a dense (dims, thresholds, rows) mask whose cells are the batch
+# budget of the split search: a step's nodes are cut into batches of as many
+# rows as the budget gives the most real candidate cells a row can need, or
+# the training rows when more, so the candidate buffers stay the size that a
+# whole bootstrap bag needs anyway however many trees grow together; also the
+# rows whose thresholds one compare repeats at most, when n is smaller
 _BATCH_ROWS = 1 << 12
-# mask cells counted per reduceat call, which copies its input to int32
+# candidate cells counted per reduceat call, which copies its input to int32
 _COUNT_CELLS = 1 << 16
 # trees grown together hold at most this many bootstrap rows, which bounds
 # the pending bags they keep: 100 trees of 1000 rows, 6 of 20k rows
@@ -106,11 +122,9 @@ class DecisionTree:
 
 
 def _entropy_from_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    # counts: (C, t), totals: (t,); columns with total 0 are left at 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = counts / totals
-        logs = np.where(p > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    return -(np.where(p > 0, p * logs, 0.0)).sum(axis=0)
+    # counts: (C, t), totals: (t,), all positive; a class of count 0 adds 0 * log2(1)
+    p = counts / totals
+    return -(p * np.log2(np.where(p > 0, p, 1.0))).sum(axis=0)
 
 
 class _Split(NamedTuple):
@@ -128,8 +142,12 @@ class _Grower:
         self.classify = ds.label_kind == "class"
         self.xt = np.ascontiguousarray(ds.x.T)
         self.n_dims = math.ceil(math.sqrt(ds.d))
-        self.batch_rows = max(_BATCH_ROWS, ds.n)
-        cells = self.n_dims * _THRESHOLDS * self.batch_rows
+        # the most real candidate cells a bag row can need: _THRESHOLDS on each
+        # sampled numeric dim, one on each sampled binary dim
+        numeric = min(self.n_dims, ds.d - int(ds.binary_dims.sum()))
+        row_cells = max(1, numeric * _THRESHOLDS + self.n_dims - numeric)
+        self.batch_rows = max(self.n_dims * _THRESHOLDS * _BATCH_ROWS // row_cells, ds.n)
+        cells = self.batch_rows * row_cells
         self.mask_buf = np.empty(cells, dtype=bool)
         if self.classify:
             self.y = ds.y.astype(np.int64)
@@ -191,16 +209,15 @@ class _Grower:
         np.cumsum(sizes[:-1], out=starts[1:])
         segments = [slice(a, a + b) for a, b in zip(starts.tolist(), sizes.tolist())]
         rows = np.concatenate(bags)
-        n_rows = len(rows)
 
         dims = np.array([rng.choice(ds.d, size=n_dims, replace=False) for rng in rngs])
         at = np.repeat(dims.T * ds.n, sizes, axis=1)
         at += rows
         cols = np.take(self.xt, at)  # (dims, rows)
+        del at
         lo = np.minimum.reduceat(cols, starts, axis=1).T          # (nodes, dims)
         hi = np.maximum.reduceat(cols, starts, axis=1).T
         binary = ds.binary_dims[dims]
-        # NaN thresholds send no row left, so those slots are never usable
         thresholds = np.full((n_nodes, n_dims, n_thr), np.nan)
         thresholds[:, :, 0][binary] = 0.5
         drawn = ~binary & (lo != hi)
@@ -210,42 +227,69 @@ class _Grower:
             u = np.concatenate(draws).reshape(-1, n_thr)
             thresholds[drawn] = lo[drawn][:, None] + (hi - lo)[drawn][:, None] * u
 
-        # each row against its own node's thresholds, one dim at a time
-        mask = self.mask_buf[:n_dims * n_thr * n_rows].reshape(n_dims, n_thr, n_rows)
-        for f in range(n_dims):
-            np.less(cols[f], np.repeat(thresholds[:, f].T, sizes, axis=1), out=mask[f])
-        flat = mask.reshape(-1, n_rows)
+        # the real candidates, by kind: one on each binary (slot, node) pair,
+        # n_thr on each drawn one; a kind is a (candidates, cells) block whose
+        # cells are its pairs' rows, slot after slot, and counts are slot-major
+        n_left = np.zeros((n_dims, n_nodes, n_thr), dtype=np.int32)
+        if self.classify:
+            y = self.y[rows]
+            labels = [y == c for c in range(self.n_classes)]
+            totals = np.stack([np.add.reduceat(is_c, starts, dtype=np.int32)
+                               for is_c in labels])                # (classes, nodes)
+            left = np.zeros((self.n_classes - 1,) + n_left.shape, dtype=np.int32)
+        kinds = []
+        for real, k in ((binary.T, 1), (drawn.T, n_thr)):
+            if real.any():
+                on = np.repeat(real, sizes, axis=1)                # (dims, rows)
+                kinds.append((real, k, on, cols[on]))
+        del cols  # the batch's values are in ``kinds`` now, each kind's freed after use
+        blocks, used = [], 0
+        while kinds:
+            real, k, on, values = kinds.pop(0)
+            pair_cells = real * sizes                              # rows of each pair, or 0
+            pair_rows = pair_cells[real]
+            width = len(values)
+            cells = self.mask_buf[used:used + k * width].reshape(k, width)
+            used += k * width
+            pair_thr = np.ascontiguousarray(thresholds.transpose(1, 0, 2)[real][:, :k].T)
+            pair_ends = np.cumsum(pair_rows)
+            pair_starts = pair_ends - pair_rows
+            # each row against its own pair's thresholds, repeated per row for
+            # whole pairs of at most max(_BATCH_ROWS, n) rows at a time
+            p, ends = 0, pair_ends.tolist()
+            while p < len(ends):
+                a = ends[p] - int(pair_rows[p])
+                q = int(np.searchsorted(pair_ends, a + max(_BATCH_ROWS, ds.n), side="right"))
+                np.less(values[a:ends[q - 1]], np.repeat(pair_thr[:, p:q], pair_rows[p:q], axis=1),
+                        out=cells[:, a:ends[q - 1]])
+                p = q
+            n_left[real, :k] = _counts(cells, pair_starts).T
+            if self.classify:
+                scratch = self.class_buf[:cells.size].reshape(cells.shape)
+                for c in range(self.n_classes - 1):
+                    np.logical_and(cells, np.broadcast_to(labels[c], on.shape)[on], out=scratch)
+                    left[c][real, :k] = _counts(scratch, pair_starts).T
+            else:
+                blocks.append((on, cells, pair_cells))
 
-        block = max(1, _COUNT_CELLS // n_rows)
-
-        def counts(m):  # (nodes, dims, thresholds) int32
-            out = np.empty((len(m), n_nodes), dtype=np.int32)
-            for r in range(0, len(m), block):
-                np.add.reduceat(m[r:r + block], starts, axis=1, dtype=np.int32,
-                                out=out[r:r + block])
-            return out.T.reshape(thresholds.shape)
-
-        n_left = counts(flat)
-        n_bag = sizes[:, None, None]
+        n_bag = sizes[:, None]                    # against (dims, nodes, thresholds)
         n_right = n_bag - n_left
         usable = (n_left >= sigma) & (n_right >= sigma)
         if self.classify:
-            y = self.y[rows]
-            totals = np.stack([np.add.reduceat(y == c, starts, dtype=np.int32)
-                               for c in range(self.n_classes)])    # (classes, nodes)
-            left = np.empty((self.n_classes,) + n_left.shape, dtype=np.int32)
-            scratch = self.class_buf[:flat.size].reshape(flat.shape)
-            for c in range(self.n_classes - 1):
-                np.logical_and(flat, y == c, out=scratch)
-                left[c] = counts(scratch)
-            left[-1] = n_left - left[:-1].sum(axis=0)
-            right = totals[:, :, None, None] - left
+            # entropies of the usable candidates only
+            n_l, n_r = n_left[usable], n_right[usable]
+            counts = np.empty((self.n_classes, len(n_l)), dtype=np.int32)
+            counts[:-1] = left[:, usable]
+            counts[-1] = n_l - counts[:-1].sum(axis=0)
+            counts_r = np.broadcast_to(totals[:, None, :, None], (self.n_classes,) + usable.shape)
+            imp_l, imp_r = np.zeros(usable.shape), np.zeros(usable.shape)
+            imp_l[usable] = _entropy_from_counts(counts, n_l)
+            imp_r[usable] = _entropy_from_counts(counts_r[:, usable] - counts, n_r)
             parent = _entropy_from_counts(totals, sizes.astype(np.float64))
-            imp_l = _entropy_from_counts(left.reshape(self.n_classes, -1), n_left.ravel())
-            imp_r = _entropy_from_counts(right.reshape(self.n_classes, -1), n_right.ravel())
-            imp_l, imp_r = imp_l.reshape(n_left.shape), imp_r.reshape(n_left.shape)
         else:
-            s1, s2, tot1, tot2, parent = self._regression_sums(rows, flat, segments)
+            s1, s2, tot1, tot2, parent = self._regression_sums(rows, blocks, segments)
+            s1, s2 = s1.transpose(1, 0, 2), s2.transpose(1, 0, 2)
+            tot1, tot2 = tot1[:, None], tot2[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 imp_l = np.where(n_left > 0, s2 / n_left - (s1 / n_left) ** 2, 0.0)
                 imp_r = np.where(
@@ -256,13 +300,13 @@ class _Grower:
             imp_l = np.maximum(imp_l, 0.0)
             imp_r = np.maximum(imp_r, 0.0)
 
-        parent = parent[:, None, None]
+        parent = parent[:, None]
         gains = parent - (n_left * imp_l + n_right * imp_r) / n_bag
         gains[~(usable & (gains > _GAIN_EPS * np.maximum(1.0, parent)))] = -np.inf
-        best = gains.max(axis=(1, 2), keepdims=True, initial=-np.inf)
+        best = gains.max(axis=(0, 2), keepdims=True, initial=-np.inf)
         # lexicographic minimum of (-gain, dim, threshold) per node: the
         # largest gain, then the lowest dim and threshold among exact ties
-        node, f, j = np.nonzero((gains == best) & (best > -np.inf))
+        f, node, j = np.nonzero((gains == best) & (best > -np.inf))
         dim = dims[node, f]
         thr = thresholds[node, f, j]
         order = np.lexsort((thr, dim, node))
@@ -271,15 +315,18 @@ class _Grower:
             return out
         ranked = node[order]
         first = order[np.concatenate(([True], ranked[1:] != ranked[:-1]))]
-        # the child bags of every split node: one stable sort of the batch
-        # rows by (node, side), the left child first; a key type of 8 or 16
-        # bits lets the sort use radix sort
+        # the child bags of every split node: one comparison of each row with
+        # its node's winning (dim, threshold), then one stable sort of the
+        # batch rows by (node, side), the left child first; a key type of 8
+        # or 16 bits lets the sort use radix sort
         split = node[first]
-        chosen = np.zeros(n_nodes, dtype=np.intp)
-        chosen[split] = f[first] * n_thr + j[first]
-        node_of_row = np.repeat(np.arange(n_nodes, dtype=np.min_scalar_type(2 * n_nodes)), sizes)
-        side = node_of_row * 2
-        side += ~flat[chosen[node_of_row], np.arange(n_rows)]
+        split_at = np.zeros(n_nodes, dtype=np.intp)
+        split_at[split] = dim[first] * ds.n
+        split_thr = np.full(n_nodes, np.nan)
+        split_thr[split] = thr[first]
+        key = np.min_scalar_type(2 * n_nodes)
+        side = np.repeat(np.arange(0, 2 * n_nodes, 2, dtype=key), sizes)
+        side += np.take(self.xt, np.repeat(split_at, sizes) + rows) >= np.repeat(split_thr, sizes)
         children = rows[np.argsort(side, kind="stable")]
         ends = np.bincount(side, minlength=2 * n_nodes).cumsum().tolist()
         for k, d, t in zip(split.tolist(), dim[first].tolist(), thr[first].tolist()):
@@ -290,22 +337,22 @@ class _Grower:
                             children[cut:ends[2 * k + 1]].copy())
         return out
 
-    def _regression_sums(self, rows, flat, segments):
+    def _regression_sums(self, rows, blocks, segments):
         """Left sums of y and y² per candidate, bag totals and parent variance.
 
-        ``rows`` are the batch's bag rows, node after node, ``flat`` its
-        (candidates, rows) mask and ``segments`` each node's slice of both.
-        A node's sums are one product of its (candidates, bag) 0/1 slice of
-        the mask with the (bag, 2) matrix [y, y²]; unusable candidates,
-        NaN thresholds included, are rows like any other.
+        ``rows`` are the batch's bag rows, node after node, ``blocks`` the
+        candidate blocks of ``best_splits`` and ``segments`` each node's
+        rows. A node's sums are one product of its (dims * thresholds, bag)
+        0/1 float matrix, all zero on the thresholds a slot does not have,
+        with the (bag, 2) matrix [y, y²].
         """
         y = self.y[rows]
         yy = y * y
         moments = np.column_stack([y, yy])
-        # the mask as 0/1 floats, a window of max(n, bag) rows at a time, so
-        # the float copy stays the size that one root bag needs
+        # a window of max(n, bag) rows at a time, so the float matrix stays
+        # the size that one root bag needs
         window = slice(0, 0)
-        sums = np.empty((len(segments), flat.shape[0], 2))
+        sums = np.empty((len(segments), self.n_dims * _THRESHOLDS, 2))
         tot1, tot2, parent = [], [], []
         for k, seg in enumerate(segments):
             n_bag = seg.stop - seg.start
@@ -317,13 +364,53 @@ class _Grower:
             parent.append(max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0))
             if seg.stop > window.stop:
                 window = slice(seg.start, min(seg.start + max(self.ds.n, n_bag), len(rows)))
-                ones = flat[:, window].astype(np.float64)
+                ones = _dense(window, k, blocks, self.n_dims)
             np.matmul(ones[:, seg.start - window.start:seg.stop - window.start], moments[seg],
                       out=sums[k])
-        tot1, tot2 = np.array(tot1)[:, None, None], np.array(tot2)[:, None, None]
-        shape = (len(segments), self.n_dims, -1)
-        return (sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), tot1, tot2,
-                np.array(parent))
+        shape = (len(segments), self.n_dims, _THRESHOLDS)
+        return (sums[:, :, 0].reshape(shape), sums[:, :, 1].reshape(shape), np.array(tot1),
+                np.array(tot2), np.array(parent))
+
+
+def _counts(cells: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """(candidates, segments) int32 sums of a (candidates, cells) bool block
+    over the segments that begin at ``starts``, in calls of at most
+    ``_COUNT_CELLS`` cells."""
+    out = np.empty((len(cells), len(starts)), dtype=np.int32)
+    block = max(1, _COUNT_CELLS // cells.shape[1])
+    for r in range(0, len(cells), block):
+        np.add.reduceat(cells[r:r + block], starts, axis=1, dtype=np.int32,
+                        out=out[r:r + block])
+    return out
+
+
+def _dense(window: slice, node: int, blocks: list, n_dims: int) -> np.ndarray:
+    """The (dims * thresholds, rows) 0/1 float64 matrix of the batch rows in
+    ``window``, which starts at ``node``'s first row, with zeros where a slot
+    has no threshold. Each of ``blocks`` is one kind of candidate as
+    ``best_splits`` lays it out: the (dims, rows) flags of its rows, its
+    (candidates, cells) bits and the (dims, nodes) cell count of each pair."""
+    a, b = window.start, window.stop
+    for on, cells, _ in blocks:
+        if cells.size == _THRESHOLDS * on.size:   # every slot of every row: one copy
+            window_bits = cells.reshape(_THRESHOLDS, n_dims, -1)[:, :, a:b].transpose(1, 0, 2)
+            return window_bits.astype(np.float64, order="C").reshape(-1, b - a)
+    ones = np.empty((n_dims, _THRESHOLDS, b - a))
+    # a slot's cells are its rows in order, so a window is one slice of them,
+    # from the first cell of its first node to the count of its rows on
+    spans = []
+    for on, cells, pair_cells in blocks:
+        c0 = np.cumsum(pair_cells).reshape(pair_cells.shape)[:, node] - pair_cells[:, node]
+        spans.append((on[:, a:b], cells, c0.tolist(), (c0 + on[:, a:b].sum(axis=1)).tolist()))
+    for f in range(n_dims):
+        parts = [(on[f], cells[:, c0[f]:c1[f]]) for on, cells, c0, c1 in spans if c1[f] > c0[f]]
+        if len(parts) == 1 and parts[0][1].shape == ones[f].shape:
+            ones[f] = parts[0][1]      # every row has every threshold
+            continue
+        ones[f] = 0
+        for on, bits in parts:
+            ones[f, :len(bits)][:, on] = bits
+    return ones.reshape(-1, b - a)
 
 
 def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -345,6 +346,36 @@ class TestFoldIn:
         # 80 rows in blocks of 7, the last one short, each folded in alone
         blocks = [_assign(topics, cfg, bits[a:a + 7], {}) for a in range(0, len(bits), 7)]
         assert np.concatenate(blocks).tolist() == whole.tolist()
+
+    @pytest.mark.parametrize("cells", [1, 60, 700])
+    def test_token_blocks_keep_every_theta_bit(self, cells, monkeypatch):
+        # 1: a row a block (7 topics); 60 and 700: rows of 0-30 tokens share blocks
+        gen = np.random.default_rng(31)
+        topics = gen.random((7, 30)) + 0.01
+        topics /= topics.sum(axis=1, keepdims=True)
+        bits = gen.random((150, 30)) < gen.random((150, 1))
+        bits[:2] = False
+        bits[5] = True
+        cfg = StratifyConfig(n_clusters=7, fold_in_iterations=20)
+        monkeypatch.setattr(stratify, "_FOLD_IN_CELLS", 1 << 40)
+        whole = stratify._fold_in(topics, cfg, bits)
+        monkeypatch.setattr(stratify, "_FOLD_IN_CELLS", cells)
+        assert np.array_equal(stratify._fold_in(topics, cfg, bits), whole)
+
+    def test_many_new_bags_fold_in_within_a_memory_bound(self):
+        # 3,000 distinct half-full bags of 60 rules at 10 topics: 90,000 tokens,
+        # 7 MB a temporary in one block; 30.5 MiB traced peak without blocks
+        gen = np.random.default_rng(5)
+        topics = gen.random((10, 60)) + 0.01
+        topics /= topics.sum(axis=1, keepdims=True)
+        bits = (gen.random((3000, 60)) < 0.5).astype(np.uint8)
+        tracemalloc.start()
+        try:
+            _assign(topics, StratifyConfig(n_clusters=10), bits, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("name", ["lda_alpha", "lda_beta"])

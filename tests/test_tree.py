@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestImpurity:
     def test_two_point_variance(self):
         ds = make_ds([0.0, 1.0], [0.0, 2.0], label_kind="real")
         grower = tree_mod._Grower(ds, TreeConfig(min_bag=1))
-        parent = grower._regression_sums(np.arange(2), np.zeros((1, 2), bool), [slice(0, 2)])[-1]
+        parent = grower._regression_sums(np.arange(2), [], [slice(0, 2)])[-1]
         assert parent.tolist() == [1.0]
 
     def test_empty_bag(self):
@@ -242,7 +243,59 @@ def check_batch_against_reference(problem):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+def _layout_cases():
+    """Deterministic batches for the candidate layout of ``best_splits``: a
+    binary slot has one candidate, a numeric one 16, or none when its dim is
+    constant on the bag. Each is (ds, cfg, bags, seed, the property it pins)."""
+    gen = np.random.default_rng(8)
+    n = 80
+    numeric = gen.random(n)
+    flag = (gen.random(n) < 0.5).astype(float)
+    mixed = make_ds(np.column_stack([numeric, flag]), ((numeric > 0.4) ^ (flag > 0)).astype(int))
+    level = np.where(np.arange(n) < 40, 0.25, numeric)
+    flat = make_ds(np.column_stack([level, flag]), ((level > 0.5) | (flag > 0)).astype(int))
+    three = make_ds(np.column_stack([numeric, (numeric * 7).astype(int) % 3 * 0.5, flag]),
+                    ((numeric * 3).astype(int) + flag.astype(int)) % 3)
+    three.label_names = ["a", "b", "c"]
+    cfg = TreeConfig(min_bag=3)
+    zeros, ones = np.flatnonzero(flag == 0), np.flatnonzero(flag == 1)
+    return {
+        # seed 0: bags 0 and 1 sample dim 0 first, bag 2 dim 1
+        "slot-binary-in-one-node-numeric-in-another": (
+            mixed, cfg, [gen.integers(0, n, 50) for _ in range(3)], 0),
+        "binary-dim-constant-on-its-bag": (
+            mixed, cfg, [zeros[gen.integers(0, len(zeros), 30)],
+                         ones[gen.integers(0, len(ones), 30)], gen.integers(0, n, 40)], 0),
+        "numeric-dim-constant-on-its-bag": (
+            flat, cfg, [gen.integers(0, 40, 30), gen.integers(0, 40, 30),
+                        gen.integers(0, n, 60)], 0),
+        "three-classes": (three, cfg, [gen.integers(0, n, size) for size in (70, 30, 50, 24)], 2),
+    }
+
+
+def _sampled_dims(ds, seed, n_bags):
+    """The dims each bag of ``check_batch_against_reference`` samples, in slot order."""
+    n_dims = math.ceil(math.sqrt(ds.d))
+    return [np.random.default_rng([seed, b]).choice(ds.d, size=n_dims, replace=False).tolist()
+            for b in range(n_bags)]
+
+
 class TestBatchedSplitOracle:
+    @pytest.mark.parametrize("case", sorted(_layout_cases()))
+    def test_candidate_layout_matches_reference(self, case):
+        ds, cfg, bags, seed = _layout_cases()[case]
+        dims = _sampled_dims(ds, seed, len(bags))
+        # each case has what it is named for
+        if case == "slot-binary-in-one-node-numeric-in-another":
+            assert {bool(ds.binary_dims[d[0]]) for d in dims} == {True, False}
+        elif case == "binary-dim-constant-on-its-bag":
+            assert all(1 in d for d in dims[:2]) and len(np.unique(ds.x[bags[0], 1])) == 1
+        elif case == "numeric-dim-constant-on-its-bag":
+            assert all(0 in d for d in dims[:2]) and len(np.unique(ds.x[bags[0], 0])) == 1
+        else:
+            assert len(np.unique(ds.y)) == 3
+        check_batch_against_reference((ds, cfg, bags, seed))
+
     @given(split_problems())
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_reference_per_bag(self, problem):
@@ -397,10 +450,14 @@ class TestForest:
                 assert forest_digest([tree]) == forest_digest([alone])
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_FOREST_DIGESTS))
+    # _BATCH_ROWS sets the cell budget, _BATCH_ROWS * (dims * 16) cells, and a
+    # batch holds as many rows as that budget gives the most real cells a row
+    # can need, or the training rows when more: 1.88 rows a unit on medical
+    # (34 cells a row), 1 a unit where no dim is binary
     @pytest.mark.parametrize("limit,rows", [
-        ("_BATCH_ROWS", 1),      # batches of one bootstrap bag's rows
-        ("_BATCH_ROWS", 500),    # other cuts inside a step
-        ("_BATCH_ROWS", 1 << 13),  # above 8 trees of 400 rows: one batch per step
+        ("_BATCH_ROWS", 1),      # a budget below one bag: batches of one bootstrap bag's rows
+        ("_BATCH_ROWS", 500),    # 500-941 rows: cuts inside a step of the 300- and 400-row sets
+        ("_BATCH_ROWS", 1 << 13),  # 8,192 rows or more: one batch a step of those sets
         ("_CHUNK_ROWS", 1),      # one tree at a time
         ("_CHUNK_ROWS", 600),    # two trees at a time
     ])
@@ -408,6 +465,31 @@ class TestForest:
         ds, cfg = _golden_cases()[case]
         monkeypatch.setattr(tree_mod, limit, rows)
         assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
+
+    def test_batches_are_sized_in_candidate_cells(self):
+        # the cell budget of a dense mask of 4,096 rows, over the most real
+        # candidate cells a row can need
+        med, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=1, seed=1))
+        sub, _ = generate_subtyped_regression(SynthConfig(n_train=1000, n_test=1, seed=1), 3)
+        # medical: 4 sampled of 10 dims, 2 of them numeric: 2 * 16 + 2 = 34 cells
+        assert tree_mod._Grower(med, TreeConfig()).batch_rows == 4 * 16 * 4096 // 34 == 7710
+        # subtyped: 3 sampled of 8 numeric dims, 48 cells: the dense mask's rows
+        assert tree_mod._Grower(sub, TreeConfig()).batch_rows == 4096
+
+    def test_forest_memory_is_bounded(self):
+        tr, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=10, noise_rate=0.001, seed=1))
+        tracemalloc.start()
+        try:
+            fit_forest(tr, TreeConfig(seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 3.36 MiB traced with a dense (dims, thresholds, rows) mask of 4,096 rows
+        assert peak < 3.4 * 2**20
+        # the split search's buffers hold the cell budget however many trees grow
+        for trees in (10, 100):
+            grower = tree_mod._Grower(tr, TreeConfig(n_trees=trees, seed=7))
+            assert grower.mask_buf.size == grower.class_buf.size == 7710 * 34 <= 4 * 16 * 4096
 
     def test_deterministic_forest(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=400, n_test=10, noise_rate=0, seed=1))
