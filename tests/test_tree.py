@@ -252,8 +252,10 @@ def _layout_cases():
     numeric = gen.random(n)
     flag = (gen.random(n) < 0.5).astype(float)
     mixed = make_ds(np.column_stack([numeric, flag]), ((numeric > 0.4) ^ (flag > 0)).astype(int))
+    marked = make_ds(np.column_stack([numeric, flag]), ((numeric > 0.9) ^ (flag > 0)).astype(int))
+    # rows 0-39 split on the binary dim only, rows 40-79 on the numeric one
     level = np.where(np.arange(n) < 40, 0.25, numeric)
-    flat = make_ds(np.column_stack([level, flag]), ((level > 0.5) | (flag > 0)).astype(int))
+    flat = make_ds(np.column_stack([level, flag]), np.where(np.arange(n) < 40, flag, level > 0.5))
     three = make_ds(np.column_stack([numeric, (numeric * 7).astype(int) % 3 * 0.5, flag]),
                     ((numeric * 3).astype(int) + flag.astype(int)) % 3)
     three.label_names = ["a", "b", "c"]
@@ -263,12 +265,15 @@ def _layout_cases():
         # seed 0: bags 0 and 1 sample dim 0 first, bag 2 dim 1
         "slot-binary-in-one-node-numeric-in-another": (
             mixed, cfg, [gen.integers(0, n, 50) for _ in range(3)], 0),
+        # the constant binary pair of bag 2 comes first, then bag 0 splits on its flag
         "binary-dim-constant-on-its-bag": (
-            mixed, cfg, [zeros[gen.integers(0, len(zeros), 30)],
-                         ones[gen.integers(0, len(ones), 30)], gen.integers(0, n, 40)], 0),
+            marked, cfg, [gen.integers(0, n, 40), ones[gen.integers(0, len(ones), 30)],
+                          zeros[gen.integers(0, len(zeros), 30)]], 0),
+        # the constant numeric pairs of bags 0 and 1 come first, then bag 2
+        # splits on its numeric dim
         "numeric-dim-constant-on-its-bag": (
             flat, cfg, [gen.integers(0, 40, 30), gen.integers(0, 40, 30),
-                        gen.integers(0, n, 60)], 0),
+                        gen.integers(40, n, 40)], 0),
         "three-classes": (three, cfg, [gen.integers(0, n, size) for size in (70, 30, 50, 24)], 2),
     }
 
@@ -289,9 +294,9 @@ class TestBatchedSplitOracle:
         if case == "slot-binary-in-one-node-numeric-in-another":
             assert {bool(ds.binary_dims[d[0]]) for d in dims} == {True, False}
         elif case == "binary-dim-constant-on-its-bag":
-            assert all(1 in d for d in dims[:2]) and len(np.unique(ds.x[bags[0], 1])) == 1
+            assert dims[2][0] == 1 and len(np.unique(ds.x[bags[2], 1])) == 1
         elif case == "numeric-dim-constant-on-its-bag":
-            assert all(0 in d for d in dims[:2]) and len(np.unique(ds.x[bags[0], 0])) == 1
+            assert dims[0][0] == 0 and len(np.unique(ds.x[bags[0], 0])) == 1
         else:
             assert len(np.unique(ds.y)) == 3
         check_batch_against_reference((ds, cfg, bags, seed))
