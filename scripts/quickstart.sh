@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Runs the CLI quickstart into OUT_DIR and checks its serving contracts:
+# predict and stratify-predict write the same bytes for a stratified model,
 # a stratified batch equals each of its rows scored alone, from the CLI and
 # on one loaded model whose bag memory the batch has filled, and the
 # predictions of a row-reversed test file, reversed back, equal those of
@@ -54,6 +55,12 @@ dppred stratify-train --data str_train.csv --schema str_schema.csv \
 dppred stratify-predict --model strat_model.txt --data str_test.csv --out str_preds.csv
 dppred importance --model strat_model.txt --out importance.csv
 
+# predict serves the stratified model too, with the bytes of stratify-predict;
+# its output and stdout stay in the scratch directory, so OUT_DIR is unchanged
+python -m dppred.cli predict --model strat_model.txt --data str_test.csv \
+  --out "$scratch/str_preds.csv" > "$scratch/stdout.txt"
+cmp "$scratch/str_preds.csv" str_preds.csv
+
 # batch == stream: each of the first 10 rows scored alone
 for i in $(seq 1 10); do
   { head -n 1 str_test.csv; sed -n "$((i + 1))p" str_test.csv; } > "$scratch/one.csv"
@@ -77,7 +84,8 @@ python -c 'if True:
   sys.exit(f"{len(bad)} rows differ alone, row {bad[0]} first" if bad else 0)'
 
 # order independence: the predictions of a row-reversed file,
-# reversed back, equal those of the file
+# reversed back, equal those of the file; the stratified job runs under the
+# stratify-predict name, so both names of the predict command run here
 for job in "predict forward.txt test.csv forward_preds.csv" \
     "predict lasso.txt test.csv lasso_preds.csv" \
     "stratify-predict strat_model.txt str_test.csv str_preds.csv"; do

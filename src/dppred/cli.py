@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 usage error, 1 runtime failure. Every numeric
 flag is range-checked as it is parsed: a value out of range exits 2 with an
 error naming the flag, before any file is read or written. All randomness
 flows from --seed, so identical invocations produce byte-identical output
-files.
+files. ``predict`` serves plain and stratified model files alike, choosing
+the loader by the file's header line; ``stratify-predict`` is another name
+for it.
 """
 
 import argparse
@@ -86,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree_flags(p)
     _add_common(p)
 
-    p = sub.add_parser("predict", help="predict with a saved model")
+    p = sub.add_parser("predict", aliases=["stratify-predict"],
+                       help="predict with a saved plain or stratified model")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
@@ -131,12 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "batch, and a row satisfying no global rule goes to cluster 0 "
                         "(default: %(default)s)")
     _add_tree_flags(p)
-    _add_common(p)
-
-    p = sub.add_parser("stratify-predict", help="predict with a stratified model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
     _add_common(p)
 
     p = sub.add_parser("importance", help="per-variable rule frequency report")
@@ -204,7 +201,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_predictions(path, m, preds, probs=None):
+def _write_predictions(path, m, preds, probs):
     """``row_index,prediction[,probability]``: class names, or reals in repr form."""
     if m.task == TASK_CLASSIFICATION:
         cells = [m.label_names[p] if m.label_names else str(p) for p in preds]
@@ -218,22 +215,12 @@ def _write_predictions(path, m, preds, probs=None):
     print(f"wrote {len(preds)} predictions to {path}")
 
 
-def _load(loader, path, other_readers: str):
-    """The model ``loader`` reads from ``path``; a model of the other kind
-    names the commands that read it."""
-    try:
-        return loader(path)
-    except model_mod.ModelKindError as exc:
-        raise ValueError(f"{exc}; read it with {other_readers}") from None
-
-
 def cmd_predict(args) -> int:
-    m = _load(model_mod.load, args.model, "dppred stratify-predict or importance")
+    loader = {"plain": model_mod.load, "stratified": strat_mod.load_stratified}
+    m = loader[model_mod.model_kind(args.model)](args.model)
     ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
-    preds = model_mod.predict(m, ds)
-    top = None
-    if m.task == TASK_CLASSIFICATION:
-        top = model_mod.predict_probabilities(m, ds)[np.arange(len(preds)), preds]
+    preds, probs = model_mod.serve(m, ds)
+    top = None if probs is None else probs[np.arange(len(preds)), preds]
     _write_predictions(args.out, m, preds, top)
     return 0
 
@@ -330,20 +317,13 @@ def cmd_stratify_train(args) -> int:
     sizes = np.bincount(strat_mod.assign_clusters(m, ds), minlength=len(m.cluster_patterns))
     for c, rules in enumerate(m.cluster_patterns):
         print(f"cluster {c}: {sizes[c]} instances, {len(rules)} local rules")
-    _print_train_metric(strat_mod.predict_stratified(m, ds), labels, task)
+    _print_train_metric(model_mod.predict(m, ds), labels, task)
     print(f"model written to {args.out}")
     return 0
 
 
-def cmd_stratify_predict(args) -> int:
-    m = _load(strat_mod.load_stratified, args.model, "dppred predict")
-    ds = load_csv(args.data, m.schema, m.label_kind, allow_missing_labels=True)
-    _write_predictions(args.out, m, strat_mod.predict_stratified(m, ds))
-    return 0
-
-
 def cmd_importance(args) -> int:
-    m = _load(strat_mod.load_stratified, args.model, "dppred predict")
+    m = strat_mod.load_stratified(args.model)
     strat_mod.write_importance_csv(m, args.out)
     print(f"wrote importance report to {args.out}")
     return 0
@@ -377,7 +357,7 @@ _COMMANDS = {
     "evaluate": cmd_evaluate,
     "synth": cmd_synth,
     "stratify-train": cmd_stratify_train,
-    "stratify-predict": cmd_stratify_predict,
+    "stratify-predict": cmd_predict,
     "importance": cmd_importance,
     "sweep": cmd_sweep,
 }

@@ -2,9 +2,10 @@
 
 A trained model is the selected rule list plus the GLM fitted over it,
 bundled with the fitted column schema so new CSV files encode identically.
-Serving has one path: the rule list is compiled once per model, a batch is
-evaluated against it in a few array operations and scored by the GLM
-kernel; a single row is the batch of one, so both give the same bits.
+Serving has one path for both model kinds: a model turns a batch into its
+GLM input block (its compiled rules' bits) once, and the GLM kernel scores
+it into predictions and, for a logistic GLM, class probabilities. A single
+row is the batch of one, so both give the same bits.
 
 The on-disk format is versioned, human-readable text: rendered rules next
 to machine-exact hex thresholds and weights, so the model file doubles as
@@ -14,6 +15,7 @@ the stratified model files.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -24,7 +26,6 @@ from .data import (
     ColumnSchema,
     Dataset,
     check_finite_features,
-    decode_errors_name,
     denormalize_labels,
     encoded_feature_names,
 )
@@ -51,14 +52,8 @@ METHOD_LASSO = "lasso"
 METHODS = (METHOD_FORWARD, METHOD_LASSO)
 
 FORMAT_VERSION = 1
-_HEADER = "dppred model format"
-_STRAT_HEADER = "dppred stratified model format"
-_MODEL_KINDS = {_HEADER: "a plain model", _STRAT_HEADER: "a stratified model"}
-
-
-class ModelKindError(ValueError):
-    """The file holds the other kind of dppred model: plain where a
-    stratified one was asked for, or the reverse."""
+# the header line of each kind of model file, before its format version
+_HEADERS = {"plain": "dppred model format", "stratified": "dppred stratified model format"}
 
 
 @dataclass
@@ -114,6 +109,10 @@ class DppredModel(_ModelCore):
     @property
     def k(self) -> int:
         return len(self.patterns)
+
+    def glm_input(self, x: np.ndarray) -> np.ndarray:
+        """The (n, k) rule bits of the rows of ``x``, which the GLM scores."""
+        return rule_matrix(self.compiled, x)
 
 
 def _glm_task(task: str) -> str:
@@ -204,41 +203,46 @@ def _select(ds: Dataset, hp: HyperParams, pool: RulePool, space,
     )
 
 
-def _check_compatible(m, ds: Dataset) -> None:
+def _serve(m, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Predictions for the rows of ``x`` (class indices as in ``predict_glm``,
+    reals on the label scale) and class probabilities, or None if linear."""
+    block = m.glm_input(x)
+    if m.glm.task == TASK_LINEAR:
+        preds = predict_glm(m.glm, block)
+        return (preds if m.label_bounds is None else denormalize_labels(preds, m.label_bounds)), None
+    probs = predict_proba(m.glm, block)
+    return np.argmax(probs, axis=1), probs
+
+
+def serve(m, ds: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(predictions, probabilities)`` for every row of ``ds``, by a plain or
+    a stratified model; probabilities are None for a regression model."""
     if list(ds.feature_names) != list(m.feature_names):
         raise ValueError("schema mismatch: dataset features do not match the model's schema")
+    return _serve(m, ds.x)
 
 
-def glm_predictions(glm: GlmModel, bits: np.ndarray, label_bounds) -> np.ndarray:
-    """Class indices, or real predictions on the original label scale, for an (n, k) rule matrix."""
-    preds = predict_glm(glm, bits)
-    if glm.task == TASK_LINEAR and label_bounds is not None:
-        preds = denormalize_labels(preds, label_bounds)
-    return preds
-
-
-def _serve(m: DppredModel, x: np.ndarray) -> np.ndarray:
-    return glm_predictions(m.glm, rule_matrix(m.compiled, x), m.label_bounds)
-
-
-def predict_one(m: DppredModel, x: np.ndarray):
+def predict_one(m, x: np.ndarray):
     """Prediction for a single feature vector: the batch of one row, as a Python int or float."""
     x = np.asarray(x)
     if x.shape != (len(m.feature_names),):
         raise ValueError(f"expected a vector of {len(m.feature_names)} feature values, "
                          f"got an array of shape {x.shape}")
-    return _serve(m, x[None, :])[0].item()
+    return _serve(m, x[None, :])[0][0].item()
 
 
-def predict(m: DppredModel, ds: Dataset) -> np.ndarray:
-    """Order-preserving predictions; bitwise identical to ``predict_one`` row by row."""
-    _check_compatible(m, ds)
-    return _serve(m, ds.x)
+def predict(m, ds: Dataset) -> np.ndarray:
+    """Order-preserving predictions of a plain or a stratified model; bitwise
+    identical to ``predict_one`` row by row."""
+    return serve(m, ds)[0]
 
 
-def predict_probabilities(m: DppredModel, ds: Dataset) -> np.ndarray:
-    _check_compatible(m, ds)
-    return predict_proba(m.glm, rule_matrix(m.compiled, ds.x))
+def predict_probabilities(m, ds: Dataset) -> np.ndarray:
+    """Per-class probabilities of every row of ``ds``, for a classification model."""
+    probs = serve(m, ds)[1]
+    if probs is None:
+        raise ValueError("probabilities are defined for logistic models only")
+    return probs
 
 
 def evaluate(preds: np.ndarray, truth: np.ndarray, task: str) -> dict:
@@ -271,7 +275,8 @@ def render_model(m: DppredModel) -> str:
 #
 # A model file is a header line with the format version, named sections and
 # an [end] marker. Plain and stratified files share the section codecs
-# below; readers run through _read, so each failure names its section.
+# below; readers run through _read, so each failure names its section, and
+# inside _read_sections, so each failure names the file.
 
 
 def _hex_row(values) -> str:
@@ -290,38 +295,51 @@ def _finite_row(text: str, what: str) -> list[float]:
     return values
 
 
-def _write_model_file(path, header: str, lines: list[str]) -> None:
+def _write_model_file(path, kind: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([f"{header} {FORMAT_VERSION}", *lines, "[end]"]) + "\n")
+        fh.write("\n".join([f"{_HEADERS[kind]} {FORMAT_VERSION}", *lines, "[end]"]) + "\n")
 
 
-def _read_sections(path, header: str) -> dict[str, list[str]]:
-    """The non-empty lines of each [section], after checking header, version and [end]."""
-    with decode_errors_name(path), open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith(header):
-        other = _STRAT_HEADER if header == _HEADER else _HEADER
-        if lines and lines[0].startswith(other):
-            raise ModelKindError(f"{path} holds {_MODEL_KINDS[other]}, not {_MODEL_KINDS[header]}")
-        raise ValueError("not a recognized model file: bad header line")
+@contextmanager
+def _read_sections(path, kind: str | None = None):
+    """The kind its header names and the non-empty lines of each [section] of
+    the file at ``path``, after checking header, ``kind`` if given, version
+    and [end]. A ValueError here or in the block gets the path in front."""
     try:
-        version = int(lines[0][len(header):])
-    except ValueError:
-        raise ValueError("not a recognized model file: malformed version in header") from None
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version} in header "
-                         f"(this build reads version {FORMAT_VERSION})")
-    sections: dict[str, list[str]] = {}
-    current = None
-    for ln in lines[1:]:
-        if ln.startswith("[") and ln.endswith("]"):
-            current = ln[1:-1]
-            sections[current] = []
-        elif current is not None and ln:
-            sections[current].append(ln)
-    if "end" not in sections:
-        raise ValueError(f"truncated model file: no [end] marker after section '{current or 'header'}'")
-    return sections
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        found = next((k for k, h in _HEADERS.items() if lines and lines[0].startswith(h)), None)
+        if found is None:
+            raise ValueError("not a recognized model file: bad header line")
+        if kind not in (None, found):
+            raise ValueError(f"holds a {found} model, not a {kind} model")
+        try:
+            version = int(lines[0][len(_HEADERS[found]):])
+        except ValueError:
+            raise ValueError("not a recognized model file: malformed version in header") from None
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version} in header "
+                             f"(this build reads version {FORMAT_VERSION})")
+        sections: dict[str, list[str]] = {}
+        current = None
+        for ln in lines[1:]:
+            if ln.startswith("[") and ln.endswith("]"):
+                current = ln[1:-1]
+                sections[current] = []
+            elif current is not None and ln:
+                sections[current].append(ln)
+        if "end" not in sections:
+            raise ValueError("truncated model file: no [end] marker after section "
+                             f"'{current or 'header'}'")
+        yield found, sections
+    except ValueError as err:   # a UnicodeDecodeError too
+        raise ValueError(f"{path}: {err}") from err
+
+
+def model_kind(path) -> str:
+    """"plain" or "stratified": the kind of the model file at ``path``."""
+    with _read_sections(path) as (kind, _):
+        return kind
 
 
 def _read(sections: dict, name: str, parse, *args):
@@ -466,14 +484,14 @@ def _parse_glm(lines: list[str], n_dims: int) -> GlmModel:
 
 def save(m: DppredModel, path) -> None:
     """Write the versioned text model file."""
-    _write_model_file(path, _HEADER, _provenance_lines(m.provenance) + _data_lines(m)
+    _write_model_file(path, "plain", _provenance_lines(m.provenance) + _data_lines(m)
                       + ["[patterns]"] + _rule_block(m.patterns, m.feature_names) + _glm_lines(m.glm))
 
 
 def load(path) -> DppredModel:
-    """Read a model file written by :func:`save`; errors name the bad section."""
-    sections = _read_sections(path, _HEADER)
-    data = _read_data_fields(sections)
-    rules = _read(sections, "patterns", _parse_rule_block, len(data["feature_names"]))
-    return DppredModel(patterns=rules, glm=_read(sections, "glm", _parse_glm, len(rules)),
-                       provenance=_read(sections, "provenance", _parse_fields), **data)
+    """Read a model file written by :func:`save`; errors name the file and the bad section."""
+    with _read_sections(path, "plain") as (_, sections):
+        data = _read_data_fields(sections)
+        rules = _read(sections, "patterns", _parse_rule_block, len(data["feature_names"]))
+        return DppredModel(patterns=rules, glm=_read(sections, "glm", _parse_glm, len(rules)),
+                           provenance=_read(sections, "provenance", _parse_fields), **data)

@@ -14,9 +14,9 @@ the cluster it was trained in; a row satisfying no global rule keeps the
 uniform topic mix and goes to cluster 0. A row's EM depends on its rule bag
 alone, so a loaded model folds each distinct bag in once and remembers its
 cluster in a bounded memory that is never saved; serving costs about the
-satisfied rules of the bags not seen before. Global and local rules are
-served by the compiled kernel of plain models, the unified block by the
-same GLM kernel, and model files reuse the plain model's section codecs.
+satisfied rules of the bags not seen before. The unified block is served by
+the plain models' one serving path and its rules by their compiled kernel;
+model files reuse the plain model's section codecs.
 """
 
 import json
@@ -31,8 +31,6 @@ from .glm import fit_glm
 from .model import (
     HyperParams,
     _ModelCore,
-    _STRAT_HEADER,
-    _check_compatible,
     _data_fields,
     _data_lines,
     _glm_lines,
@@ -48,7 +46,7 @@ from .model import (
     _rule_block,
     _unhex_row,
     _write_model_file,
-    glm_predictions,
+    predict,
     train,
 )
 from .patterns import (
@@ -109,6 +107,15 @@ class StratifiedModel(_ModelCore):
     def __post_init__(self):
         self.compiled = (compile_rules(self.global_patterns),
                          [compile_rules(rules) for rules in self.cluster_patterns])
+
+    def glm_input(self, x: np.ndarray) -> np.ndarray:
+        """The unified block of the rows of ``x``: each row's global rule bits,
+        then the local rule bits of the cluster it folds into."""
+        global_rules, local_rules = self.compiled
+        global_bits = rule_matrix(global_rules, x)
+        clusters = _assign(self.topics, self.config, global_bits, self.known_bags)
+        return _unified_matrix(global_bits, clusters, x, local_rules,
+                               self.config.n_global, self.config.n_local)
 
 
 def _bits_to_tokens(bits: np.ndarray, rng) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -353,15 +360,8 @@ def assign_clusters(m: StratifiedModel, ds: Dataset) -> np.ndarray:
     return _assign(m.topics, m.config, rule_matrix(m.compiled[0], ds.x), m.known_bags)
 
 
-def predict_stratified(m: StratifiedModel, ds: Dataset) -> np.ndarray:
-    """Cluster each instance, evaluate its cluster's local rules, apply the GLM."""
-    _check_compatible(m, ds)
-    global_rules, local_rules = m.compiled
-    global_bits = rule_matrix(global_rules, ds.x)
-    clusters = _assign(m.topics, m.config, global_bits, m.known_bags)
-    unified = _unified_matrix(global_bits, clusters, ds.x, local_rules,
-                              m.config.n_global, m.config.n_local)
-    return glm_predictions(m.glm, unified, m.label_bounds)
+# ``predict`` serves both model kinds; this is its name for stratified models
+predict_stratified = predict
 
 
 def importance_rows(m: StratifiedModel) -> list[tuple[str, str, int]]:
@@ -422,21 +422,21 @@ def save_stratified(m: StratifiedModel, path) -> None:
     lines += ["[topics]"] + [_hex_row(row) for row in m.topics] + ["[cluster_patterns]"]
     for c, rules in enumerate(m.cluster_patterns):
         lines += _rule_block(rules, m.feature_names, prefix=f"cluster={c} ")
-    _write_model_file(path, _STRAT_HEADER, lines + _glm_lines(m.glm))
+    _write_model_file(path, "stratified", lines + _glm_lines(m.glm))
 
 
 def load_stratified(path) -> StratifiedModel:
-    sections = _read_sections(path, _STRAT_HEADER)
-    cfg = _read(sections, "config", _parse_config)
-    data = _read_data_fields(sections)
-    n_features = len(data["feature_names"])
-    global_patterns = _read(sections, "global_patterns", _parse_rule_block, n_features, cfg.n_global)
-    return StratifiedModel(
-        global_patterns=global_patterns,
-        topics=_read(sections, "topics", _parse_topics, (cfg.n_clusters, len(global_patterns))),
-        cluster_patterns=_read(sections, "cluster_patterns", _parse_cluster_rules, cfg, n_features),
-        glm=_read(sections, "glm", _parse_glm, cfg.n_global + cfg.n_local),
-        config=cfg,
-        provenance=_read(sections, "provenance", _parse_fields),
-        **data,
-    )
+    with _read_sections(path, "stratified") as (_, sections):
+        cfg = _read(sections, "config", _parse_config)
+        data = _read_data_fields(sections)
+        d = len(data["feature_names"])
+        global_patterns = _read(sections, "global_patterns", _parse_rule_block, d, cfg.n_global)
+        return StratifiedModel(
+            global_patterns=global_patterns,
+            topics=_read(sections, "topics", _parse_topics, (cfg.n_clusters, len(global_patterns))),
+            cluster_patterns=_read(sections, "cluster_patterns", _parse_cluster_rules, cfg, d),
+            glm=_read(sections, "glm", _parse_glm, cfg.n_global + cfg.n_local),
+            config=cfg,
+            provenance=_read(sections, "provenance", _parse_fields),
+            **data,
+        )

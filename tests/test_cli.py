@@ -2,10 +2,13 @@ import argparse
 import builtins
 import csv
 import re
+from unittest import mock
+
 import pytest
 
 from dppred import cli
 from dppred import model as model_mod
+from dppred import stratify as strat_mod
 from dppred.cli import build_parser, main
 from dppred.data import load_csv, read_schema_file
 from dppred.model import HyperParams
@@ -163,7 +166,9 @@ def test_every_typed_flag_is_range_checked_as_it_is_parsed(command, flag, tmp_pa
     opened = []
     monkeypatch.setattr(builtins, "open", lambda *args, **kw: opened.append(args))
     assert main(argv + [flag, bad]) == 2
-    assert argparse_error(capsys).startswith(f"dppred {command}: error: argument {flag}: must be ")
+    # an alias reports the name of the command it stands for
+    prog = _subcommands()[command].prog
+    assert argparse_error(capsys).startswith(f"{prog}: error: argument {flag}: must be ")
     assert opened == []
     assert list(tmp_path.iterdir()) == []
 
@@ -206,6 +211,16 @@ class TestPredictEvaluate:
         printed = capsys.readouterr().out
         acc = float(printed.split("accuracy:")[1].strip())
         assert acc >= 0.97
+
+    def test_classification_predict_evaluates_the_rules_once(self, medical_files, tmp_path):
+        model = tmp_path / "m.model"
+        assert main(["train", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]),
+                     "--out", str(model), "--trees", "5", "--seed", "2"]) == 0
+        with mock.patch.object(model_mod, "rule_matrix", wraps=model_mod.rule_matrix) as rules:
+            assert main(["predict", "--model", str(model), "--data", str(medical_files["test"]),
+                         "--out", str(tmp_path / "preds.csv")]) == 0
+        assert rules.call_count == 1
 
     def test_evaluate_reads_only_the_label_column(self, medical_files, tmp_path, capsys):
         # feature cells are never parsed: an all-empty categorical column and
@@ -536,6 +551,25 @@ class TestStratifyCommands:
         assert rows[0] == ["variable", "cluster", "frequency"]
         assert any(r[1] == "global" for r in rows[1:])
 
+    def test_stratified_classification_writes_the_predicted_class_probability(
+            self, medical_files, tmp_path):
+        model, preds = tmp_path / "strat.model", tmp_path / "preds.csv"
+        assert main(["stratify-train", "--data", str(medical_files["train"]),
+                     "--schema", str(medical_files["schema"]), "--out", str(model),
+                     "--trees", "10", "--seed", "3", "--global-patterns", "8",
+                     "--local-patterns", "4", "--groups", "2", "--gibbs-iterations", "20"]) == 0
+        assert main(["predict", "--model", str(model), "--data", str(medical_files["test"]),
+                     "--out", str(preds)]) == 0
+        header, *rows = read_csv(preds)
+        assert header == ["row_index", "prediction", "probability"]
+        m = strat_mod.load_stratified(model)
+        ds = load_csv(medical_files["test"], m.schema, m.label_kind)
+        probs = model_mod.predict_probabilities(m, ds)
+        assert len(rows) == ds.n
+        for (_, cell, prob), p in zip(rows, probs):
+            assert cell == m.label_names[p.argmax()]
+            assert prob == repr(float(p.max()))
+
     @pytest.mark.parametrize("flag", ["--global-patterns", "--local-patterns", "--groups",
                                       "--gibbs-iterations", "--fold-in-iterations"])
     def test_zero_count_names_its_flag(self, flag, subtyped_files, tmp_path, capsys):
@@ -578,21 +612,25 @@ def both_model_kinds(subtyped_files):
     return {"plain": plain, "stratified": strat}
 
 
-@pytest.mark.parametrize("command,kind,holds,readers", [
-    ("predict", "stratified", "a stratified model, not a plain model",
-     "dppred stratify-predict or importance"),
-    ("stratify-predict", "plain", "a plain model, not a stratified model", "dppred predict"),
-    ("importance", "plain", "a plain model, not a stratified model", "dppred predict"),
-])
-def test_model_of_the_other_kind_is_named(command, kind, holds, readers, both_model_kinds,
-                                          subtyped_files, tmp_path, capsys):
-    path = both_model_kinds[kind]
-    args = [command, "--model", str(path), "--out", str(tmp_path / "out.csv")]
-    if command != "importance":
-        args += ["--data", str(subtyped_files["test"])]
-    assert main(args) == 1
-    assert capsys.readouterr().err.strip() == f"error: {path} holds {holds}; read it with {readers}"
-    assert not (tmp_path / "out.csv").exists()
+@pytest.mark.parametrize("command,kind", [("predict", "stratified"), ("stratify-predict", "plain")])
+def test_either_predict_name_serves_either_model_kind(command, kind, both_model_kinds,
+                                                      subtyped_files, tmp_path):
+    outs = []
+    for name in ("predict", "stratify-predict"):
+        outs.append(tmp_path / f"{name}.csv")
+        assert main([name, "--model", str(both_model_kinds[kind]),
+                     "--data", str(subtyped_files["test"]), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert read_csv(outs[0])[0] == ["row_index", "prediction"]
+
+
+def test_model_of_the_other_kind_is_named(both_model_kinds, tmp_path, capsys):
+    path = both_model_kinds["plain"]
+    out = tmp_path / "out.csv"
+    assert main(["importance", "--model", str(path), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == f"error: {path}: holds a plain model, not a stratified model\n")
+    assert not out.exists()
 
 
 def test_threads_flag_is_gone(medical_files, tmp_path):

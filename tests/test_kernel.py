@@ -198,6 +198,17 @@ def test_stratified_rows_alone_or_in_any_subset_match_the_batch(case, pick):
     warm = [predict_stratified(m, subset(ds, [i])) for i in range(ds.n)]
     assert np.concatenate(cold).tobytes() == batch.tobytes()
     assert np.concatenate(warm).tobytes() == batch.tobytes()
+    if m.glm.task == "logistic":
+        # the probabilities come from the same unified block as the classes
+        probs = predict_probabilities(m, ds)
+        unified = stratify._unified_matrix(rule_matrix(m.compiled[0], ds.x), clusters, ds.x,
+                                           m.compiled[1], m.config.n_global, m.config.n_local)
+        assert probs.tobytes() == predict_proba(m.glm, unified).tobytes()
+        assert batch.tolist() == np.argmax(probs, axis=1).tolist()
+        for model in (replace(m), m):
+            assert predict_probabilities(model, part).tobytes() == probs[rows].tobytes()
+        alone = [predict_probabilities(m, subset(ds, [i])) for i in range(ds.n)]
+        assert np.concatenate(alone).tobytes() == probs.tobytes()
 
 
 @pytest.mark.parametrize("cap", [1, 2])

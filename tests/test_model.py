@@ -8,7 +8,6 @@ from dppred.data import Dataset
 from dppred.model import (
     DppredModel,
     HyperParams,
-    ModelKindError,
     evaluate,
     load,
     predict,
@@ -201,7 +200,8 @@ class TestPersistence:
         cut = text[: text.index("[glm]")]
         bad = tmp_path / "trunc.model"
         bad.write_text(cut)
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: truncated model file: "
+                                             "no \\[end\\] marker after section 'patterns'$"):
             load(bad)
 
     def test_newer_version_rejected(self, tmp_path):
@@ -212,13 +212,15 @@ class TestPersistence:
         text = path.read_text().replace("dppred model format 1", "dppred model format 2", 1)
         bad = tmp_path / "v2.model"
         bad.write_text(text)
-        with pytest.raises(ValueError, match="version 2"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: unsupported model format "
+                                             "version 2 in header"):
             load(bad)
 
     def test_not_a_model_file(self, tmp_path):
         bad = tmp_path / "junk.model"
         bad.write_text("hello world\n")
-        with pytest.raises(ValueError, match="not a recognized"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a recognized model file: "
+                                             "bad header line$"):
             load(bad)
 
     @pytest.mark.parametrize("header,reader,message", [
@@ -229,9 +231,10 @@ class TestPersistence:
                                                              tmp_path):
         path = tmp_path / "other.model"
         path.write_text(f"{header}\n[end]\n")
-        with pytest.raises(ModelKindError) as err:
+        with pytest.raises(ValueError) as err:
             reader(path)
-        assert str(err.value) == f"{path} holds {message}"
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{path}: holds {message}"
 
     def test_render_lists_every_pattern(self):
         tr, _, _ = small_medical(n_train=400, n_test=10)

@@ -1,5 +1,5 @@
 """Model files: both kinds share one section codec, and a damaged file fails
-at load time with a ValueError that names the damaged section."""
+at load time with a ValueError that names the file and the damaged section."""
 
 import hashlib
 import json
@@ -25,6 +25,11 @@ from dppred.tree import TreeConfig
 from oracles import refit_on_patterns
 
 NAMES_A_SECTION = re.compile(r"section '\w+'|header")
+
+
+def malformed(path, pattern):
+    """A ``match`` pattern: the error of a malformed section of the file ``path``."""
+    return f"^{re.escape(str(path))}: malformed model file: {pattern}"
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +86,7 @@ def test_damaged_file_loads_or_names_its_section(model_files, kind, action, wher
     try:
         m = loader(path)
     except ValueError as err:
+        assert str(err).startswith(f"{path}: "), str(err)
         assert NAMES_A_SECTION.search(str(err)), str(err)
         return
     # a file that still loads must still serve, or refuse the data by name
@@ -135,13 +141,13 @@ def edit(model_files, tmp_path, kind, old, new):
 def test_glm_task_is_required(model_files, tmp_path):
     # a missing task= once turned a logistic model into a linear one silently
     loader, path = edit(model_files, tmp_path, "binary", "task=logistic\n", "")
-    with pytest.raises(ValueError, match="section 'glm'.*task="):
+    with pytest.raises(ValueError, match=malformed(path, "section 'glm'.*task=")):
         loader(path)
 
 
 def test_glm_classes_are_required(model_files, tmp_path):
     loader, path = edit(model_files, tmp_path, "multiclass", "classes=3\n", "")
-    with pytest.raises(ValueError, match="section 'glm'"):
+    with pytest.raises(ValueError, match=malformed(path, "section 'glm'")):
         loader(path)
 
 
@@ -156,7 +162,7 @@ def test_condition_dims_outside_features_rejected(model_files, tmp_path, kind, s
     lines[i] = bad_dim + lines[i][lines[i].index(":"):]
     path = tmp_path / "dims.model"
     path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"section '{section}'"):
+    with pytest.raises(ValueError, match=malformed(path, f"section '{section}'")):
         loader(path)
 
 
@@ -177,7 +183,7 @@ def test_non_finite_condition_thresholds_rejected(model_files, tmp_path, kind, s
     path = tmp_path / "thresholds.model"
     path.write_text("\n".join(lines), encoding="utf-8")
     want = f"section '{section}'.*condition {re.escape(repr(bad_token))} has a non-finite threshold"
-    with pytest.raises(ValueError, match=want):
+    with pytest.raises(ValueError, match=malformed(path, want)):
         loader(path)
 
 
@@ -193,7 +199,8 @@ def _line(model_files, kind, prefix):
 def test_non_finite_glm_values_rejected(model_files, tmp_path, kind, field, bad):
     line = _line(model_files, kind, field + " ")
     loader, path = edit(model_files, tmp_path, kind, line, " ".join([field, bad] + line.split()[2:]))
-    with pytest.raises(ValueError, match=f"section 'glm': {field} '.*' holds a non-finite value$"):
+    want = f"section 'glm': {field} '.*' holds a non-finite value$"
+    with pytest.raises(ValueError, match=malformed(path, want)):
         loader(path)
 
 
@@ -204,7 +211,7 @@ def test_non_finite_median_rejected(model_files, tmp_path, bad):
     column = json.loads(line)
     loader, path = edit(model_files, tmp_path, "binary", line, line.replace(column["median"], bad))
     want = f"section 'schema': column {column['name']!r}: non-finite median {bad!r}"
-    with pytest.raises(ValueError, match=f"{re.escape(want)}$"):
+    with pytest.raises(ValueError, match=malformed(path, f"{re.escape(want)}$")):
         loader(path)
 
 
@@ -218,7 +225,8 @@ def test_non_finite_median_rejected(model_files, tmp_path, bad):
 def test_label_bounds_must_be_finite_and_ordered(model_files, tmp_path, bounds, message):
     line = _line(model_files, "stratified", "bounds=")
     loader, path = edit(model_files, tmp_path, "stratified", line, f"bounds={bounds}")
-    with pytest.raises(ValueError, match=f"section 'label': bounds {re.escape(repr(bounds))} {message}$"):
+    want = f"section 'label': bounds {re.escape(repr(bounds))} {message}$"
+    with pytest.raises(ValueError, match=malformed(path, want)):
         loader(path)
 
 
@@ -231,13 +239,13 @@ def test_topic_weights_must_be_positive_and_finite(model_files, tmp_path, bad):
     lines[i] = " ".join([bad] + lines[i].split()[1:])
     path = tmp_path / "topics.model"
     path.write_text("\n".join(lines), encoding="utf-8")
-    with pytest.raises(ValueError, match="section 'topics'.*positive and finite"):
+    with pytest.raises(ValueError, match=malformed(path, "section 'topics'.*positive and finite")):
         loader(path)
 
 
 def test_config_priors_must_be_positive(model_files, tmp_path):
     loader, path = edit(model_files, tmp_path, "stratified", '"lda_beta": 0.1', '"lda_beta": 0.0')
-    with pytest.raises(ValueError, match="section 'config'.*lda_beta must be positive"):
+    with pytest.raises(ValueError, match=malformed(path, "section 'config'.*lda_beta must be positive")):
         loader(path)
 
 
