@@ -370,7 +370,9 @@ class TestFitTree:
 # of sampled dims or thresholds until the split search fixed them at
 # ⌈√d⌉ dims and 16 thresholds; they were re-pinned then.
 # medical-large and subtyped-large were pinned later, by the lockstep grower,
-# as the first cases whose bags are wider than `_BATCH_ROWS`.
+# as the first cases whose bags are wider than `_BATCH_ROWS`, and
+# medical-regression, real labels on mostly-binary features, by the grower
+# that scored every label kind in candidate blocks.
 
 def _mixed_features(n, seed):
     """Numeric dims (one with few distinct values, one constant) and dummy dims."""
@@ -399,6 +401,11 @@ def _golden_cases():
     # 5,000-row bags, wider than `_BATCH_ROWS`: a batch then holds up to n rows
     med_large, _, _ = generate_medical(SynthConfig(n_train=5000, n_test=1, noise_rate=0.01, seed=4))
     sub_large, _ = generate_subtyped_regression(SynthConfig(n_train=5000, n_test=1, seed=6), 3)
+    # a real label on mostly-binary features: 8 of the 10 medical dims are dummies
+    age, male, blood_o, lab = med_large.x[:, [0, 1, 6, 9]].T
+    noise = np.random.default_rng(19).normal(size=med_large.n)
+    med_real = make_ds(med_large.x, age / 60 + 0.5 * male - 0.3 * blood_o + lab + 0.1 * noise,
+                       label_kind="real", binary=med_large.binary_dims)
     return {
         "medical-2class": (med, TreeConfig(n_trees=8, seed=11)),
         "mixed-3class": (three, TreeConfig(n_trees=6, max_depth=5, min_bag=4, seed=12)),
@@ -409,6 +416,7 @@ def _golden_cases():
         "min-bag-one": (noisy, TreeConfig(n_trees=4, max_depth=8, min_bag=1, seed=16)),
         "medical-large": (med_large, TreeConfig(n_trees=3, seed=17)),
         "subtyped-large": (sub_large, TreeConfig(n_trees=3, seed=18)),
+        "medical-regression": (med_real, TreeConfig(n_trees=3, seed=19)),
     }
 
 
@@ -420,6 +428,7 @@ def forest_digest(forest):
 
 GOLDEN_FOREST_DIGESTS = {
     "medical-large": "d0a79c3c95e91d69719c8c747390d620c553c8961d01dbc80f4678478a46fbbf",
+    "medical-regression": "c006d8d96f73027f1a9a80dbb8ac94cac7c6506fb3f90f599f3b1866216632a8",
     "medical-2class": "177946ac0f4e72d9aa4b79e1495a5c2ae131a73431d2106a1db8fa4a768662b1",
     "min-bag-edge": "57bc52b5f1e1edae71f49b94c47b80f5619618e53b70b917f4777b3862abcc06",
     "min-bag-one": "c32146b55022def7177f9c646a21dd1263640008e8f1633b64b9c2274d8d8e50",
