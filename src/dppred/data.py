@@ -121,6 +121,20 @@ def check_finite_features(ds: Dataset) -> None:
                          f"in feature {ds.feature_names[col]!r}")
 
 
+def check_labels(ds: Dataset) -> None:
+    """Raise a ValueError naming the first row whose label is a NaN or an
+    infinity, or a class label that is not a non-negative integer."""
+    y = np.asarray(ds.y, dtype=np.float64)
+    bad = ~np.isfinite(y)
+    if ds.label_kind == LABEL_CLASS:
+        bad |= (y < 0) | (y != np.round(y))
+    if bad.any():
+        row = int(np.argmax(bad))
+        want = "a non-negative integer" if ds.label_kind == LABEL_CLASS else "finite"
+        raise ValueError(f"row {row} holds the {ds.label_kind} label {ds.y[row]}, "
+                         f"which is not {want}")
+
+
 def read_schema_file(path) -> tuple[str, list[ColumnSchema]]:
     """Parse a schema file: a `label_task,<class|real>` line then `name,kind` lines.
     Every error is prefixed by the path."""

@@ -24,35 +24,36 @@ not depend on the trees grown beside it, and the first v trees of a
 forest are the forest of v trees.
 
 A step gathers the sampled dims of its nodes in a (dims, rows) layout and
-scores the nodes in batches. Only real candidates are compared and counted:
+scores the nodes in batches, each label kind in its own layout in one
+preallocated buffer. Class labels compare and count only real candidates:
 one, at 0.5, on a binary slot, ``_THRESHOLDS`` on a numeric slot, and none
 on a numeric slot constant on its bag. Each kind is a (candidates, cells)
-bool block in a preallocated buffer, its cells the rows of its (slot,
-node) pairs, slot after slot, compared with their own pair's thresholds
-repeated per row in one ``np.less`` per group of pairs; a slot without a
-candidate keeps the zero left count that a NaN threshold gives, so it is
-never usable. Batches are sized in those cells: the budget is that of
-a dense mask of ``_BATCH_ROWS`` rows, ⌈√d⌉ * ``_THRESHOLDS`` cells a row,
-and a batch holds as many bag rows as the budget gives the most real cells
-a row can need (``_THRESHOLDS`` on each sampled numeric dim, one on each
-other), or ``n`` rows when more. That is 7,710 rows on the medical data (2
-numeric dims of 10) and 4,096 where no dim is binary, and the buffers stay
-the size that one bootstrap bag needs however many trees grow together.
-The work is per batch, not per node: counts are ``np.add.reduceat`` along
-each pair's contiguous cells, entropies are worked out for the usable
-candidates only, and the child bags of all split nodes come from one
-comparison of each row with its node's winning (dim, threshold) and one
-stable sort of the batch rows by (node, side). Class counts are exact
-integers, so classification gains are the same bits however they are
-batched, and classification forests are bit-identical to the earlier
-per-node recursion. For real labels the batch builds [y, y²] once and
-writes a window of max(n, bag) rows at a time as a dense (dims *
-thresholds, rows) 0/1 float matrix, zero where a slot has no threshold;
-each node then makes one product of its (dims * thresholds, bag) slice of
-that matrix with its rows of [y, y²], and sums its own y and y² pairwise.
-These read only that node's rows, in bag order, with the matrix shape and
-strides of the dense mask, so regression gains do not depend on batching
-either.
+bool block, its cells the rows of its (slot, node) pairs, slot after slot,
+compared with their own pair's thresholds repeated per row in one
+``np.less`` per group of pairs; a slot without a candidate keeps a zero
+left count, so it is never usable. Real labels compare every (slot,
+threshold) of every row with its node's thresholds, one ``np.less`` per
+sampled dim, into a dense (dims, thresholds, rows) mask, in which a NaN
+threshold, where a slot has none, gives a zero row. Batches are sized in
+cells: the budget is a dense mask of ``_BATCH_ROWS`` rows, and a batch
+holds as many bag rows as the budget gives the most cells a row can need
+(for class labels ``_THRESHOLDS`` on each sampled numeric dim and one on
+each other), or ``n`` rows when more: for class labels 7,710 rows on the
+medical data (2 numeric dims of 10) and 4,096 where no dim is binary. So
+the buffer stays the size that one bootstrap bag needs however many trees
+grow together. Counts are ``np.add.reduceat`` along contiguous cells,
+entropies are worked out for the usable candidates only, and the child
+bags of all split nodes come from one comparison of each row with its
+node's winning (dim, threshold) and one stable sort of the batch rows by
+(node, side). Class counts are exact integers, so classification forests
+are the same bits however they are batched, and bit-identical to the
+earlier per-node recursion. For real labels the batch builds [y, y²] once
+and casts a window of max(n, bag) rows of the mask at a time to a (dims *
+thresholds, rows) 0/1 float matrix; each node makes one product of its
+slice of that matrix with its rows of [y, y²], and sums its own y and y²
+pairwise. These read only that node's rows, in bag order, with the shape
+and strides of the dense mask, so regression gains do not depend on
+batching either.
 """
 
 import math
@@ -61,18 +62,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_finite_features
+from .data import check_finite_features, check_labels
 from .rng import STREAM_TREE, sub_rng
 
 # splits must beat this relative floor so float noise in the moment
 # arithmetic never splits an (effectively) pure bag
 _GAIN_EPS = 1e-12
 
-# rows of a dense (dims, thresholds, rows) mask whose cells are the batch
-# budget of the split search: a step's nodes are cut into batches of as many
-# rows as the budget gives the most real candidate cells a row can need, or
-# the training rows when more, so the candidate buffers stay the size that a
-# whole bootstrap bag needs anyway however many trees grow together; also the
+# rows of a dense (dims, thresholds, rows) mask, whose cells are the batch
+# budget of the split search: real labels compare every cell, class labels
+# only real candidates, and a batch holds as many rows as the budget gives
+# the most cells a row can need, or the training rows when more; also the
 # rows whose thresholds one compare repeats at most, when n is smaller
 _BATCH_ROWS = 1 << 12
 # candidate cells counted per reduceat call, which copies its input to int32
@@ -142,9 +142,9 @@ class _Grower:
         self.classify = ds.label_kind == "class"
         self.xt = np.ascontiguousarray(ds.x.T)
         self.n_dims = math.ceil(math.sqrt(ds.d))
-        # the most real candidate cells a bag row can need: _THRESHOLDS on each
-        # sampled numeric dim, one on each sampled binary dim
-        numeric = min(self.n_dims, ds.d - int(ds.binary_dims.sum()))
+        # the most candidate cells a bag row can need: _THRESHOLDS on each sampled
+        # numeric dim, one on each binary one, which real labels compare as numeric
+        numeric = min(self.n_dims, ds.d - self.classify * int(ds.binary_dims.sum()))
         row_cells = max(1, numeric * _THRESHOLDS + self.n_dims - numeric)
         self.batch_rows = max(self.n_dims * _THRESHOLDS * _BATCH_ROWS // row_cells, ds.n)
         cells = self.batch_rows * row_cells
@@ -227,50 +227,56 @@ class _Grower:
             u = np.concatenate(draws).reshape(-1, n_thr)
             thresholds[drawn] = lo[drawn][:, None] + (hi - lo)[drawn][:, None] * u
 
-        # the real candidates, by kind: one on each binary (slot, node) pair,
-        # n_thr on each drawn one; a kind is a (candidates, cells) block whose
-        # cells are its pairs' rows, slot after slot, and counts are slot-major
-        n_left = np.zeros((n_dims, n_nodes, n_thr), dtype=np.int32)
         if self.classify:
+            # the real candidates, by kind: one on each binary (slot, node) pair,
+            # n_thr on each drawn one; a kind is a (candidates, cells) block whose
+            # cells are its pairs' rows, slot after slot, and counts are slot-major
+            n_left = np.zeros((n_dims, n_nodes, n_thr), dtype=np.int32)
             y = self.y[rows]
             labels = [y == c for c in range(self.n_classes)]
             totals = np.stack([np.add.reduceat(is_c, starts, dtype=np.int32)
                                for is_c in labels])                # (classes, nodes)
             left = np.zeros((self.n_classes - 1,) + n_left.shape, dtype=np.int32)
-        kinds = []
-        for real, k in ((binary.T, 1), (drawn.T, n_thr)):
-            if real.any():
-                on = np.repeat(real, sizes, axis=1)                # (dims, rows)
-                kinds.append((real, k, on, cols[on]))
-        del cols  # the batch's values are in ``kinds`` now, each kind's freed after use
-        blocks, used = [], 0
-        while kinds:
-            real, k, on, values = kinds.pop(0)
-            pair_cells = real * sizes                              # rows of each pair, or 0
-            pair_rows = pair_cells[real]
-            width = len(values)
-            cells = self.mask_buf[used:used + k * width].reshape(k, width)
-            used += k * width
-            pair_thr = np.ascontiguousarray(thresholds.transpose(1, 0, 2)[real][:, :k].T)
-            pair_ends = np.cumsum(pair_rows)
-            pair_starts = pair_ends - pair_rows
-            # each row against its own pair's thresholds, repeated per row for
-            # whole pairs of at most max(_BATCH_ROWS, n) rows at a time
-            p, ends = 0, pair_ends.tolist()
-            while p < len(ends):
-                a = ends[p] - int(pair_rows[p])
-                q = int(np.searchsorted(pair_ends, a + max(_BATCH_ROWS, ds.n), side="right"))
-                np.less(values[a:ends[q - 1]], np.repeat(pair_thr[:, p:q], pair_rows[p:q], axis=1),
-                        out=cells[:, a:ends[q - 1]])
-                p = q
-            n_left[real, :k] = _counts(cells, pair_starts).T
-            if self.classify:
+            kinds = []
+            for real, k in ((binary.T, 1), (drawn.T, n_thr)):
+                if real.any():
+                    on = np.repeat(real, sizes, axis=1)            # (dims, rows)
+                    kinds.append((real, k, on, cols[on]))
+            del cols  # the batch's values are in ``kinds`` now, each kind's freed after use
+            used = 0
+            while kinds:
+                real, k, on, values = kinds.pop(0)
+                pair_rows = (real * sizes)[real]
+                width = len(values)
+                cells = self.mask_buf[used:used + k * width].reshape(k, width)
+                used += k * width
+                pair_thr = np.ascontiguousarray(thresholds.transpose(1, 0, 2)[real][:, :k].T)
+                pair_ends = np.cumsum(pair_rows)
+                pair_starts = pair_ends - pair_rows
+                # each row against its own pair's thresholds, repeated per row
+                # for whole pairs of at most max(_BATCH_ROWS, n) rows at a time
+                p, ends = 0, pair_ends.tolist()
+                while p < len(ends):
+                    a = ends[p] - int(pair_rows[p])
+                    q = int(np.searchsorted(pair_ends, a + max(_BATCH_ROWS, ds.n), side="right"))
+                    np.less(values[a:ends[q - 1]],
+                            np.repeat(pair_thr[:, p:q], pair_rows[p:q], axis=1),
+                            out=cells[:, a:ends[q - 1]])
+                    p = q
+                n_left[real, :k] = _counts(cells, pair_starts).T
                 scratch = self.class_buf[:cells.size].reshape(cells.shape)
                 for c in range(self.n_classes - 1):
                     np.logical_and(cells, np.broadcast_to(labels[c], on.shape)[on], out=scratch)
                     left[c][real, :k] = _counts(scratch, pair_starts).T
-            else:
-                blocks.append((on, cells, pair_cells))
+        else:
+            # every (slot, threshold) of every row against its node's thresholds, one
+            # dim at a time; a NaN threshold, where a slot has none, gives a zero row
+            mask = self.mask_buf[:n_dims * n_thr * len(rows)].reshape(n_dims, n_thr, len(rows))
+            for f in range(n_dims):
+                np.less(cols[f], np.repeat(thresholds[:, f].T, sizes, axis=1), out=mask[f])
+            del cols
+            flat = mask.reshape(n_dims * n_thr, len(rows))
+            n_left = _counts(flat, starts).reshape(n_dims, n_thr, n_nodes).transpose(0, 2, 1)
 
         n_bag = sizes[:, None]                    # against (dims, nodes, thresholds)
         n_right = n_bag - n_left
@@ -287,7 +293,7 @@ class _Grower:
             imp_r[usable] = _entropy_from_counts(counts_r[:, usable] - counts, n_r)
             parent = _entropy_from_counts(totals, sizes.astype(np.float64))
         else:
-            s1, s2, tot1, tot2, parent = self._regression_sums(rows, blocks, segments)
+            s1, s2, tot1, tot2, parent = self._regression_sums(rows, flat, segments)
             s1, s2 = s1.transpose(1, 0, 2), s2.transpose(1, 0, 2)
             tot1, tot2 = tot1[:, None], tot2[:, None]
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -337,14 +343,14 @@ class _Grower:
                             children[cut:ends[2 * k + 1]].copy())
         return out
 
-    def _regression_sums(self, rows, blocks, segments):
+    def _regression_sums(self, rows, flat, segments):
         """Left sums of y and y² per candidate, bag totals and parent variance.
 
-        ``rows`` are the batch's bag rows, node after node, ``blocks`` the
-        candidate blocks of ``best_splits`` and ``segments`` each node's
-        rows. A node's sums are one product of its (dims * thresholds, bag)
-        0/1 float matrix, all zero on the thresholds a slot does not have,
-        with the (bag, 2) matrix [y, y²].
+        ``rows`` are the batch's bag rows, node after node, ``flat`` their
+        (dims * thresholds, rows) bool mask, all False on the thresholds a
+        slot does not have, and ``segments`` each node's rows. A node's sums
+        are one product of its slice of that mask as 0/1 floats with the
+        (bag, 2) matrix [y, y²].
         """
         y = self.y[rows]
         yy = y * y
@@ -364,7 +370,7 @@ class _Grower:
             parent.append(max(sumsq_tot / n_bag - (sum_tot / n_bag) ** 2, 0.0))
             if seg.stop > window.stop:
                 window = slice(seg.start, min(seg.start + max(self.ds.n, n_bag), len(rows)))
-                ones = _dense(window, k, blocks, self.n_dims)
+                ones = flat[:, window].astype(np.float64)
             np.matmul(ones[:, seg.start - window.start:seg.stop - window.start], moments[seg],
                       out=sums[k])
         shape = (len(segments), self.n_dims, _THRESHOLDS)
@@ -384,44 +390,17 @@ def _counts(cells: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense(window: slice, node: int, blocks: list, n_dims: int) -> np.ndarray:
-    """The (dims * thresholds, rows) 0/1 float64 matrix of the batch rows in
-    ``window``, which starts at ``node``'s first row, with zeros where a slot
-    has no threshold. Each of ``blocks`` is one kind of candidate as
-    ``best_splits`` lays it out: the (dims, rows) flags of its rows, its
-    (candidates, cells) bits and the (dims, nodes) cell count of each pair."""
-    a, b = window.start, window.stop
-    for on, cells, _ in blocks:
-        if cells.size == _THRESHOLDS * on.size:   # every slot of every row: one copy
-            window_bits = cells.reshape(_THRESHOLDS, n_dims, -1)[:, :, a:b].transpose(1, 0, 2)
-            return window_bits.astype(np.float64, order="C").reshape(-1, b - a)
-    ones = np.empty((n_dims, _THRESHOLDS, b - a))
-    # a slot's cells are its rows in order, so a window is one slice of them,
-    # from the first cell of its first node to the count of its rows on
-    spans = []
-    for on, cells, pair_cells in blocks:
-        c0 = np.cumsum(pair_cells).reshape(pair_cells.shape)[:, node] - pair_cells[:, node]
-        spans.append((on[:, a:b], cells, c0.tolist(), (c0 + on[:, a:b].sum(axis=1)).tolist()))
-    for f in range(n_dims):
-        parts = [(on[f], cells[:, c0[f]:c1[f]]) for on, cells, c0, c1 in spans if c1[f] > c0[f]]
-        if len(parts) == 1 and parts[0][1].shape == ones[f].shape:
-            ones[f] = parts[0][1]      # every row has every threshold
-            continue
-        ones[f] = 0
-        for on, bits in parts:
-            ones[f, :len(bits)][:, on] = bits
-    return ones.reshape(-1, b - a)
-
-
 def fit_forest(ds, cfg: TreeConfig) -> list[DecisionTree]:
     """Grow ``n_trees`` trees, each from its own generator derived from (seed, t).
 
-    Raises ValueError on an empty dataset, and on a NaN or infinite feature
-    value, naming its row and feature.
+    Raises ValueError on an empty dataset, on a NaN or infinite feature
+    value, naming its row and feature, and on a non-finite label or a class
+    label that is not a non-negative integer, naming its row.
     """
     if ds.n == 0:
         raise ValueError("cannot fit a tree on an empty dataset")
     check_finite_features(ds)
+    check_labels(ds)
     grower = _Grower(ds, cfg)
     chunk = max(1, _CHUNK_ROWS // ds.n)
     forest = []

@@ -19,7 +19,7 @@ from dppred.model import (
 )
 from dppred.patterns import Condition, Pattern
 from dppred.selection import NoRulesError
-from dppred.stratify import load_stratified
+from dppred.stratify import StratifyConfig, load_stratified, train_stratified
 from dppred.synth import SynthConfig, generate_medical
 from dppred.tree import TreeConfig
 from oracles import refit_on_patterns
@@ -71,6 +71,23 @@ class TestTrain:
                 train(bad, small_hp())
             else:
                 next(train_sweep(bad, small_hp(), "k", [3]))
+
+    @pytest.mark.parametrize("kind,value", [("real", np.nan), ("real", np.inf),
+                                            ("real", -np.inf), ("class", -1)])
+    @pytest.mark.parametrize("entry", ["train", "train_stratified"])
+    def test_bad_label_is_named(self, kind, value, entry):
+        tr, _, _ = small_medical(n_train=600, n_test=10)
+        if kind == "real":
+            tr = dataclasses.replace(tr, y=tr.x[:, 9].copy(), label_kind="real", label_names=None)
+        y = tr.y.copy()
+        y[9] = y[5] = value  # the first bad row is named
+        hp = small_hp(task="classification" if kind == "class" else "regression")
+        want = f"row 5 holds the {kind} label {value}, which is not "
+        with pytest.raises(ValueError, match=re.escape(want)):
+            if entry == "train":
+                train(dataclasses.replace(tr, y=y), hp)
+            else:
+                train_stratified(dataclasses.replace(tr, y=y), hp, StratifyConfig(n_clusters=2))
 
     def test_deterministic_model_bytes(self, tmp_path):
         tr, _, _ = small_medical(n_train=600, n_test=10)

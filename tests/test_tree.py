@@ -54,7 +54,8 @@ class TestImpurity:
     def test_two_point_variance(self):
         ds = make_ds([0.0, 1.0], [0.0, 2.0], label_kind="real")
         grower = tree_mod._Grower(ds, TreeConfig(min_bag=1))
-        parent = grower._regression_sums(np.arange(2), [], [slice(0, 2)])[-1]
+        no_left = np.zeros((16, 2), dtype=bool)   # one sampled dim, 16 thresholds
+        parent = grower._regression_sums(np.arange(2), no_left, [slice(0, 2)])[-1]
         assert parent.tolist() == [1.0]
 
     def test_empty_bag(self):
@@ -340,8 +341,9 @@ class TestFitTree:
         assert tree.root.is_leaf
 
     def test_no_features_give_single_leaves(self):
-        ds = make_ds(np.empty((30, 0)), np.arange(30) % 2)
-        assert all(t.root.is_leaf for t in fit_forest(ds, TreeConfig(n_trees=3, seed=1)))
+        for ds in (make_ds(np.empty((30, 0)), np.arange(30) % 2),
+                   make_ds(np.empty((30, 0)), np.arange(30) / 7, label_kind="real")):
+            assert all(t.root.is_leaf for t in fit_forest(ds, TreeConfig(n_trees=3, seed=1)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_is_named(self, value):
@@ -467,7 +469,8 @@ class TestForest:
     # _BATCH_ROWS sets the cell budget, _BATCH_ROWS * (dims * 16) cells, and a
     # batch holds as many rows as that budget gives the most real cells a row
     # can need, or the training rows when more: 1.88 rows a unit on medical
-    # (34 cells a row), 1 a unit where no dim is binary
+    # classes (34 cells a row), 1 a unit where no dim is binary or the labels
+    # are real
     @pytest.mark.parametrize("limit,rows", [
         ("_BATCH_ROWS", 1),      # a budget below one bag: batches of one bootstrap bag's rows
         ("_BATCH_ROWS", 500),    # 500-941 rows: cuts inside a step of the 300- and 400-row sets
@@ -481,25 +484,33 @@ class TestForest:
         assert forest_digest(fit_forest(ds, cfg)) == GOLDEN_FOREST_DIGESTS[case]
 
     def test_batches_are_sized_in_candidate_cells(self):
-        # the cell budget of a dense mask of 4,096 rows, over the most real
+        # the cell budget of a dense mask of 4,096 rows, over the most
         # candidate cells a row can need
         med, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=1, seed=1))
         sub, _ = generate_subtyped_regression(SynthConfig(n_train=1000, n_test=1, seed=1), 3)
-        # medical: 4 sampled of 10 dims, 2 of them numeric: 2 * 16 + 2 = 34 cells
+        med_real = make_ds(med.x, med.x[:, 0] / 60 + med.x[:, 9], label_kind="real",
+                           binary=med.binary_dims)
+        # medical classes: 4 sampled of 10 dims, 2 of them numeric: 2 * 16 + 2 = 34 cells
         assert tree_mod._Grower(med, TreeConfig()).batch_rows == 4 * 16 * 4096 // 34 == 7710
         # subtyped: 3 sampled of 8 numeric dims, 48 cells: the dense mask's rows
         assert tree_mod._Grower(sub, TreeConfig()).batch_rows == 4096
+        # real labels compare every slot, binary or not: the dense mask itself
+        grower = tree_mod._Grower(med_real, TreeConfig())
+        assert grower.batch_rows == 4096 and grower.mask_buf.size == 4 * 16 * 4096
 
     def test_forest_memory_is_bounded(self):
         tr, _, _ = generate_medical(SynthConfig(n_train=1000, n_test=10, noise_rate=0.001, seed=1))
-        tracemalloc.start()
-        try:
-            fit_forest(tr, TreeConfig(seed=7))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 3.36 MiB traced with a dense (dims, thresholds, rows) mask of 4,096 rows
-        assert peak < 3.4 * 2**20
+        sub, _ = generate_subtyped_regression(SynthConfig(n_train=1000, n_test=1, seed=1), 3)
+        # medical: 3.36 MiB traced with a dense (dims, thresholds, rows) mask
+        # of 4,096 rows; subtyped: 3.12 MiB traced
+        for ds, mib in ((tr, 3.4), (sub, 3.2)):
+            tracemalloc.start()
+            try:
+                fit_forest(ds, TreeConfig(seed=7))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mib * 2**20
         # the split search's buffers hold the cell budget however many trees grow
         for trees in (10, 100):
             grower = tree_mod._Grower(tr, TreeConfig(n_trees=trees, seed=7))
